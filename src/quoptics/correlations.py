@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from .dynamics import LinearSystem, solve_linear
 from .lindblad import (
     LangevinLinearModel,
     LindbladModel,
@@ -148,9 +149,7 @@ def regression_formula(ops, coeff: np.ndarray, a: Operator, c: Operator,
         np.trace(a.entries @ op.entries @ c.entries @ rho.entries) for op in ops
     ])
     tau = np.asarray(tau_grid, dtype=float)
-    w, s = np.linalg.eig(coeff)
-    c0 = np.linalg.solve(s, g0)
-    g = (np.exp(np.outer(tau, w)) * c0) @ s.T
+    g = solve_linear(LinearSystem(coeff), g0, tau, settings)
     return [
         CorrelationSeries(tau=tau, values=g[:, j], kind="generic")
         for j in range(len(ops))
@@ -282,14 +281,12 @@ def opo_lindblad_model(gamma: float, g: float, n_max: int) -> LindbladModel:
 # Numeric noise spectra
 # ---------------------------------------------------------------------------
 
-def _mode_two_time(model: LangevinLinearModel, tau: np.ndarray) -> np.ndarray:
+def _mode_two_time(model: LangevinLinearModel, tau: np.ndarray,
+                   settings: Settings) -> np.ndarray:
     """G(tau) = <delta v(t+tau) delta v(t)^dag> = exp(A tau) M, stacked."""
     moments = langevin_steady(model).second
-    w, s = np.linalg.eig(model.a)
-    sinv = np.linalg.solve(s, moments)
-    # G(tau) = S diag(e^{w tau}) S^-1 M for every tau at once
-    phases = np.exp(np.outer(tau, w))                     # (nt, n)
-    return np.einsum("ij,tj,jk->tik", s, phases, sinv)
+    return np.stack([solve_linear(LinearSystem(model.a), col, tau, settings)
+                     for col in moments.T], axis=2)
 
 
 def _normally_ordered_quadrature_cov(g_tau: np.ndarray, phase: float) -> np.ndarray:
@@ -344,7 +341,7 @@ def spectrum_numeric(model, phase: float, omega_grid,
             raise QuopticsError("non-decaying correlations: drift not Hurwitz")
         tau, dtau, tail = _spectrum_tau_grid(rates, omega,
                                              tau_points_per_period)
-        g_tau = _mode_two_time(model, tau)
+        g_tau = _mode_two_time(model, tau, settings)
         cov = _normally_ordered_quadrature_cov(g_tau, phase)
     elif isinstance(model, LindbladModel):
         if mode_op is None or kappa_out is None:

@@ -98,11 +98,9 @@ def rabi_rwa(b0, delta: float, omega_rabi: float, t_grid,
     x0 = np.array([0.5 * (b0[0] - 1j * b0[1]),
                    0.5 * (b0[0] + 1j * b0[1]),
                    b0[2]], dtype=complex)
-    mat = rwa_bloch_matrix(delta, omega_rabi)
-    w, s = np.linalg.eig(mat)
-    c0 = np.linalg.solve(s, x0)
-    modes = np.exp(np.outer(t_grid, w)) * c0
-    x = modes @ s.T
+    # b0 is the state at t = 0 even when t_grid starts elsewhere
+    x = solve_linear(LinearSystem(rwa_bloch_matrix(delta, omega_rabi)), x0,
+                     np.append(0.0, t_grid))[1:]
     slow = np.stack([2.0 * x[:, 0].real, -2.0 * x[:, 0].imag, x[:, 2].real],
                     axis=1)
     lab = None

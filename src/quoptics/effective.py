@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import LindbladModel
+from .lindblad import LindbladModel, build_liouvillian
 from .operators import (
     BasisSpec,
     Operator,
@@ -193,13 +193,8 @@ def lindblad_decompose(t_matrix: np.ndarray, basis: BasisSpec,
         j = sum(vq * g for vq, g in zip(v, ops[1:]))
         jumps.append((float(val) / 2.0, Operator(basis, j)))
 
-    eye = np.eye(d, dtype=complex)
-    rebuilt = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for rate, op in jumps:
-        j = op.entries
-        jdj = j.conj().T @ j
-        rebuilt += rate * (2.0 * np.kron(j.conj(), j) - np.kron(eye, jdj)
-                           - np.kron(jdj.T, eye))
+    rebuilt = build_liouvillian(
+        LindbladModel(basis, Operator(basis, h), jumps)).matrix
     report = {
         "choi_hermiticity_residual": herm_res,
         "refit_residual": float(np.abs(rebuilt - t_matrix).max()),

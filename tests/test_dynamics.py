@@ -54,6 +54,16 @@ def test_rwa_far_detuned_is_free_evolution():
     assert np.abs(np.hypot(sol.slow[:, 0], sol.slow[:, 1]) - 0.6).max() < 5e-3
 
 
+def test_rwa_grid_starting_late_keeps_b0_at_zero():
+    b0 = [0.6, 0.0, 0.8]
+    t = np.linspace(0.0, 3.0, 31)
+    full = q.rabi_rwa(b0, 0.7, 1.3, t, omega=5.0)
+    tail = q.rabi_rwa(b0, 0.7, 1.3, t[10:], omega=5.0)
+    assert t[10] == 1.0
+    assert np.abs(tail.slow - full.slow[10:]).max() < 1e-12
+    assert np.abs(tail.lab - full.lab[10:]).max() < 1e-12
+
+
 def test_full_bloch_vs_rwa_scaling():
     omega_rabi = 1.0
     t = np.linspace(0, 2 * math.pi / omega_rabi, 400)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import quoptics as q
-from quoptics.lindblad import lindblad_rhs, vec
+from quoptics.lindblad import DENSE_EXPM_MAX_DIM, lindblad_rhs, vec
 from quoptics.operators import QuopticsError
-from quoptics.settings import DEFAULT
 
 
 def _decay_model(gamma: float, n_max: int) -> q.LindbladModel:
@@ -219,17 +218,41 @@ def test_frame_transform_makes_drive_static():
                   - q.build_liouvillian(expected).matrix).max() < 1e-12
 
 
-def test_evolve_master_ode_route_matches_expm():
-    p = q.CavityParams(1.0, 0.5, 0.4, 0.3, nbar=0.2)
-    m = q.driven_cavity_model(p, 7)
-    rho0 = q.thermal_state(0.1, 7)
-    t = np.linspace(0, 2.0, 7)
-    dense = q.evolve_master(rho0, m, t)
-    forced_ode = q.evolve_master(rho0, m, t,
-                                 settings=replace(DEFAULT,
-                                                  max_dense_expm_dim=2))
-    for a, b in zip(dense, forced_ode):
-        assert np.abs(a.entries - b.entries).max() < 1e-8
+@pytest.mark.parametrize("p, n_max, nbar0, t", [
+    # thermally damped: two jump operators, D = 33^2 just above the limit
+    (q.CavityParams(1.0, 0.5, 0.4, 0.3, nbar=0.2), 32, 0.1,
+     np.linspace(0.0, 2.0, 7)),
+    # strongly driven: <n> reaches 16 on an n_max 80 cutoff
+    (q.CavityParams(1.0, 1.0, 0.0, 4.0), 80, 0.0, np.linspace(0.0, 2.5, 41)),
+], ids=["thermal-n32", "driven-n80"])
+def test_evolve_master_sparse_route_matches_analytic(p, n_max, nbar0, t):
+    m = q.driven_cavity_model(p, n_max)
+    assert m.basis.total_dim ** 2 > DENSE_EXPM_MAX_DIM
+    states = q.evolve_master(q.thermal_state(nbar0, n_max), m, t)
+    ops = q.fock_ops(n_max)
+    analytic = q.driven_cavity_analytic(p, t, nfluct0=nbar0)
+    mean = np.array([q.expectation(ops.a, s) for s in states])
+    n_mean = np.array([q.expectation(ops.n, s).real for s in states])
+    assert np.abs(mean - analytic.mean_a).max() < 1e-8
+    assert np.abs(n_mean - np.abs(analytic.mean_a) ** 2
+                  - analytic.n_fluct).max() < 1e-8
+
+
+def test_evolve_master_sparse_route_is_deterministic():
+    n_max = 34
+    m = q.driven_cavity_model(q.CavityParams(1.0, 1.0, 0.0, 1.5), n_max)
+    rho0 = q.thermal_state(0.0, n_max)
+    # one step with ||L dt||_1 far above the onenormest threshold of scipy
+    runs = []
+    for seed in (0, 1):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        runs.append(q.evolve_master(rho0, m, [0.0, 6.0])[-1].entries)
+        after = np.random.get_state()
+        assert before[0] == after[0]
+        assert np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+    assert runs[0].tobytes() == runs[1].tobytes()
 
 
 def test_mcwf_no_jumps_is_schroedinger():

@@ -1,0 +1,55 @@
+"""Property tests of the Liouvillian on random small Lindblad models."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import quoptics as q
+from quoptics.lindblad import lindblad_rhs, vec
+
+SETTINGS = q.DEFAULT
+
+
+def _random_matrix(rng, d: int) -> np.ndarray:
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+@st.composite
+def small_models(draw):
+    """d in 2..4, Hermitian H and 0..3 jump operators with random rates."""
+    d = draw(st.integers(2, 4))
+    rates = draw(st.lists(st.floats(0.0, 2.0), min_size=0, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = q.fock_basis(d - 1)
+    x = _random_matrix(rng, d)
+    h = q.Operator(basis, 0.5 * (x + x.conj().T))
+    jumps = tuple((rate, q.Operator(basis, _random_matrix(rng, d) / d))
+                  for rate in rates)
+    return q.LindbladModel(basis, h, jumps), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_models())
+def test_liouvillian_matrix_applies_lindblad_rhs(model_rng):
+    m, rng = model_rng
+    d = m.basis.total_dim
+    x = _random_matrix(rng, d)
+    sup = q.build_liouvillian(m)
+    scale = max(1.0, float(np.abs(sup.matrix).max())) * float(np.abs(x).max())
+    direct = vec(lindblad_rhs(m, x))
+    assert np.abs(sup.matrix @ vec(x) - direct).max() < 1e-13 * d * scale
+    # the trace row vec(I)^dag L vanishes: evolution preserves the trace
+    assert sup.trace_residual() < SETTINGS.eps_sup * max(
+        1.0, float(np.abs(sup.matrix).max()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models(), st.floats(0.1, 3.0))
+def test_evolve_master_keeps_unit_trace_and_positivity(model_rng, t_max):
+    m, rng = model_rng
+    x = _random_matrix(rng, m.basis.total_dim)
+    rho_m = x @ x.conj().T
+    rho0 = q.DensityMatrix(m.basis, rho_m / rho_m.trace().real)
+    for rho in q.evolve_master(rho0, m, np.linspace(0.0, t_max, 6)):
+        assert abs(np.trace(rho.entries) - 1.0) < SETTINGS.eps_tr
+        assert np.linalg.eigvalsh(rho.entries).min() > -SETTINGS.eps_psd
