@@ -113,7 +113,9 @@ def _cmd_list() -> int:
 
 
 def _collect_reproduces() -> dict:
-    """Light-weight anchors per scenario (kept in sync by the registry test)."""
+    """Light-weight anchors per scenario; tests/test_cli.py::
+    test_list_prints_registry_with_anchors checks that every registry
+    scenario has one."""
     return {
         "rabi-bloch": ["detuned population transfer and the RWA error scaling"],
         "collapse-revival": ["Poisson-sum population, Gaussian collapse "

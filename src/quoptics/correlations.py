@@ -16,8 +16,9 @@ from .dynamics import LinearSystem, solve_linear
 from .lindblad import (
     LangevinLinearModel,
     LindbladModel,
+    _liouvillian_sparse,
     _propagate_matrix_series,
-    build_liouvillian,
+    _steady_state,
     langevin_steady,
     moment_rhs,
     steady_state,
@@ -95,12 +96,20 @@ def regression_correlator(a: Operator, b: Operator, c: Operator,
     for op in (a, b, c):
         if op.basis != m.basis:
             raise BasisMismatchError("operator/model basis mismatch")
-    rho = steady_state(m, settings) if initial == "steady" else initial
-    seed = c.entries @ rho.entries @ a.entries
+    liouv = _liouvillian_sparse(m, settings)
+    rho = _steady_state(m, liouv, settings) if initial == "steady" else initial
     tau = np.asarray(tau_grid, dtype=float)
-    mats = _propagate_matrix_series(m, seed, tau, settings)
-    values = np.array([np.trace(b.entries @ s) for s in mats])
+    values = _regression(liouv, b.entries, c.entries @ rho.entries @ a.entries,
+                         tau)
     return CorrelationSeries(tau=tau, values=values, kind=kind)
+
+
+def _regression(liouv, b: np.ndarray, seed: np.ndarray,
+                tau: np.ndarray) -> np.ndarray:
+    """tr{B exp(L tau)[seed]} along tau for the model's built sparse L
+    (the quantum regression theorem)."""
+    mats = _propagate_matrix_series(liouv, seed, tau)
+    return np.trace(b @ mats, axis1=1, axis2=2)
 
 
 def g2_normalized(series: CorrelationSeries, n_mean: float) -> CorrelationSeries:
@@ -113,10 +122,13 @@ def g2_normalized(series: CorrelationSeries, n_mean: float) -> CorrelationSeries
     )
 
 
+# closure of the operator set is checked on this many random states
+_CLOSURE_CHECKS = 12
+_CLOSURE_SEED = 7
+
+
 def regression_formula(ops, coeff: np.ndarray, a: Operator, c: Operator,
-                       m: LindbladModel, tau_grid,
-                       initial="steady", n_check: int = 12,
-                       rng_seed: int = 7,
+                       m: LindbladModel, tau_grid, initial="steady",
                        settings: Settings = DEFAULT) -> list[CorrelationSeries]:
     """Two-time correlators of a closed operator set from its moment matrix.
 
@@ -126,11 +138,11 @@ def regression_formula(ops, coeff: np.ndarray, a: Operator, c: Operator,
     """
     coeff = np.asarray(coeff, dtype=complex)
     dim = m.basis.total_dim
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_CLOSURE_SEED)
     # random check states are damped toward high indices: moment equations
     # on a truncated ladder only close away from the cutoff
     envelope = np.exp(-0.5 * np.arange(dim))
-    for _ in range(n_check):
+    for _ in range(_CLOSURE_CHECKS):
         r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         r *= envelope[:, None]
         rho_m = r @ r.conj().T
@@ -289,18 +301,18 @@ def _mode_two_time(model: LangevinLinearModel, tau: np.ndarray,
                      for col in moments.T], axis=2)
 
 
-def _normally_ordered_quadrature_cov(g_tau: np.ndarray, phase: float) -> np.ndarray:
-    """Output-field <: dX^phi(t) dX^phi(t+tau) :> from the system (a, a^dag)
-    two-time matrix, tau > 0.
+def _normally_ordered_quadrature_cov(g12: np.ndarray, g22: np.ndarray,
+                                     phase: float) -> np.ndarray:
+    """Output-field <: dX^phi(t) dX^phi(t+tau) :> with X = e^{-i phi} a
+    + e^{i phi} a^dag, from g12 = <da(t+tau) da(t)> and g22, the number-like
+    pair <da^dag da> in either time order (only g22 + g22^* enters), tau > 0.
 
     The vacuum input contributions cancel only for specific time orders:
     the annihilator pair needs the later time on the left (causality), the
     creator pair the earlier time on the left, and both orders of the
-    number-like pair appear.  In terms of G(tau) = <v(t+tau) v(t)^dag>:
-    c = e^{-2i phi} G_12 + e^{+2i phi} G_12^* + G_22 + G_22^*.
+    number-like pair appear:
+    c = e^{-2i phi} g12 + e^{+2i phi} g12^* + g22 + g22^*.
     """
-    g12 = g_tau[:, 0, 1]   # <a(t+tau) a(t)>
-    g22 = g_tau[:, 1, 1]   # <a^dag(t+tau) a(t)>
     e2 = np.exp(-2j * phase)
     return e2 * g12 + np.conj(e2 * g12) + g22 + np.conj(g22)
 
@@ -320,7 +332,6 @@ def _one_sided_ft(tau: np.ndarray, cov: np.ndarray,
 def spectrum_numeric(model, phase: float, omega_grid,
                      mode_op: Operator | None = None,
                      kappa_out: float | None = None,
-                     tau_points_per_period: int = 60,
                      settings: Settings = DEFAULT) -> SpectrumSeries:
     """Quadrature noise spectrum V = 1 + kappa_out * FT of the normally
     ordered stationary quadrature covariance.
@@ -339,24 +350,31 @@ def spectrum_numeric(model, phase: float, omega_grid,
         rates = np.linalg.eigvals(model.a)
         if np.any(rates.real >= 0):
             raise QuopticsError("non-decaying correlations: drift not Hurwitz")
-        tau, dtau, tail = _spectrum_tau_grid(rates, omega,
-                                             tau_points_per_period)
+        tau, dtau, tail = _spectrum_tau_grid(rates, omega)
         g_tau = _mode_two_time(model, tau, settings)
-        cov = _normally_ordered_quadrature_cov(g_tau, phase)
+        cov = _normally_ordered_quadrature_cov(g_tau[:, 0, 1], g_tau[:, 1, 1],
+                                               phase)
     elif isinstance(model, LindbladModel):
         if mode_op is None or kappa_out is None:
             raise ValidationError(
                 "LindbladModel spectra need mode_op and kappa_out"
             )
         kappa = kappa_out
-        liouv = build_liouvillian(model, settings).matrix
-        ev = np.linalg.eigvals(liouv)
+        liouv = _liouvillian_sparse(model, settings)
+        ev = np.linalg.eigvals(liouv.toarray())
         nonzero = ev[np.abs(ev) > 1e-9 * max(1.0, np.abs(ev).max())]
         if np.any(nonzero.real > 1e-12 * max(1.0, np.abs(ev).max())):
             raise QuopticsError("non-decaying correlations in the Liouvillian")
-        tau, dtau, tail = _spectrum_tau_grid(nonzero, omega,
-                                             tau_points_per_period)
-        cov = _lindblad_quadrature_cov(model, mode_op, phase, tau, settings)
+        tau, dtau, tail = _spectrum_tau_grid(nonzero, omega)
+        rho = _steady_state(model, liouv, settings).entries
+        da = mode_op.entries - np.trace(mode_op.entries @ rho) * np.eye(
+            mode_op.dim)
+        # time orders as _normally_ordered_quadrature_cov needs them:
+        # <da(t+tau) da(t)> = tr{da e^{L tau}[da rho]} and
+        # <da^dag(t) da(t+tau)> = tr{da e^{L tau}[rho da^dag]}
+        cov = _normally_ordered_quadrature_cov(
+            _regression(liouv, da, da @ rho, tau),
+            _regression(liouv, da, rho @ da.conj().T, tau), phase)
     else:
         raise ValidationError("unsupported model type")
     values = 1.0 + kappa * _one_sided_ft(tau, cov, omega)
@@ -366,42 +384,23 @@ def spectrum_numeric(model, phase: float, omega_grid,
     })
 
 
-def _spectrum_tau_grid(rates: np.ndarray, omega: np.ndarray,
-                       points_per_period: int):
+# tau step: this many points per period of the fastest rate or frequency
+_TAU_POINTS_PER_PERIOD = 60
+
+
+def _spectrum_tau_grid(rates: np.ndarray, omega: np.ndarray):
     decay = -rates.real
     slowest = float(decay[decay > 0].min())
     tau_max = 20.0 / slowest
     f_max = max(float(np.abs(rates.imag).max()), float(np.abs(omega).max()),
                 float(decay.max()), slowest)
-    dtau = 2.0 * math.pi / (f_max * points_per_period)
+    dtau = 2.0 * math.pi / (f_max * _TAU_POINTS_PER_PERIOD)
     n = int(math.ceil(tau_max / dtau)) + 1
     if n % 2 == 0:  # Simpson weights need an odd point count
         n += 1
     tau = np.linspace(0.0, tau_max, n)
     tail = math.exp(-20.0) / slowest
     return tau, float(tau[1] - tau[0]), tail
-
-
-def _lindblad_quadrature_cov(model: LindbladModel, mode_op: Operator,
-                             phase: float, tau: np.ndarray,
-                             settings: Settings) -> np.ndarray:
-    rho = steady_state(model, settings)
-    mean = np.trace(mode_op.entries @ rho.entries)
-    da = mode_op.entries - mean * np.eye(mode_op.dim)
-    da_dag = da.conj().T
-
-    # regression seeds; time orders chosen so the vacuum-input terms of the
-    # output covariance cancel (see _normally_ordered_quadrature_cov)
-    mats_rho_dag = _propagate_matrix_series(
-        model, rho.entries @ da_dag, tau, settings)
-    mats_da_rho = _propagate_matrix_series(
-        model, da @ rho.entries, tau, settings)
-    g_dag_da = np.array([np.trace(da @ s) for s in mats_rho_dag])
-    # <da(t+tau) da(t)> = tr{da e^{L tau}[da rho]}
-    g_da_da = np.array([np.trace(da @ s) for s in mats_da_rho])
-    e2 = np.exp(-2j * phase)
-    # <:dX(t) dX(t+tau):> with X = e^{-i phi} a + e^{i phi} a^dag
-    return e2 * g_da_da + np.conj(e2 * g_da_da) + g_dag_da + np.conj(g_dag_da)
 
 
 # ---------------------------------------------------------------------------

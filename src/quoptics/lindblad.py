@@ -189,34 +189,37 @@ DENSE_EXPM_MAX_DIM = 1024
 _STEP_NORM_MAX = 60.0
 
 
-def _propagate_matrix_series(m: LindbladModel, s0: np.ndarray, t_grid,
-                             settings: Settings) -> list[np.ndarray]:
-    """Propagate an arbitrary matrix under exp(L t) along t_grid."""
+def _propagate_matrix_series(liouv: sp.csr_matrix, s0: np.ndarray,
+                             t_grid) -> np.ndarray:
+    """Propagate a matrix under exp(L t) along t_grid (s0 is the matrix at
+    t_grid[0]); returns the (nt, d, d) stack of propagated matrices."""
     t = np.asarray(t_grid, dtype=float)
-    liouv = _liouvillian_sparse(m, settings)
-    v = vec(s0)  # s0 is the state at t_grid[0]
-    out = [unvec(v)]
+    steps = np.diff(t)
     dim = liouv.shape[0]
+    d = s0.shape[0]
+    v = vec(s0)
+    out = np.empty((t.size, dim), dtype=complex)
+    out[0] = v
     if dim <= DENSE_EXPM_MAX_DIM:
-        liouv = liouv.toarray()
-        props: dict[float, np.ndarray] = {}
-        for dt in np.diff(t):
-            key = round(dt, 15)
-            if key not in props:
-                props[key] = expm(liouv * dt)
-            v = props[key] @ v
-            out.append(unvec(v))
-        return out
-
-    trace = liouv.diagonal().sum()
-    norm = abs(liouv - (trace / dim) * sp.identity(dim)).sum(axis=0).max()
-    for dt in np.diff(t):
-        n_sub = max(1, math.ceil(abs(dt) * norm / _STEP_NORM_MAX))
-        h = dt / n_sub
-        for _ in range(n_sub):
-            v = expm_multiply(liouv * h, v, traceA=trace * h)
-        out.append(unvec(v))
-    return out
+        dense = liouv.toarray()
+        # one exponential per distinct step, built from its first occurrence
+        _, first, which = np.unique(np.round(steps, 15), return_index=True,
+                                    return_inverse=True)
+        props = [expm(dense * steps[k]) for k in first]
+        for k, p in enumerate(which):
+            v = props[p] @ v
+            out[k + 1] = v
+    else:
+        trace = liouv.diagonal().sum()
+        norm = abs(liouv - (trace / dim) * sp.identity(dim)).sum(axis=0).max()
+        for k, dt in enumerate(steps):
+            n_sub = max(1, math.ceil(abs(dt) * norm / _STEP_NORM_MAX))
+            h = dt / n_sub
+            for _ in range(n_sub):
+                v = expm_multiply(liouv * h, v, traceA=trace * h)
+            out[k + 1] = v
+    # row k is vec of the k-th matrix, so each (d, d) block is its transpose
+    return out.reshape(t.size, d, d).transpose(0, 2, 1)
 
 
 def evolve_master(rho0: DensityMatrix, m: LindbladModel, t_grid,
@@ -226,7 +229,8 @@ def evolve_master(rho0: DensityMatrix, m: LindbladModel, t_grid,
     rho0.validate(settings)
     if rho0.basis != m.basis:
         raise BasisMismatchError("state/model basis mismatch")
-    mats = _propagate_matrix_series(m, np.array(rho0.entries), t_grid, settings)
+    mats = _propagate_matrix_series(_liouvillian_sparse(m, settings),
+                                    np.array(rho0.entries), t_grid)
     out = []
     for k, mat in enumerate(mats):
         rho = DensityMatrix(m.basis, mat)
@@ -246,17 +250,22 @@ def steady_state(m: LindbladModel, settings: Settings = DEFAULT) -> DensityMatri
     Uniqueness of the zero eigenvalue is checked through the singular
     spectrum; degeneracy raises with the detected null dimension.
     """
-    liouv = build_liouvillian(m, settings).matrix
+    return _steady_state(m, _liouvillian_sparse(m, settings), settings)
+
+
+def _steady_state(m: LindbladModel, liouv: sp.csr_matrix,
+                  settings: Settings) -> DensityMatrix:
+    """steady_state from the model's already built sparse Liouvillian."""
+    a = liouv.toarray()
     d = m.basis.total_dim
-    scale = np.abs(liouv).max()
-    svals = np.linalg.svd(liouv, compute_uv=False)
+    scale = np.abs(a).max()
+    svals = np.linalg.svd(a, compute_uv=False)
     null_dim = int(np.sum(svals < 1e-10 * scale))
     if null_dim != 1:
         raise QuopticsError(
             f"Liouvillian null space has dimension {null_dim}, expected 1"
         )
     # replace one row by the trace functional and solve L x = e
-    a = liouv.copy()
     rhs_vec = np.zeros(d * d, dtype=complex)
     a[0, :] = vec(np.eye(d, dtype=complex)).conj()
     rhs_vec[0] = 1.0
@@ -434,26 +443,26 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     for dtk in set(np.round(dts, 15)):
         props[dtk] = expm(-1j * h_eff * dtk)
 
-    n_steps_total = int(steps.sum())
-    # two uniforms per step per trajectory: jump decision, channel choice
-    streams = np.random.SeedSequence(seed).spawn(n_traj)
-    uniforms = np.empty((n_traj, n_steps_total, 2))
-    for i, ss in enumerate(streams):
-        uniforms[i] = np.random.default_rng(ss).random((n_steps_total, 2))
+    # two uniforms per step per trajectory: jump decision, channel choice;
+    # each output interval draws its block from every stream in turn, so
+    # memory stays at n_traj x substeps of one interval
+    rngs = [np.random.default_rng(ss)
+            for ss in np.random.SeedSequence(seed).spawn(n_traj)]
 
     psi = np.tile(psi0.amplitudes, (n_traj, 1)).astype(complex)
     pops = np.empty((t.size, d))
     pops[0] = np.mean(np.abs(psi) ** 2, axis=0)
     n_jumps = np.zeros(n_traj, dtype=int)
 
-    step_idx = 0
     for seg, n_sub in enumerate(steps):
         dtk = round(dts[seg], 15)
         u_no_jump = props[dtk]
-        for _ in range(n_sub):
-            u1 = uniforms[:, step_idx, 0]
-            u2 = uniforms[:, step_idx, 1]
-            step_idx += 1
+        uniforms = np.empty((n_traj, n_sub, 2))
+        for i, rng in enumerate(rngs):
+            rng.random(out=uniforms[i])
+        for step in range(n_sub):
+            u1 = uniforms[:, step, 0]
+            u2 = uniforms[:, step, 1]
             # channel probabilities p_j = 2 kappa_j dt <J^dag J>
             probs = np.empty((len(jump_ops), n_traj))
             jpsi_all = []

@@ -323,20 +323,20 @@ def _truncation_warning(u: np.ndarray, keep: int, what: str,
     return res
 
 
-def _exp_raising(coef: complex, dim: int) -> np.ndarray:
-    """exp(coef * a^dag) as an exact lower-triangular matrix.
+def _exp_raising(coef: complex, dim: int, p: int = 1) -> np.ndarray:
+    """exp(coef * a^dag^p) as an exact lower-triangular band matrix.
 
-    (e^{c a^dag})_{m n} = c^{m-n} sqrt(m!/n!) / (m-n)!, evaluated in log
-    space so large cutoffs stay finite.
+    (e^{c a^dag^p})_{m n} = c^k sqrt(m!/n!) / k! on the diagonals
+    m - n = p k, evaluated in log space so large cutoffs stay finite.
     """
     out = np.zeros((dim, dim), dtype=complex)
     n = np.arange(dim)
     logfact = gammaln(n + 1.0)
     mod = abs(coef)
     ph = coef / mod if mod else 0.0
-    for k in range(dim):
-        rows = n[k:]
-        cols = rows - k
+    for k in range((dim - 1) // p + 1):
+        rows = n[p * k:]
+        cols = rows - p * k
         if mod == 0.0 and k > 0:
             break
         log_amp = (k * math.log(mod) if k else 0.0) \
@@ -378,32 +378,14 @@ def squeeze_op(z: complex, n_max: int, settings: Settings = DEFAULT) -> Operator
         return Operator(fock_basis(n_max), np.eye(dim, dtype=complex),
                         meta={"trunc_residual": 0.0})
     eta = (z / r) * math.tanh(r)
-    lower = _exp_pair_raising(-0.5 * eta, dim)
-    upper = _exp_pair_raising(0.5 * np.conj(eta), dim).T
+    lower = _exp_raising(-0.5 * eta, dim, 2)
+    upper = _exp_raising(0.5 * np.conj(eta), dim, 2).T
     n = np.arange(dim)
     mid = np.power(math.cosh(r), -(n + 0.5))
     u = (lower * mid[None, :]) @ upper
     keep = dim - math.ceil(4.0 * math.sinh(r) ** 2 + 4.0)
     res = _truncation_warning(u, keep, "squeeze_op", settings)
     return Operator(fock_basis(n_max), u, meta={"trunc_residual": res})
-
-
-def _exp_pair_raising(coef: complex, dim: int) -> np.ndarray:
-    """exp(coef * a^dag^2) as an exact lower-triangular band matrix."""
-    out = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(dim)
-    logfact = gammaln(n + 1.0)
-    mod = abs(coef)
-    ph = coef / mod if mod else 0.0
-    for k in range(dim // 2 + 1):
-        rows = n[2 * k:]
-        cols = rows - 2 * k
-        if mod == 0.0 and k > 0:
-            break
-        log_amp = (k * math.log(mod) if k else 0.0) \
-            + 0.5 * (logfact[rows] - logfact[cols]) - gammaln(k + 1.0)
-        out[rows, cols] = np.exp(log_amp) * (ph ** k)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,19 @@ from quoptics.serialize import (
 
 
 def test_list_prints_registry_with_anchors(capsys):
+    # every scenario block carries a non-empty `reproduces:` line
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in REGISTRY:
-        assert name in out
-    assert "reproduces:" in out
+    blocks = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith(" "):
+            blocks[name].append(line.strip())
+        else:
+            name = line
+            blocks[name] = []
+    assert set(blocks) == set(REGISTRY)
+    for name, lines in blocks.items():
+        anchors = [x for x in lines if x.startswith("reproduces: ")]
+        assert anchors and all(x[len("reproduces: "):] for x in anchors), name
 
 
 def test_every_scenario_documents_what_it_reproduces():

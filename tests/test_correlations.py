@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -274,3 +275,43 @@ def test_spectrum_numeric_detuned_thermal_cavity():
     lind = q.spectrum_numeric(model, 0.2, om, mode_op=q.fock_ops(n_max).a,
                               kappa_out=2 * gamma)
     assert np.abs(lind.values - expected).max() < 1e-5
+
+
+def _count_liouvillian_builds(monkeypatch) -> list:
+    """Wrap _liouvillian_sparse in every quoptics module that holds it and
+    return the list its calls are appended to."""
+    original = q.lindblad._liouvillian_sparse
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])  # the model
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "quoptics"
+                and getattr(module, "_liouvillian_sparse", None) is original):
+            monkeypatch.setattr(module, "_liouvillian_sparse", counting)
+    return calls
+
+
+@pytest.mark.parametrize("engine", ["steady_state", "evolve_master",
+                                    "regression_correlator",
+                                    "spectrum_numeric"])
+def test_each_call_builds_the_liouvillian_once(monkeypatch, engine):
+    n_max = 6
+    m = _thermal_cavity(1.0, 0.3, n_max)
+    ops = q.fock_ops(n_max)
+    tau = np.linspace(0.0, 1.0, 5)
+    vacuum = np.diag(np.eye(n_max + 1)[0])
+    rho0 = q.DensityMatrix(m.basis, vacuum)
+    calls = _count_liouvillian_builds(monkeypatch)
+    run = {
+        "steady_state": lambda: q.steady_state(m),
+        "evolve_master": lambda: q.evolve_master(rho0, m, tau),
+        "regression_correlator": lambda: q.regression_correlator(
+            ops.a_dag, ops.n, ops.a, m, tau),
+        "spectrum_numeric": lambda: q.spectrum_numeric(
+            m, 0.3, np.linspace(0.0, 2.0, 3), mode_op=ops.a, kappa_out=2.0),
+    }[engine]
+    run()
+    assert len(calls) == 1 and calls[0] is m

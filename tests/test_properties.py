@@ -15,10 +15,14 @@ def _random_matrix(rng, d: int) -> np.ndarray:
 
 
 @st.composite
-def small_models(draw):
-    """d in 2..4, Hermitian H and 0..3 jump operators with random rates."""
+def small_models(draw, damped: bool = False):
+    """d in 2..4, Hermitian H and 0..3 jump operators with random rates;
+    ``damped`` makes the first rate at least 0.1, so that the steady state
+    is unique."""
     d = draw(st.integers(2, 4))
     rates = draw(st.lists(st.floats(0.0, 2.0), min_size=0, max_size=3))
+    if damped:
+        rates = [draw(st.floats(0.1, 2.0))] + rates[:2]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     basis = q.fock_basis(d - 1)
     x = _random_matrix(rng, d)
@@ -53,3 +57,30 @@ def test_evolve_master_keeps_unit_trace_and_positivity(model_rng, t_max):
     for rho in q.evolve_master(rho0, m, np.linspace(0.0, t_max, 6)):
         assert abs(np.trace(rho.entries) - 1.0) < SETTINGS.eps_tr
         assert np.linalg.eigvalsh(rho.entries).min() > -SETTINGS.eps_psd
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models(damped=True))
+def test_steady_state_is_a_unit_trace_psd_null_vector(model_rng):
+    m, _ = model_rng
+    rho = q.steady_state(m).entries
+    liouv = q.build_liouvillian(m).matrix
+    assert abs(np.trace(rho) - 1.0) < SETTINGS.eps_tr
+    assert np.linalg.eigvalsh(rho).min() > -SETTINGS.eps_psd
+    scale = max(1.0, float(np.abs(liouv).max()))
+    assert np.abs(liouv @ vec(rho)).max() < 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models(damped=True))
+def test_regression_correlator_at_zero_delay_is_the_direct_expectation(
+        model_rng):
+    m, rng = model_rng
+    a, b, c = (_random_matrix(rng, m.basis.total_dim) for _ in range(3))
+    rho = q.steady_state(m).entries
+    series = q.regression_correlator(
+        q.Operator(m.basis, a), q.Operator(m.basis, b),
+        q.Operator(m.basis, c), m, np.linspace(0.0, 1.0, 3))
+    direct = np.trace(b @ c @ rho @ a)
+    scale = np.prod([np.linalg.norm(x) for x in (a, b, c)])
+    assert abs(series.values[0] - direct) < 1e-12 * scale
