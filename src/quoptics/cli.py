@@ -92,7 +92,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_list() -> int:
     for name in sorted(REGISTRY):
-        schema, _ = REGISTRY[name]
+        schema, _, reproduces = REGISTRY[name]
         sys.stdout.write(f"{name}\n")
         for pname, par in schema.items():
             extras = []
@@ -105,38 +105,9 @@ def _cmd_list() -> int:
             extra = f" ({', '.join(extras)})" if extras else ""
             sys.stdout.write(
                 f"    {pname}: {par.kind.__name__} = {par.default}{extra}\n")
-        # the registry self-documents which analytic results it reproduces
-        probe = _REPRODUCES.get(name, [])
-        for line in probe:
+        for line in reproduces:
             sys.stdout.write(f"    reproduces: {line}\n")
     return EXIT_OK
-
-
-def _collect_reproduces() -> dict:
-    """Light-weight anchors per scenario; tests/test_cli.py::
-    test_list_prints_registry_with_anchors checks that every registry
-    scenario has one."""
-    return {
-        "rabi-bloch": ["detuned population transfer and the RWA error scaling"],
-        "collapse-revival": ["Poisson-sum population, Gaussian collapse "
-                             "envelope, uniformly spaced revivals"],
-        "pdc-instability": ["bounded oscillation vs hyperbolic-sine growth"],
-        "driven-cavity": ["Lorentzian steady photon number and moment decay"],
-        "spontaneous-emission": ["exponential excited-state decay"],
-        "dephasing": ["frozen populations, decaying coherence"],
-        "thermal-g2": ["photon bunching g2 = 1 + e^{-2 gamma tau}"],
-        "resonance-fluorescence": ["antibunching with damped drive "
-                                   "oscillations"],
-        "opo-squeezing": ["below-threshold output squeezing spectra"],
-        "opo-g2": ["monotone pair-emission intensity correlation"],
-        "purcell-cooling": ["cavity-enhanced decay and effective cooling"],
-        "wigner-gallery": ["normalized Wigner functions of the basic states"],
-        "kerr-cat": ["self-Kerr evolution of a coherent state into a cat"],
-        "optomech-cooling": ["sideband cooling rates and backaction floor"],
-    }
-
-
-_REPRODUCES = _collect_reproduces()
 
 
 def _parse_values(text: str) -> list:

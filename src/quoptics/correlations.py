@@ -109,7 +109,7 @@ def _regression(liouv, b: np.ndarray, seed: np.ndarray,
     """tr{B exp(L tau)[seed]} along tau for the model's built sparse L
     (the quantum regression theorem)."""
     mats = _propagate_matrix_series(liouv, seed, tau)
-    return np.trace(b @ mats, axis1=1, axis2=2)
+    return np.einsum("ij,kji->k", b, mats)
 
 
 def g2_normalized(series: CorrelationSeries, n_mean: float) -> CorrelationSeries:

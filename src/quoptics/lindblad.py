@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm, solve_continuous_lyapunov
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import expm_multiply, splu
 
 from .operators import (
     BasisMismatchError,
@@ -247,30 +247,46 @@ def evolve_master(rho0: DensityMatrix, m: LindbladModel, t_grid,
 def steady_state(m: LindbladModel, settings: Settings = DEFAULT) -> DensityMatrix:
     """Null vector of the Liouvillian, Hermitized and trace-normalized.
 
-    Uniqueness of the zero eigenvalue is checked through the singular
-    spectrum; degeneracy raises with the detected null dimension.
+    Row 0 of L is replaced by the trace functional vec(I)^dag; the bordered
+    matrix B is singular exactly when the steady state is not unique, since
+    a second steady state leaves a traceless null vector of L.  One sparse
+    LU of B both solves B x = e_0 and estimates sigma_min(B); a singular or
+    nearly singular B raises with that estimate.
     """
     return _steady_state(m, _liouvillian_sparse(m, settings), settings)
+
+
+# inverse-iteration steps on B^dag B that estimate sigma_min(B)
+_SIGMA_MIN_STEPS = 4
 
 
 def _steady_state(m: LindbladModel, liouv: sp.csr_matrix,
                   settings: Settings) -> DensityMatrix:
     """steady_state from the model's already built sparse Liouvillian."""
-    a = liouv.toarray()
     d = m.basis.total_dim
-    scale = np.abs(a).max()
-    svals = np.linalg.svd(a, compute_uv=False)
-    null_dim = int(np.sum(svals < 1e-10 * scale))
-    if null_dim != 1:
+    scale = abs(liouv).max()
+    trace_row = sp.csr_matrix(vec(np.eye(d, dtype=complex)).conj())
+    try:
+        lu = splu(sp.vstack([trace_row, liouv[1:]], format="csc"))
+    except RuntimeError as err:
+        raise QuopticsError(f"steady state is not unique: {err}") from err
+    # fixed, irregular start vector, so the estimate is deterministic
+    v = np.exp(1j * np.sqrt(np.arange(d * d)))
+    for _ in range(_SIGMA_MIN_STEPS):
+        v = lu.solve(lu.solve(v, trans="H"))
+        growth = np.linalg.norm(v)
+        v /= growth
+    # with |v| = 1 before the last step, |(B^dag B)^-1 v| -> 1/sigma_min^2;
+    # a NaN estimate fails the test below and raises too
+    sigma_min = growth ** -0.5
+    if not sigma_min >= 1e-10 * scale:
         raise QuopticsError(
-            f"Liouvillian null space has dimension {null_dim}, expected 1"
+            f"steady state is not unique: sigma_min of the trace-bordered "
+            f"Liouvillian is about {sigma_min:.3e}"
         )
-    # replace one row by the trace functional and solve L x = e
     rhs_vec = np.zeros(d * d, dtype=complex)
-    a[0, :] = vec(np.eye(d, dtype=complex)).conj()
     rhs_vec[0] = 1.0
-    x = np.linalg.solve(a, rhs_vec)
-    rho = unvec(x)
+    rho = unvec(lu.solve(rhs_vec))
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / rho.trace().real
     out = DensityMatrix(m.basis, rho)
@@ -391,6 +407,23 @@ def driven_cavity_analytic(p: CavityParams, t_grid, mean0: complex = 0.0,
 # Monte Carlo wave function
 # ---------------------------------------------------------------------------
 
+# substeps per random-number draw in mcwf_evolve
+_MCWF_DRAW_BLOCK = 256
+
+
+def _uniform_pairs(rngs: list, n_sub: int):
+    """Yield (u1, u2), the jump and channel uniforms of each of n_sub
+    substeps with one entry per stream.  One buffer of at most
+    _MCWF_DRAW_BLOCK substeps is refilled from every stream in turn, so a
+    stream's values do not depend on the block size."""
+    block = np.empty((len(rngs), min(_MCWF_DRAW_BLOCK, n_sub), 2))
+    for start in range(0, n_sub, _MCWF_DRAW_BLOCK):
+        size = min(_MCWF_DRAW_BLOCK, n_sub - start)
+        for i, rng in enumerate(rngs):
+            rng.random(out=block[i, :size])
+        yield from block[:, :size].transpose(1, 2, 0)
+
+
 @dataclass(frozen=True)
 class MCWFResult:
     t: np.ndarray
@@ -444,8 +477,8 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
         props[dtk] = expm(-1j * h_eff * dtk)
 
     # two uniforms per step per trajectory: jump decision, channel choice;
-    # each output interval draws its block from every stream in turn, so
-    # memory stays at n_traj x substeps of one interval
+    # they are drawn in blocks, so memory stays at n_traj x _MCWF_DRAW_BLOCK
+    # x 16 bytes whatever the output grid
     rngs = [np.random.default_rng(ss)
             for ss in np.random.SeedSequence(seed).spawn(n_traj)]
 
@@ -457,12 +490,7 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     for seg, n_sub in enumerate(steps):
         dtk = round(dts[seg], 15)
         u_no_jump = props[dtk]
-        uniforms = np.empty((n_traj, n_sub, 2))
-        for i, rng in enumerate(rngs):
-            rng.random(out=uniforms[i])
-        for step in range(n_sub):
-            u1 = uniforms[:, step, 0]
-            u2 = uniforms[:, step, 1]
+        for u1, u2 in _uniform_pairs(rngs, n_sub):
             # channel probabilities p_j = 2 kappa_j dt <J^dag J>
             probs = np.empty((len(jump_ops), n_traj))
             jpsi_all = []

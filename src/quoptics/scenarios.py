@@ -143,10 +143,6 @@ def _run_rabi_bloch(p: dict, seed: int) -> SeriesArtifact:
         metadata={
             "frames": "pe is frame independent; rwa column is the "
                       "rotating-wave solution re-attached to the lab frame",
-            "reproduces": [
-                "p_e(t) = (1 - cos(Omega_R t)) / (2 (1 + Delta^2/Omega^2))",
-                "full-vs-RWA deviation shrinks with Omega/epsilon",
-            ],
         })
 
 
@@ -160,11 +156,6 @@ def _run_collapse_revival(p: dict, seed: int) -> SeriesArtifact:
         metadata={
             "collapse_rate": cr.gamma_c,
             "revival_times": cr.t_revivals.tolist(),
-            "reproduces": [
-                "p_e(t) = 1/2 - (1/2) sum_n w_n cos(2 sqrt(n) g t)",
-                "envelope 1/2 - (1/2) exp(-g^2 t^2/2) cos(2 g sqrt(nbar) t)",
-                "collapse rate g/sqrt(2); revivals at pi m sqrt(nbar)/g",
-            ],
         })
 
 
@@ -190,10 +181,6 @@ def _run_pdc_instability(p: dict, seed: int) -> SeriesArtifact:
         columns={"t": t, "n_analytic": analytic, "n_numeric": numeric},
         metadata={
             "phase": info.phase, "rate": info.rate,
-            "reproduces": [
-                "stable: n(t) = g^2/(Delta^2-g^2) sin^2(sqrt(Delta^2-g^2) t)",
-                "unstable: n(t) = g^2/(g^2-Delta^2) sinh^2(sqrt(g^2-Delta^2) t)",
-            ],
         })
 
 
@@ -232,10 +219,6 @@ def _run_driven_cavity(p: dict, seed: int) -> SeriesArtifact:
                 "equation d<a>/dt = E - (gamma - i Delta)<a>; the opposite "
                 "sign E/(gamma + i Delta) seen in some derivations is "
                 "inconsistent with that equation and is not used"),
-            "reproduces": [
-                "steady <a^dag a> = |E|^2/(gamma^2 + Delta^2) + nbar",
-                "<delta a^dag delta a>(t) -> nbar at rate 2 gamma",
-            ],
         })
 
 
@@ -258,9 +241,6 @@ def _run_spontaneous_emission(p: dict, seed: int) -> SeriesArtifact:
         metadata={
             "crossing_time_maximally_mixed": math.log(2.0) / (2 * gamma),
             "seed": seed,
-            "reproduces": [
-                "rho(t) = e^{-2 gamma t} |e><e| + (1 - e^{-2 gamma t}) |g><g|",
-            ],
         })
 
 
@@ -281,11 +261,6 @@ def _run_dephasing(p: dict, seed: int) -> SeriesArtifact:
             "pe": np.array([s.entries[0, 0].real for s in states]),
             "coherence": np.array([s.entries[0, 1] for s in states]),
             "coherence_exact": 0.5 * np.exp(-gamma_phi * t / 2.0),
-        },
-        metadata={
-            "reproduces": [
-                "populations frozen; coherence decays at gamma_phi/2",
-            ],
         })
 
 
@@ -301,10 +276,7 @@ def _run_thermal_g2(p: dict, seed: int) -> SeriesArtifact:
     return SeriesArtifact(
         "thermal-g2", p,
         columns={"tau": tau, "g2_regression": g2.values.real,
-                 "g2_analytic": 1.0 + np.exp(-2 * gamma * tau)},
-        metadata={
-            "reproduces": ["thermal g2(tau) = 1 + e^{-2 gamma tau}, g2(0)=2"],
-        })
+                 "g2_analytic": 1.0 + np.exp(-2 * gamma * tau)})
 
 
 def _run_resonance_fluorescence(p: dict, seed: int) -> SeriesArtifact:
@@ -321,10 +293,6 @@ def _run_resonance_fluorescence(p: dict, seed: int) -> SeriesArtifact:
                 "the plain jump-sigma dissipator at rate gamma carries half "
                 "that damping and gives steady p_e = P/(1+2P); the numerical "
                 "solver is the authority for Lindblad models"),
-            "reproduces": [
-                "g2(0) = 0, g2(inf) = 1, oscillation at 2|E| for strong drive",
-                "steady p_e = P / (2 (1 + P)) for the printed Bloch system",
-            ],
         })
 
 
@@ -341,14 +309,7 @@ def _run_opo_squeezing(p: dict, seed: int) -> SeriesArtifact:
         "opo-squeezing", p,
         columns={"omega": om, "v0_analytic": v0.values,
                  "vpi2_analytic": vpi2.values, "v0_numeric": v0_num.values,
-                 "vpi2_numeric": vpi2_num.values},
-        metadata={
-            "reproduces": [
-                "V0 = 1 + 4 sigma/((1-sigma)^2 + (w/gamma)^2)",
-                "Vpi2 = 1 - 4 sigma/((1+sigma)^2 + (w/gamma)^2)",
-                "V0 * Vpi2 = 1",
-            ],
-        })
+                 "vpi2_numeric": vpi2_num.values})
 
 
 def _run_opo_g2(p: dict, seed: int) -> SeriesArtifact:
@@ -362,13 +323,7 @@ def _run_opo_g2(p: dict, seed: int) -> SeriesArtifact:
     return SeriesArtifact(
         "opo-g2", p,
         columns={"tau": tau, "g2_closed": closed.values.real,
-                 "g2_regression": reg.values.real},
-        metadata={
-            "reproduces": [
-                "G2(tau) = |<adag adag>|^2 + |<adag a>|^2 + n^2 "
-                "(Gaussian factorization), monotone decreasing",
-            ],
-        })
+                 "g2_regression": reg.values.real})
 
 
 def _run_purcell_cooling(p: dict, seed: int) -> SeriesArtifact:
@@ -415,10 +370,6 @@ def _run_purcell_cooling(p: dict, seed: int) -> SeriesArtifact:
             "cooperativity": rates.cooperativity,
             "self_consistency": {k: v for k, v in eff.report.items()
                                  if isinstance(v, (int, float, str))},
-            "reproduces": [
-                "Gamma_eff = gamma (1 + C/(1+(Delta/kappa)^2))",
-                "nbar_eff = nbar / (1 + C/(1+(Delta/kappa)^2))",
-            ],
         })
 
 
@@ -458,7 +409,6 @@ def _wigner_artifact(name: str, p: dict, rho: DensityMatrix,
                  "p_min": grid.p_min, "p_max": grid.p_max,
                  "nx": grid.nx, "np": grid.np},
         "integral": w.integral(),
-        "reproduces": ["Int W dx dp = 1; vacuum peak 1/(2 pi)"],
     }
     meta.update(extra_meta or {})
     return SeriesArtifact(
@@ -484,13 +434,7 @@ def _run_kerr_cat(p: dict, seed: int) -> SeriesArtifact:
     fidelity = abs(np.vdot(target, evolved)) ** 2 / float(
         np.vdot(target, target).real)
     rho = KetState(fock_basis(n_max), evolved).to_density_matrix()
-    return _wigner_artifact("kerr-cat", p, rho, {
-        "cat_fidelity": fidelity,
-        "reproduces": [
-            "exp(-i pi N^2/2)|alpha> = e^{-i pi/4}(|alpha> + i|-alpha>)/sqrt2",
-            "Int W dx dp = 1",
-        ],
-    })
+    return _wigner_artifact("kerr-cat", p, rho, {"cat_fidelity": fidelity})
 
 
 def _run_optomech_cooling(p: dict, seed: int) -> SeriesArtifact:
@@ -512,10 +456,6 @@ def _run_optomech_cooling(p: dict, seed: int) -> SeriesArtifact:
         metadata={
             "red_sideband_nbar_eff": best.nbar_eff,
             "quantum_backaction_floor": p["kappa"]**2 / (4 * p["omega_m"]**2),
-            "reproduces": [
-                "Gamma_minus_opt = (g^2/kappa)/(1 + ((Delta+Omega)/kappa)^2)",
-                "nbar_eff floor kappa^2/(4 Omega^2) on the red sideband",
-            ],
         })
 
 
@@ -523,26 +463,37 @@ def _run_optomech_cooling(p: dict, seed: int) -> SeriesArtifact:
 # Registry
 # ---------------------------------------------------------------------------
 
+# name -> (parameter schema, runner, the analytic results it reproduces)
 REGISTRY = {
     "rabi-bloch": ({
         "omega_rabi": Param(float, 1.0, low=1e-12),
         "epsilon_over_omega": Param(float, 25.0, low=1.0),
         "t_max": Param(float, 2 * math.pi),
         "points": Param(int, 401, low=2),
-    }, _run_rabi_bloch),
+    }, _run_rabi_bloch, [
+        "p_e(t) = (1 - cos(Omega_R t)) / (2 (1 + Delta^2/Omega^2))",
+        "full-vs-RWA deviation shrinks with Omega/epsilon",
+    ]),
     "collapse-revival": ({
         "nbar": Param(float, 100.0, low=1e-6),
         "g": Param(float, 1.0, low=1e-12),
         "gt_max": Param(float, 250.0, low=0.0),
         "points": Param(int, 2001, low=2),
-    }, _run_collapse_revival),
+    }, _run_collapse_revival, [
+        "p_e(t) = 1/2 - (1/2) sum_n w_n cos(2 sqrt(n) g t)",
+        "envelope 1/2 - (1/2) exp(-g^2 t^2/2) cos(2 g sqrt(nbar) t)",
+        "collapse rate g/sqrt(2); revivals at pi m sqrt(nbar)/g",
+    ]),
     "pdc-instability": ({
         "g": Param(float, 1.0, low=0.0),
         "delta": Param(float, 2.0),
         "gt_max": Param(float, 1.0, low=0.0),
         "points": Param(int, 101, low=2),
         "n_max": Param(int, 60, low=4),
-    }, _run_pdc_instability),
+    }, _run_pdc_instability, [
+        "stable: n(t) = g^2/(Delta^2-g^2) sin^2(sqrt(Delta^2-g^2) t)",
+        "unstable: n(t) = g^2/(g^2-Delta^2) sinh^2(sqrt(g^2-Delta^2) t)",
+    ]),
     "driven-cavity": ({
         "gamma": Param(float, 1.0, low=1e-12),
         "delta": Param(float, 0.3),
@@ -552,44 +503,63 @@ REGISTRY = {
         "t_max": Param(float, 4.0, low=0.0),
         "points": Param(int, 41, low=2),
         "n_max": Param(int, 24, low=2),
-    }, _run_driven_cavity),
+    }, _run_driven_cavity, [
+        "steady <a^dag a> = |E|^2/(gamma^2 + Delta^2) + nbar",
+        "<delta a^dag delta a>(t) -> nbar at rate 2 gamma",
+    ]),
     "spontaneous-emission": ({
         "gamma": Param(float, 1.0, low=1e-12),
         "t_max": Param(float, 3.0, low=0.0),
         "points": Param(int, 31, low=2),
         "trajectories": Param(int, 0, low=0),
-    }, _run_spontaneous_emission),
+    }, _run_spontaneous_emission, [
+        "rho(t) = e^{-2 gamma t} |e><e| + (1 - e^{-2 gamma t}) |g><g|",
+    ]),
     "dephasing": ({
         "gamma_phi": Param(float, 1.0, low=1e-12),
         "t_max": Param(float, 6.0, low=0.0),
         "points": Param(int, 31, low=2),
-    }, _run_dephasing),
+    }, _run_dephasing, [
+        "populations frozen; coherence decays at gamma_phi/2",
+    ]),
     "thermal-g2": ({
         "gamma": Param(float, 1.0, low=1e-12),
         "nbar": Param(float, 0.5, low=1e-9),
         "tau_max": Param(float, 5.0, low=0.0),
         "points": Param(int, 41, low=2),
         "n_max": Param(int, 30, low=2),
-    }, _run_thermal_g2),
+    }, _run_thermal_g2, [
+        "thermal g2(tau) = 1 + e^{-2 gamma tau}, g2(0)=2",
+    ]),
     "resonance-fluorescence": ({
         "p_sat": Param(float, 2.0, low=0.0),
         "gamma": Param(float, 1.0, low=1e-12),
         "tau_max": Param(float, 8.0, low=0.0),
         "points": Param(int, 161, low=2),
-    }, _run_resonance_fluorescence),
+    }, _run_resonance_fluorescence, [
+        "g2(0) = 0, g2(inf) = 1, oscillation at 2|E| for strong drive",
+        "steady p_e = P / (2 (1 + P)) for the printed Bloch system",
+    ]),
     "opo-squeezing": ({
         "gamma": Param(float, 1.0, low=1e-12),
         "sigma": Param(float, 0.5, low=0.0, high=0.999999),
         "omega_max": Param(float, 10.0, low=0.0),
         "points": Param(int, 81, low=2),
-    }, _run_opo_squeezing),
+    }, _run_opo_squeezing, [
+        "V0 = 1 + 4 sigma/((1-sigma)^2 + (w/gamma)^2)",
+        "Vpi2 = 1 - 4 sigma/((1+sigma)^2 + (w/gamma)^2)",
+        "V0 * Vpi2 = 1",
+    ]),
     "opo-g2": ({
         "gamma": Param(float, 1.0, low=1e-12),
         "sigma": Param(float, 0.3, low=0.0, high=0.9),
         "tau_max": Param(float, 6.0, low=0.0),
         "points": Param(int, 25, low=2),
         "n_max": Param(int, 25, low=4),
-    }, _run_opo_g2),
+    }, _run_opo_g2, [
+        "G2(tau) = |<adag adag>|^2 + |<adag a>|^2 + n^2 "
+        "(Gaussian factorization), monotone decreasing",
+    ]),
     "purcell-cooling": ({
         "g": Param(float, 10.0, low=0.0),
         "kappa": Param(float, 1000.0, low=1e-12),
@@ -599,7 +569,10 @@ REGISTRY = {
         "t_max": Param(float, 3.0, low=0.0),
         "points": Param(int, 31, low=2),
         "n_max": Param(int, 4, low=1),
-    }, _run_purcell_cooling),
+    }, _run_purcell_cooling, [
+        "Gamma_eff = gamma (1 + C/(1+(Delta/kappa)^2))",
+        "nbar_eff = nbar / (1 + C/(1+(Delta/kappa)^2))",
+    ]),
     "wigner-gallery": ({
         "state": Param(str, "fock",
                        choices=("fock", "coherent", "squeezed", "thermal",
@@ -609,11 +582,16 @@ REGISTRY = {
         "r": Param(float, 0.5),
         "nbar_state": Param(float, 1.0, low=0.0),
         "grid_points": Param(int, 257, low=33),
-    }, _run_wigner_gallery),
+    }, _run_wigner_gallery, [
+        "Int W dx dp = 1; vacuum peak 1/(2 pi)",
+    ]),
     "kerr-cat": ({
         "alpha": Param(float, 2.0),
         "grid_points": Param(int, 257, low=33),
-    }, _run_kerr_cat),
+    }, _run_kerr_cat, [
+        "exp(-i pi N^2/2)|alpha> = e^{-i pi/4}(|alpha> + i|-alpha>)/sqrt2",
+        "Int W dx dp = 1",
+    ]),
     "optomech-cooling": ({
         "g": Param(float, 3.0, low=0.0),
         "kappa": Param(float, 1.0, low=1e-12),
@@ -623,7 +601,10 @@ REGISTRY = {
         "delta_min": Param(float, -80.0),
         "delta_max": Param(float, 0.0),
         "points": Param(int, 81, low=2),
-    }, _run_optomech_cooling),
+    }, _run_optomech_cooling, [
+        "Gamma_minus_opt = (g^2/kappa)/(1 + ((Delta+Omega)/kappa)^2)",
+        "nbar_eff floor kappa^2/(4 Omega^2) on the red sideband",
+    ]),
 }
 
 
@@ -632,9 +613,10 @@ def run_scenario(name: str, params: dict | None = None,
     """Validate parameters against the scenario schema and run it."""
     if name not in REGISTRY:
         raise ConfigError(f"unknown scenario {name!r}; see `list`")
-    schema, runner = REGISTRY[name]
+    schema, runner, reproduces = REGISTRY[name]
     p = _validate(schema, dict(params or {}), name)
     art = runner(p, seed)
+    art.metadata["reproduces"] = list(reproduces)
     art.metadata.setdefault("seed", seed)
     art.metadata["toolkit_version"] = __version__
     return art
@@ -646,7 +628,7 @@ def sweep(name: str, param: str, values, params: dict | None = None,
     derived deterministically from the base seed and the index."""
     if name not in REGISTRY:
         raise ConfigError(f"unknown scenario {name!r}; see `list`")
-    schema, _ = REGISTRY[name]
+    schema = REGISTRY[name][0]
     if param not in schema:
         raise ConfigError(f"{name}: no parameter {param!r} to sweep")
     out = []

@@ -25,8 +25,8 @@ from quoptics.serialize import (
 )
 
 
-def test_list_prints_registry_with_anchors(capsys):
-    # every scenario block carries a non-empty `reproduces:` line
+def _listed_blocks(capsys) -> dict:
+    """Output of `quoptics list` as {scenario: its indented lines}."""
     assert main(["list"]) == 0
     blocks = {}
     for line in capsys.readouterr().out.splitlines():
@@ -35,13 +35,24 @@ def test_list_prints_registry_with_anchors(capsys):
         else:
             name = line
             blocks[name] = []
+    return blocks
+
+
+def _listed_anchors(lines: list) -> list:
+    return [x[len("reproduces: "):] for x in lines
+            if x.startswith("reproduces: ")]
+
+
+def test_list_prints_registry_with_anchors(capsys):
+    # every scenario block carries a non-empty `reproduces:` line
+    blocks = _listed_blocks(capsys)
     assert set(blocks) == set(REGISTRY)
     for name, lines in blocks.items():
-        anchors = [x for x in lines if x.startswith("reproduces: ")]
-        assert anchors and all(x[len("reproduces: "):] for x in anchors), name
+        anchors = _listed_anchors(lines)
+        assert anchors and all(anchors), name
 
 
-def test_every_scenario_documents_what_it_reproduces():
+def test_every_scenario_documents_what_it_reproduces(capsys):
     light = {
         "collapse-revival": {"points": 200},
         "wigner-gallery": {"grid_points": 129},
@@ -51,9 +62,12 @@ def test_every_scenario_documents_what_it_reproduces():
         "kerr-cat": {"alpha": 1.2, "grid_points": 129},
         "rabi-bloch": {"points": 50},
     }
+    blocks = _listed_blocks(capsys)
     for name in REGISTRY:
         art = run_scenario(name, light.get(name, {}), seed=1)
         assert art.metadata.get("reproduces"), name
+        # `quoptics list` prints exactly the lines the artifact carries
+        assert _listed_anchors(blocks[name]) == art.metadata["reproduces"]
         assert art.metadata["toolkit_version"] == q.__version__
 
 

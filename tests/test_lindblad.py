@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,12 @@ def _rf_model(gamma: float, drive: complex, delta: float = 0.0) -> q.LindbladMod
     basis = q.two_level_basis()
     h = (-0.5 * delta) * p.sz + 1j * drive * p.sp - 1j * np.conj(drive) * p.sm
     return q.LindbladModel(basis, h, ((gamma, p.sm),))
+
+
+def _assert_same_random_state(before, after):
+    assert before[0] == after[0]
+    assert np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
 
 
 def test_dissipator_on_one_photon_state():
@@ -130,6 +137,19 @@ def test_steady_state_undriven_is_thermal():
     rho = q.steady_state(q.driven_cavity_model(p, 30))
     expected = q.thermal_state(nbar, 30)
     assert np.abs(rho.entries - expected.entries).max() < 1e-9
+
+
+def test_steady_state_at_n80_matches_analytic():
+    # D = 81^2 = 6561: the dense Liouvillian alone would take 0.7 GB
+    p = q.CavityParams(1.0, 1.0, 0.5, 4.0)
+    before = np.random.get_state()
+    rho = q.steady_state(q.driven_cavity_model(p, 80))
+    _assert_same_random_state(before, np.random.get_state())
+    ops = q.fock_ops(80)
+    analytic = q.driven_cavity_analytic(p, [0.0])
+    assert abs(q.expectation(ops.a, rho) - analytic.steady_mean) < 1e-8
+    assert abs(q.expectation(ops.n, rho).real
+               - abs(analytic.steady_mean) ** 2) < 1e-8
 
 
 def test_resonance_fluorescence_steady_state_dissipator_answer():
@@ -248,10 +268,7 @@ def test_evolve_master_sparse_route_is_deterministic():
         np.random.seed(seed)
         before = np.random.get_state()
         runs.append(q.evolve_master(rho0, m, [0.0, 6.0])[-1].entries)
-        after = np.random.get_state()
-        assert before[0] == after[0]
-        assert np.array_equal(before[1], after[1])
-        assert before[2:] == after[2:]
+        _assert_same_random_state(before, np.random.get_state())
     assert runs[0].tobytes() == runs[1].tobytes()
 
 
@@ -288,6 +305,21 @@ def test_mcwf_rejects_oversized_step():
     psi0 = q.KetState(q.two_level_basis(), np.array([1.0, 0.0], dtype=complex))
     with pytest.raises(QuopticsError):
         q.mcwf_evolve(psi0, m, [0.0, 1.0], n_traj=2, seed=0, dt_max=0.2)
+
+
+def test_mcwf_memory_is_bounded_on_a_coarse_output_grid():
+    # one output interval of 2600 substeps: drawing its uniforms at once
+    # would hold n_traj x 2600 x 16 B = 8.3 MB
+    n_traj, n_sub = 200, 2600
+    psi0 = q.KetState(q.two_level_basis(), np.array([1.0, 0.0], dtype=complex))
+    tracemalloc.start()
+    try:
+        q.mcwf_evolve(psi0, _rf_model(1.0, 0.0), [0.0, 1.0], n_traj=n_traj,
+                      seed=3, dt_max=1.0 / n_sub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_traj * n_sub * 16 / 4
 
 
 def test_mcwf_reproducible():
@@ -341,14 +373,23 @@ def test_gaussian_closure_master_vs_lyapunov():
     assert n_fluct == pytest.approx(lang.second[1, 1].real, abs=1e-7)
 
 
-def test_steady_state_degenerate_null_space_raises():
-    # two uncoupled decay channels with no mixing leave a two-fold steady space
+@pytest.mark.parametrize("eps", [0.0, 1e-13, 1e-11, 1e-6])
+def test_steady_state_degenerate_null_space_raises(eps):
+    # the second qubit decays at rate eps: at eps = 0 it keeps any state, so
+    # the steady state is not unique, and below 1e-10 of the unit first rate
+    # it counts as degenerate; at 1e-6 both qubits relax to |gg>
     basis = q.BasisSpec((q.TwoLevel(), q.TwoLevel()))
     h = q.Operator(basis, np.zeros((4, 4), dtype=complex))
     sm1 = q.tensor_embed(q.pauli_ops().sm, 0, basis)
-    m = q.LindbladModel(basis, h, ((1.0, sm1),))
-    with pytest.raises(QuopticsError):
-        q.steady_state(m)
+    sm2 = q.tensor_embed(q.pauli_ops().sm, 1, basis)
+    m = q.LindbladModel(basis, h, ((1.0, sm1), (eps, sm2)))
+    if eps < 1e-10:
+        with pytest.raises(QuopticsError):
+            q.steady_state(m)
+    else:
+        # two-level factors are ordered (|e>, |g>), so |gg> is the last state
+        gg = np.diag([0.0, 0.0, 0.0, 1.0])
+        assert np.abs(q.steady_state(m).entries - gg).max() < 1e-8
 
 
 def test_build_liouvillian_rejects_pending_drive():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quoptics as q
-from quoptics.lindblad import lindblad_rhs, vec
+from quoptics.lindblad import lindblad_rhs, unvec, vec
 
 SETTINGS = q.DEFAULT
 
@@ -69,6 +69,53 @@ def test_steady_state_is_a_unit_trace_psd_null_vector(model_rng):
     assert np.linalg.eigvalsh(rho).min() > -SETTINGS.eps_psd
     scale = max(1.0, float(np.abs(liouv).max()))
     assert np.abs(liouv @ vec(rho)).max() < 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models(damped=True))
+def test_steady_state_is_the_smallest_singular_vector(model_rng):
+    m, _ = model_rng
+    liouv = q.build_liouvillian(m).matrix
+    # right singular vector of the smallest singular value, unit trace
+    null = np.linalg.svd(liouv)[2][-1].conj()
+    ref = unvec(null / np.trace(unvec(null)))
+    assert np.abs(q.steady_state(m).entries - ref).max() < 1e-10
+
+
+@st.composite
+def diagonal_models(draw):
+    """d in 2..4, random diagonal H and jumps drawn from a, a^dag and n, the
+    first of them a or a^dag with rate at least 0.1."""
+    d = draw(st.integers(2, 4))
+    ops = q.fock_ops(d - 1)
+    basis = q.fock_basis(d - 1)
+    energies = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))
+    h = q.Operator(basis, np.diag(energies).astype(complex))
+    names = [draw(st.sampled_from(["a", "a_dag"]))] + draw(
+        st.lists(st.sampled_from(["a", "a_dag", "n"]), max_size=2))
+    rates = [draw(st.floats(0.1, 2.0))] + [
+        draw(st.floats(0.0, 2.0)) for _ in names[1:]]
+    jumps = tuple((rate, getattr(ops, name))
+                  for rate, name in zip(rates, names))
+    return q.LindbladModel(basis, h, jumps), ops
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagonal_models(), st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_frame_transform_leaves_populations_and_photon_number(
+        model_ops, frequency, seed):
+    m, ops = model_ops
+    rotated = q.frame_transform(m, ops.n, frequency)
+    pops = [np.diag(q.steady_state(model).entries) for model in (m, rotated)]
+    assert np.abs(pops[0] - pops[1]).max() < 1e-10
+    x = _random_matrix(np.random.default_rng(seed), m.basis.total_dim)
+    rho_m = x @ x.conj().T
+    rho0 = q.DensityMatrix(m.basis, rho_m / rho_m.trace().real)
+    t = np.linspace(0.0, 2.0, 5)
+    n_t = [[q.expectation(ops.n, rho).real
+            for rho in q.evolve_master(rho0, model, t)]
+           for model in (m, rotated)]
+    assert np.abs(np.subtract(*n_t)).max() < 1e-10
 
 
 @settings(max_examples=40, deadline=None)
