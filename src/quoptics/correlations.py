@@ -12,16 +12,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from .dynamics import LinearSystem, solve_linear
+from .dynamics import solve_linear
 from .lindblad import (
     LangevinLinearModel,
     LindbladModel,
     _liouvillian_sparse,
-    _propagate_matrix_series,
     _steady_state,
     langevin_steady,
     moment_rhs,
     steady_state,
+    unvec,
+    vec,
 )
 from .operators import (
     BasisMismatchError,
@@ -108,7 +109,7 @@ def _regression(liouv, b: np.ndarray, seed: np.ndarray,
                 tau: np.ndarray) -> np.ndarray:
     """tr{B exp(L tau)[seed]} along tau for the model's built sparse L
     (the quantum regression theorem)."""
-    mats = _propagate_matrix_series(liouv, seed, tau)
+    mats = unvec(solve_linear(liouv, vec(seed), tau))
     return np.einsum("ij,kji->k", b, mats)
 
 
@@ -161,7 +162,7 @@ def regression_formula(ops, coeff: np.ndarray, a: Operator, c: Operator,
         np.trace(a.entries @ op.entries @ c.entries @ rho.entries) for op in ops
     ])
     tau = np.asarray(tau_grid, dtype=float)
-    g = solve_linear(LinearSystem(coeff), g0, tau, settings)
+    g = solve_linear(coeff, g0, tau)
     return [
         CorrelationSeries(tau=tau, values=g[:, j], kind="generic")
         for j in range(len(ops))
@@ -293,12 +294,9 @@ def opo_lindblad_model(gamma: float, g: float, n_max: int) -> LindbladModel:
 # Numeric noise spectra
 # ---------------------------------------------------------------------------
 
-def _mode_two_time(model: LangevinLinearModel, tau: np.ndarray,
-                   settings: Settings) -> np.ndarray:
+def _mode_two_time(model: LangevinLinearModel, tau: np.ndarray) -> np.ndarray:
     """G(tau) = <delta v(t+tau) delta v(t)^dag> = exp(A tau) M, stacked."""
-    moments = langevin_steady(model).second
-    return np.stack([solve_linear(LinearSystem(model.a), col, tau, settings)
-                     for col in moments.T], axis=2)
+    return solve_linear(model.a, langevin_steady(model).second, tau)
 
 
 def _normally_ordered_quadrature_cov(g12: np.ndarray, g22: np.ndarray,
@@ -351,7 +349,7 @@ def spectrum_numeric(model, phase: float, omega_grid,
         if np.any(rates.real >= 0):
             raise QuopticsError("non-decaying correlations: drift not Hurwitz")
         tau, dtau, tail = _spectrum_tau_grid(rates, omega)
-        g_tau = _mode_two_time(model, tau, settings)
+        g_tau = _mode_two_time(model, tau)
         cov = _normally_ordered_quadrature_cov(g_tau[:, 0, 1], g_tau[:, 1, 1],
                                                phase)
     elif isinstance(model, LindbladModel):

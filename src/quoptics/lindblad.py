@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm, solve_continuous_lyapunov
-from scipy.sparse.linalg import expm_multiply, splu
+from scipy.linalg import solve_continuous_lyapunov
+from scipy.sparse.linalg import splu
 
+from .dynamics import _step_exponentials, solve_linear
 from .operators import (
     BasisMismatchError,
     BasisSpec,
@@ -36,8 +37,10 @@ def vec(rho: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
-    d = int(round(math.sqrt(v.size)))
-    return v.reshape(d, d, order="F")
+    """Inverse of vec; a stack of vec rows, as solve_linear returns for a
+    series, becomes the stack of matrices."""
+    d = int(round(math.sqrt(v.shape[-1])))
+    return v.reshape(v.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -178,50 +181,6 @@ def build_liouvillian(m: LindbladModel, settings: Settings = DEFAULT) -> Superop
     return Superoperator(_liouvillian_sparse(m, settings).toarray(), m.basis)
 
 
-# Series with superoperator dimension D = d^2 up to this use one cached dense
-# expm per distinct step: on stiff models and long tau grids that beats
-# expm_multiply (purcell-cooling 0.012 s against 2.9 s), while above it the
-# dense exponential costs O(D^3) time and 16 D^2 bytes (0.7 GB at n_max 80).
-DENSE_EXPM_MAX_DIM = 1024
-# Steps are split to keep ||dt (L - mu I)||_1 below condition (3.13) of
-# Al-Mohy & Higham (2011), about 63 for one vector; above it scipy calls
-# onenormest, which draws from the global np.random stream.
-_STEP_NORM_MAX = 60.0
-
-
-def _propagate_matrix_series(liouv: sp.csr_matrix, s0: np.ndarray,
-                             t_grid) -> np.ndarray:
-    """Propagate a matrix under exp(L t) along t_grid (s0 is the matrix at
-    t_grid[0]); returns the (nt, d, d) stack of propagated matrices."""
-    t = np.asarray(t_grid, dtype=float)
-    steps = np.diff(t)
-    dim = liouv.shape[0]
-    d = s0.shape[0]
-    v = vec(s0)
-    out = np.empty((t.size, dim), dtype=complex)
-    out[0] = v
-    if dim <= DENSE_EXPM_MAX_DIM:
-        dense = liouv.toarray()
-        # one exponential per distinct step, built from its first occurrence
-        _, first, which = np.unique(np.round(steps, 15), return_index=True,
-                                    return_inverse=True)
-        props = [expm(dense * steps[k]) for k in first]
-        for k, p in enumerate(which):
-            v = props[p] @ v
-            out[k + 1] = v
-    else:
-        trace = liouv.diagonal().sum()
-        norm = abs(liouv - (trace / dim) * sp.identity(dim)).sum(axis=0).max()
-        for k, dt in enumerate(steps):
-            n_sub = max(1, math.ceil(abs(dt) * norm / _STEP_NORM_MAX))
-            h = dt / n_sub
-            for _ in range(n_sub):
-                v = expm_multiply(liouv * h, v, traceA=trace * h)
-            out[k + 1] = v
-    # row k is vec of the k-th matrix, so each (d, d) block is its transpose
-    return out.reshape(t.size, d, d).transpose(0, 2, 1)
-
-
 def evolve_master(rho0: DensityMatrix, m: LindbladModel, t_grid,
                   settings: Settings = DEFAULT) -> list[DensityMatrix]:
     """Master-equation evolution sampled on t_grid (t_grid[0] is the
@@ -229,8 +188,8 @@ def evolve_master(rho0: DensityMatrix, m: LindbladModel, t_grid,
     rho0.validate(settings)
     if rho0.basis != m.basis:
         raise BasisMismatchError("state/model basis mismatch")
-    mats = _propagate_matrix_series(_liouvillian_sparse(m, settings),
-                                    np.array(rho0.entries), t_grid)
+    mats = unvec(solve_linear(_liouvillian_sparse(m, settings),
+                              vec(rho0.entries), t_grid))
     out = []
     for k, mat in enumerate(mats):
         rho = DensityMatrix(m.basis, mat)
@@ -440,11 +399,12 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     """First-order jump/no-jump unraveling of the master equation.
 
     No-jump segments evolve under the non-Hermitian H_eff = H - i sum_j
-    kappa_j J_j^dag J_j (applied exactly through its eigendecomposition) with
-    renormalization; jumps fire with probability p = 2 kappa dt <J^dag J>.
-    The step is chosen so the worst-case p stays at or below 0.05.  Each
-    trajectory draws from its own counter-split random stream, so the
-    ensemble is reproducible for a fixed seed regardless of batching.
+    kappa_j J_j^dag J_j (applied exactly through one matrix exponential per
+    distinct substep) with renormalization; jumps fire with probability
+    p = 2 kappa dt <J^dag J>.  The step is chosen so the worst-case p stays
+    at or below 0.05.  Each trajectory draws from its own counter-split
+    random stream, so the ensemble is reproducible for a fixed seed
+    regardless of batching.
     """
     psi0.validate(settings)
     if psi0.basis != m.basis:
@@ -471,10 +431,9 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     h_eff = m.h.entries.astype(complex).copy()
     for rate, j in jump_ops:
         h_eff = h_eff - 1j * rate * (j.conj().T @ j)
-    # exact no-jump propagators per distinct substep
-    props = {}
-    for dtk in set(np.round(dts, 15)):
-        props[dtk] = expm(-1j * h_eff * dtk)
+    # no-jump propagators from the substeps rounded to 15 decimals: that
+    # keeps seeded ensembles bit-identical to those of earlier releases
+    props, which = _step_exponentials(-1j * h_eff, np.round(dts, 15))
 
     # two uniforms per step per trajectory: jump decision, channel choice;
     # they are drawn in blocks, so memory stays at n_traj x _MCWF_DRAW_BLOCK
@@ -488,8 +447,7 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     n_jumps = np.zeros(n_traj, dtype=int)
 
     for seg, n_sub in enumerate(steps):
-        dtk = round(dts[seg], 15)
-        u_no_jump = props[dtk]
+        u_no_jump = props[which[seg]]
         for u1, u2 in _uniform_pairs(rngs, n_sub):
             # channel probabilities p_j = 2 kappa_j dt <J^dag J>
             probs = np.empty((len(jump_ops), n_traj))
@@ -527,8 +485,10 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
                         psi[sel] = jumped / norms
                 n_jumps[idx_traj] += 1
         pops[seg + 1] = np.mean(np.abs(psi) ** 2, axis=0)
+    # a one-point grid has no substeps; its dt is the step that was chosen
     return MCWFResult(t=t, populations=pops, n_traj=n_traj,
-                      n_jumps=n_jumps, dt=float(dts.min()), seed=seed)
+                      n_jumps=n_jumps, dt=float(dts.min(initial=dt)),
+                      seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from . import (
     rabi_rwa,
     regression_correlator,
     rf_analytics,
+    solve_linear,
     spectrum_numeric,
     squeezed_vacuum,
     steady_state,
@@ -167,14 +168,10 @@ def _run_pdc_instability(p: dict, seed: int) -> SeriesArtifact:
     ops = fock_ops(n_max)
     a2 = ops.a.entries @ ops.a.entries
     h = p["delta"] * ops.n.entries - 0.5 * p["g"] * (a2 + a2.conj().T)
-    w, v = np.linalg.eigh(h)
     psi0 = np.zeros(n_max + 1, dtype=complex)
     psi0[0] = 1.0
-    coeff = v.conj().T @ psi0
-    numeric = np.array([
-        float(np.real((v @ (np.exp(-1j * w * tv) * coeff)).conj()
-                      @ ops.n.entries @ (v @ (np.exp(-1j * w * tv) * coeff))))
-        for tv in t])
+    psi = solve_linear(-1j * h, psi0, t)
+    numeric = np.real(np.einsum("ki,ij,kj->k", psi.conj(), ops.n.entries, psi))
     info = pdc_analysis(params)
     return SeriesArtifact(
         "pdc-instability", p,

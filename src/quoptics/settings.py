@@ -31,7 +31,6 @@ class Settings:
     eps_sup: float = 1e-9        # trace-preservation residual of Liouvillians
     eps_close: float = 1e-8      # closure residual in the regression formula
     eps_ww: float = 1e-6         # single-excitation norm identity residual
-    linear_cond_max: float = 1e8  # conditioning bound for eigenbasis solves
 
 
 DEFAULT = Settings()

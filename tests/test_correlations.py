@@ -93,6 +93,24 @@ def test_regression_formula_free_atom_decay():
     assert np.abs(series[0].values - expected).max() < 1e-10
 
 
+@pytest.mark.parametrize("kappa", [0.1, 0.7, 1.0])
+def test_regression_formula_at_the_bloch_exceptional_point(kappa):
+    # Omega = kappa / 2 makes the damped Bloch matrix defective
+    pauli = q.pauli_ops()
+    basis = q.two_level_basis()
+    m = q.LindbladModel(basis, 0.25 * kappa * pauli.sx, ((kappa, pauli.sm),))
+    ident = q.identity(basis)
+    ops = [pauli.sx, pauli.sy, pauli.sz, ident]
+    # rho = sum_k <B_k> B_k / 2, so column k of the moment matrix is the
+    # moment derivative on B_k / 2
+    halves = [q.DensityMatrix(basis, 0.5 * bk.entries) for bk in ops]
+    coeff = np.array([[q.moment_rhs(bj, m, h) for h in halves] for bj in ops])
+    tau = np.linspace(0, 20.0 / kappa, 41)
+    series = q.regression_formula(ops, coeff, pauli.sp, ident, m, tau)
+    oracle = q.regression_correlator(pauli.sp, pauli.sz, ident, m, tau)
+    assert np.abs(series[2].values - oracle.values).max() < 1e-12
+
+
 def test_regression_formula_rejects_open_set():
     m = _rf = q.LindbladModel(
         q.two_level_basis(), 0.7 * q.pauli_ops().sx,

@@ -104,33 +104,16 @@ def test_solve_linear_reproduces_rwa():
     t = np.linspace(0, 8.0, 81)
     b0 = np.array([0.3, -0.2, 0.5])
     x0 = [0.5 * (b0[0] - 1j * b0[1]), 0.5 * (b0[0] + 1j * b0[1]), b0[2]]
-    sol_lin = q.solve_linear(q.LinearSystem(rwa_bloch_matrix(delta, omega_rabi)),
-                             x0, t)
+    sol_lin = q.solve_linear(rwa_bloch_matrix(delta, omega_rabi), x0, t)
     sol_rwa = q.rabi_rwa(b0, delta, omega_rabi, t)
     assert np.abs(sol_lin[:, 2].real - sol_rwa.slow[:, 2]).max() < 1e-10
 
 
-def test_solve_linear_scalar_and_forced():
+def test_solve_linear_scalar_decay():
     t = np.linspace(0, 5.0, 11)
     gamma = 0.7
-    out = q.solve_linear(q.LinearSystem(np.array([[-gamma]])), [2.0], t)
+    out = q.solve_linear(np.array([[-gamma]]), [2.0], t)
     assert np.abs(out[:, 0] - 2.0 * np.exp(-gamma * t)).max() < 1e-12
-
-    b = np.array([[-1.0, 0.3], [0.0, -2.0]])
-    y = np.array([0.5, -1.0])
-    out = q.solve_linear(q.LinearSystem(b, y), [0.0, 0.0],
-                         np.linspace(0, 30.0, 16))
-    steady = -np.linalg.solve(b, y)
-    assert np.abs(out[-1] - steady).max() < 1e-10
-
-    # callable forcing agrees with the closed-form exponential route
-    mu = -0.2 + 0.9j
-    vec = np.array([1.0, 0.4])
-    t_short = np.linspace(0, 2.0, 5)
-    closed = q.solve_linear(q.LinearSystem(b, (vec, mu)), [0.1, 0.2], t_short)
-    quaded = q.solve_linear(
-        q.LinearSystem(b, lambda u: vec * np.exp(mu * u)), [0.1, 0.2], t_short)
-    assert np.abs(closed - quaded).max() < 1e-8
 
 
 def test_jc_dressed_levels():
@@ -299,7 +282,17 @@ def _poisson_amplitudes(nbar, n_top):
     return amps / np.linalg.norm(amps)
 
 
-def test_solve_linear_rejects_ill_conditioned_eigenbasis():
-    b = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-14]])  # near-defective
-    with pytest.raises(q.QuopticsError):
-        q.solve_linear(q.LinearSystem(b), [1.0, 0.0], np.linspace(0, 1, 3))
+def test_solve_linear_rejects_non_square_generator():
+    with pytest.raises(ValidationError):
+        q.solve_linear(np.ones((2, 3)), [1.0, 0.0, 0.0], [0.0, 1.0])
+
+
+def test_solve_linear_exact_on_a_jordan_block():
+    # a defective generator has no eigenbasis; the exponential still exists:
+    # exp(B t) (a, b) = e^{lam t} (a + b t, b)
+    lam, a, b = -0.3 + 0.8j, 0.7 - 0.2j, -0.4 + 0.5j
+    t = np.linspace(0, 5.0, 11)
+    out = q.solve_linear(np.array([[lam, 1.0], [0.0, lam]]), [a, b], t)
+    expected = np.exp(lam * t)[:, None] * np.stack([a + b * t,
+                                                     np.full(t.size, b)], 1)
+    assert np.abs(out - expected).max() < 1e-12

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import quoptics as q
-from quoptics.lindblad import DENSE_EXPM_MAX_DIM, lindblad_rhs, vec
+from quoptics.dynamics import DENSE_EXPM_MAX_DIM
+from quoptics.lindblad import lindblad_rhs, vec
 from quoptics.operators import QuopticsError
 
 
@@ -320,6 +321,14 @@ def test_mcwf_memory_is_bounded_on_a_coarse_output_grid():
     finally:
         tracemalloc.stop()
     assert peak < n_traj * n_sub * 16 / 4
+
+
+def test_mcwf_on_a_one_point_grid_returns_the_initial_state():
+    psi0 = q.KetState(q.two_level_basis(), np.array([1.0, 0.0], dtype=complex))
+    res = q.mcwf_evolve(psi0, _rf_model(1.0, 0.5), [0.3], n_traj=4, seed=0)
+    assert np.array_equal(res.populations, [[1.0, 0.0]])
+    assert res.n_jumps.tolist() == [0, 0, 0, 0]
+    assert np.isfinite(res.dt)
 
 
 def test_mcwf_reproducible():

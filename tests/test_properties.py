@@ -1,8 +1,10 @@
-"""Property tests of the Liouvillian on random small Lindblad models."""
+"""Property tests of the Liouvillian on random small Lindblad models and of
+the linear propagator on random generators."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import quoptics as q
 from quoptics.lindblad import lindblad_rhs, unvec, vec
@@ -131,3 +133,36 @@ def test_regression_correlator_at_zero_delay_is_the_direct_expectation(
     direct = np.trace(b @ c @ rho @ a)
     scale = np.prod([np.linalg.norm(x) for x in (a, b, c)])
     assert abs(series.values[0] - direct) < 1e-12 * scale
+
+
+@st.composite
+def linear_problems(draw):
+    """n in 1..4, a random complex B, for n >= 2 optionally upper triangular
+    with a leading Jordan block; a non-uniform grid whose steps repeat, and
+    a vector or (n, k) matrix x0."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = _random_matrix(rng, n)
+    if n >= 2 and draw(st.booleans()):
+        b = np.triu(b)
+        b[1, 1] = b[0, 0]
+        b[0, 1] = 1.0
+    step_set = draw(st.lists(st.floats(0.01, 0.4), min_size=1, max_size=3))
+    steps = draw(st.lists(st.sampled_from(step_set), min_size=0, max_size=10))
+    t = draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    k = draw(st.integers(0, 3))
+    shape = (n, k) if k else (n,)
+    x0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return b, x0, t
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_problems())
+def test_solve_linear_matches_the_matrix_exponential(problem):
+    b, x0, t = problem
+    out = q.solve_linear(b, x0, t)
+    assert out.shape == (t.size,) + x0.shape
+    for tk, xk in zip(t, out):
+        prop = expm(b * (tk - t[0]))
+        scale = np.linalg.norm(prop, 2) * np.linalg.norm(x0)
+        assert np.abs(xk - prop @ x0).max() <= 1e-10 * scale
