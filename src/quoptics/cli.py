@@ -18,17 +18,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .operators import QuopticsError, ValidationError
-from .phasespace import PhaseGrid, WignerGrid
 from .scenarios import REGISTRY, ConfigError, run_scenario, sweep
 from .serialize import (
     SeriesArtifact,
     artifact_to_csv,
+    artifact_to_gnuplot,
     artifact_to_json,
-    wigner_to_csv,
-    wigner_to_gnuplot,
 )
 
 EXIT_OK = 0
@@ -52,27 +48,17 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _wigner_from_artifact(art: SeriesArtifact) -> WignerGrid:
-    g = art.metadata.get("grid")
-    if g is None:
-        raise ConfigError(
-            f"{art.scenario} does not produce a phase-space grid; "
-            "use --format csv or json")
-    grid = PhaseGrid(g["x_min"], g["x_max"], g["p_min"], g["p_max"],
-                     g["nx"], g["np"])
-    values = np.asarray(art.columns["w"]).reshape(g["nx"], g["np"])
-    return WignerGrid(grid, values)
-
-
 def _render(art: SeriesArtifact, fmt: str) -> str:
     if fmt == "json":
         return artifact_to_json(art)
     if fmt == "csv":
-        if "grid" in art.metadata:
-            return wigner_to_csv(_wigner_from_artifact(art))
         return artifact_to_csv(art)
     if fmt == "gnuplot":
-        return wigner_to_gnuplot(_wigner_from_artifact(art))
+        if "grid" not in art.metadata:
+            raise ConfigError(
+                f"{art.scenario} does not produce a phase-space grid; "
+                "use --format csv or json")
+        return artifact_to_gnuplot(art)
     raise ConfigError(f"unknown format {fmt!r}")
 
 

@@ -54,21 +54,6 @@ def integrate_bloch(b0, alpha, t_grid, rtol: float = 1e-10,
 
 
 @dataclass(frozen=True)
-class RabiParams:
-    epsilon: float
-    omega: float
-    Omega: float
-
-    def __post_init__(self):
-        if self.Omega < 0:
-            raise ValidationError("drive strength must be >= 0")
-
-    @property
-    def delta_detuning(self) -> float:
-        return self.omega - self.epsilon
-
-
-@dataclass(frozen=True)
 class RabiSolution:
     t: np.ndarray
     slow: np.ndarray   # Bloch vectors in the frame rotating at the drive

@@ -227,8 +227,7 @@ class EffectiveMasterResult:
 
 def effective_master_2nd(system: LindbladModel, interaction,
                          c_corr: dict, k_corr: dict,
-                         h_slow: Operator | None = None,
-                         settings: Settings = DEFAULT) -> EffectiveMasterResult:
+                         h_slow: Operator | None = None) -> EffectiveMasterResult:
     """Second-order time-local master equation from environment correlators.
 
     ``interaction`` lists (g_m, S_m) system couplings to environment
@@ -301,8 +300,7 @@ def effective_master_2nd(system: LindbladModel, interaction,
 
 
 def purcell_effective_model(g: float, kappa: float, gamma: float, delta: float,
-                            nbar: float,
-                            settings: Settings = DEFAULT) -> EffectiveMasterResult:
+                            nbar: float) -> EffectiveMasterResult:
     """Assemble the cavity-cooled atom model by eliminating the cavity.
 
     System: hot two-level emitter (rates gamma (nbar+1) on sigma and
@@ -322,8 +320,7 @@ def purcell_effective_model(g: float, kappa: float, gamma: float, delta: float,
     interaction = [(g, pl.sp), (g, pl.sm)]   # couples to (a, a^dag)
     c_corr = {(0, 1): ExponentialCorrelator(1.0, kappa - 1j * delta)}
     k_corr = {(0, 1): ExponentialCorrelator(1.0, kappa + 1j * delta)}
-    return effective_master_2nd(system, interaction, c_corr, k_corr,
-                                settings=settings)
+    return effective_master_2nd(system, interaction, c_corr, k_corr)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +419,7 @@ def default_k_grid(gamma: float, epsilon: float, span: float = 100.0,
     return np.linspace(lo, epsilon + span * gamma, n_core)
 
 
-def _osc_tail(a_over: float, t: np.ndarray, gamma: float) -> np.ndarray:
+def _osc_tail(a_over: float, t: np.ndarray) -> np.ndarray:
     """Int_a^inf cos(x t)/(gamma^2 + x^2) dx for a >> gamma, via 1/x^2."""
     from scipy.special import sici
 
@@ -479,7 +476,7 @@ def wigner_weisskopf(gamma: float, epsilon: float, k_grid=None, t_grid=None,
         (math.pi / 2 - math.atan(hi / gamma))
         + (math.pi / 2 - math.atan(lo / gamma))
     )
-    osc = _osc_tail(hi, t, gamma) + _osc_tail(lo, t, gamma)
+    osc = _osc_tail(hi, t) + _osc_tail(lo, t)
     tail = ((1.0 + alpha_t**2) * lorentz_tail
             - (2.0 * gamma / math.pi) * alpha_t * osc)
     total = alpha_t**2 + norm_k + tail

@@ -61,14 +61,13 @@ class LindbladModel:
     """Hamiltonian plus (rate, jump-operator) pairs, all on one basis.
 
     The dissipator convention is kappa * (2 J rho J^dag - J^dag J rho
-    - rho J^dag J); an optional monochromatic drive keeps time dependence
-    explicit until a frame change removes it.
+    - rho J^dag J).  The model is static: a lab-frame monochromatic drive
+    enters through ``frame_transform``, which makes it time independent.
     """
 
     basis: BasisSpec
     h: Operator
     jumps: tuple
-    drive: DriveTerm | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "jumps", tuple(self.jumps))
@@ -79,8 +78,6 @@ class LindbladModel:
                 raise ValidationError("jump rates must be non-negative")
             if op.basis != self.basis:
                 raise BasisMismatchError("jump-operator basis mismatch")
-        if self.drive is not None and self.drive.op.basis != self.basis:
-            raise BasisMismatchError("drive-operator basis mismatch")
 
     def validate(self, settings: Settings = DEFAULT) -> None:
         res = herm_residual(self.h.entries)
@@ -152,10 +149,6 @@ def lindblad_rhs(m: LindbladModel, rho: np.ndarray) -> np.ndarray:
 
 def _liouvillian_sparse(m: LindbladModel, settings: Settings) -> sp.csr_matrix:
     """Sparse matrix of rho -> -i[H, rho] + sum_j kappa_j D_{J_j}[rho]."""
-    if m.drive is not None:
-        raise QuopticsError(
-            "time-dependent drive present; frame_transform the model first"
-        )
     m.validate(settings)
     d = m.basis.total_dim
     eye = sp.identity(d, dtype=complex, format="csr")
@@ -289,13 +282,14 @@ def _proportionality(commutator: np.ndarray, op: np.ndarray) -> float | None:
 
 
 def frame_transform(m: LindbladModel, generator: Operator,
-                    frequency: float, settings: Settings = DEFAULT) -> LindbladModel:
+                    frequency: float, drive: DriveTerm | None = None,
+                    settings: Settings = DEFAULT) -> LindbladModel:
     """Move to the frame rotating at ``frequency`` along a Hermitian generator.
 
     Requires [G, H] = 0 (so the static part is frame invariant) and each jump
     to satisfy [G, J] = c J (jumps only pick up phases, leaving dissipators
-    unchanged).  A drive with matching frequency and [G, A] = -A becomes the
-    static term amp A^dag + amp* A.
+    unchanged).  A lab-frame ``drive`` with matching frequency and
+    [G, A] = -A becomes the static term amp A^dag + amp* A.
     """
     g = generator.entries
     if herm_residual(g) > settings.eps_herm:
@@ -309,19 +303,20 @@ def frame_transform(m: LindbladModel, generator: Operator,
                 "a jump operator is not phase-covariant under the generator"
             )
     h_new = h - frequency * g
-    if m.drive is not None:
-        if abs(m.drive.frequency - frequency) > 0:
+    if drive is not None:
+        if drive.op.basis != m.basis:
+            raise BasisMismatchError("drive-operator basis mismatch")
+        if abs(drive.frequency - frequency) > 0:
             raise QuopticsError(
                 "drive frequency differs from the frame frequency; "
                 "residual time dependence would remain"
             )
-        a_op = m.drive.op.entries
+        a_op = drive.op.entries
         c = _proportionality(g @ a_op - a_op @ g, a_op)
         if c is None or abs(c + 1.0) > 1e-9:
             raise QuopticsError("drive operator must satisfy [G, A] = -A")
-        amp = m.drive.amp
-        h_new = h_new + amp * a_op.conj().T + np.conj(amp) * a_op
-    return LindbladModel(m.basis, Operator(m.basis, h_new), m.jumps, drive=None)
+        h_new = h_new + drive.amp * a_op.conj().T + np.conj(drive.amp) * a_op
+    return LindbladModel(m.basis, Operator(m.basis, h_new), m.jumps)
 
 
 # ---------------------------------------------------------------------------

@@ -88,12 +88,18 @@ def _validate(schema: dict, raw: dict, scenario: str) -> dict:
     for name, par in schema.items():
         value = raw.get(name, par.default)
         if par.kind in (float, int):
+            expected = f"{scenario}.{name}: expected {par.kind.__name__}"
+            if isinstance(value, bool):
+                raise ConfigError(f"{expected}, got {value!r}")
             try:
-                value = par.kind(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{scenario}.{name}: expected {par.kind.__name__}")
-            if not math.isfinite(value):
+                number = float(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(expected)
+            if not math.isfinite(number):
                 raise ConfigError(f"{scenario}.{name}: must be finite")
+            if par.kind is int and not number.is_integer():
+                raise ConfigError(f"{expected}, got {value!r}")
+            value = par.kind(value if isinstance(value, int) else number)
             if par.low is not None and value < par.low:
                 raise ConfigError(f"{scenario}.{name}: {value} < {par.low}")
             if par.high is not None and value > par.high:

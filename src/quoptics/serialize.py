@@ -1,6 +1,7 @@
 """Artifact and state serialization: JSON (round-trip bit-exact through
-shortest-repr floats), CSV with complex columns split into _re/_im pairs,
-and gnuplot-ready matrix blocks for Wigner grids.
+shortest-repr floats), and CSV and gnuplot text rendered from an artifact's
+own columns (complex columns split into _re/_im pairs, floats in
+shortest-repr form).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .operators import (
     TwoLevel,
     ValidationError,
 )
-from .phasespace import WignerGrid
 
 
 @dataclass
@@ -70,7 +70,8 @@ def artifact_from_json(text: str) -> SeriesArtifact:
     )
 
 
-def artifact_to_csv(art: SeriesArtifact) -> str:
+def _text_rows(art: SeriesArtifact) -> tuple[list, list]:
+    """Column headers and rows of shortest-repr floats."""
     headers = []
     cols = []
     for name, values in art.columns.items():
@@ -81,28 +82,26 @@ def artifact_to_csv(art: SeriesArtifact) -> str:
         else:
             headers.append(name)
             cols.append(arr)
-    lines = [",".join(headers)]
-    for row in zip(*cols):
-        lines.append(",".join(repr(float(v)) for v in row))
+    rows = [[repr(float(v)) for v in row] for row in zip(*cols)]
+    return headers, rows
+
+
+def artifact_to_csv(art: SeriesArtifact) -> str:
+    headers, rows = _text_rows(art)
+    lines = [",".join(headers)] + [",".join(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def wigner_to_csv(w: WignerGrid) -> str:
-    lines = ["x,p,w"]
-    for i, xv in enumerate(w.grid.x):
-        for j, pv in enumerate(w.grid.p):
-            lines.append(f"{xv!r},{pv!r},{w.values[i, j]!r}")
+def artifact_to_gnuplot(art: SeriesArtifact) -> str:
+    """Space-separated rows, with a blank line wherever the first column
+    changes: for a phase-space grid, splot-ready "x p W" blocks."""
+    _, rows = _text_rows(art)
+    lines = []
+    for i, row in enumerate(rows):
+        if i and row[0] != rows[i - 1][0]:
+            lines.append("")
+        lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
-
-
-def wigner_to_gnuplot(w: WignerGrid) -> str:
-    """Blank-line separated blocks of "x p W" rows (splot-ready)."""
-    chunks = []
-    for i, xv in enumerate(w.grid.x):
-        rows = [f"{xv!r} {pv!r} {w.values[i, j]!r}"
-                for j, pv in enumerate(w.grid.p)]
-        chunks.append("\n".join(rows))
-    return "\n\n".join(chunks) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,9 @@ from quoptics.scenarios import (
 )
 from quoptics.serialize import (
     artifact_from_json,
-    artifact_to_csv,
     artifact_to_json,
     state_from_json,
     state_to_json,
-    wigner_to_gnuplot,
 )
 
 
@@ -95,6 +93,29 @@ def test_run_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].split(",")[0] == "t"
     assert len(lines) == 6
+    # every row is the artifact's columns, one float per field
+    art = run_scenario("spontaneous-emission", {"points": 5, "t_max": 1.0})
+    expected = []
+    for name, values in art.columns.items():
+        arr = np.asarray(values)
+        expected += [arr.real, arr.imag] if np.iscomplexobj(arr) else [arr]
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in lines[1:]])
+    assert rows.shape == (5, len(expected))
+    for k, column in enumerate(expected):
+        assert np.array_equal(rows[:, k], column)
+    # a phase-space grid goes through the same renderer
+    cfg.write_text(json.dumps({"state": "fock", "n": 2, "grid_points": 65}))
+    assert main(["run", "wigner-gallery", "--config", str(cfg),
+                 "--format", "csv", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "x,p,w"
+    art = run_scenario("wigner-gallery",
+                       {"state": "fock", "n": 2, "grid_points": 65})
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in lines[1:]])
+    for k, name in enumerate(("x", "p", "w")):
+        assert np.array_equal(rows[:, k], art.columns[name])
 
 
 def test_run_rejects_unknown_scenario_and_keys(tmp_path, capsys):
@@ -108,6 +129,32 @@ def test_run_rejects_unknown_scenario_and_keys(tmp_path, capsys):
     assert main(["run", "spontaneous-emission", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("scenario, bad", [
+    ("driven-cavity", {"points": 5.9}),
+    ("driven-cavity", {"n_max": 6.5}),
+    ("spontaneous-emission", {"trajectories": True}),
+    ("spontaneous-emission", {"gamma": True}),
+    ("driven-cavity", {"points": float("inf")}),
+])
+def test_run_rejects_non_integral_and_boolean_numbers(tmp_path, scenario,
+                                                      bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    assert main(["run", scenario, "--config", str(cfg)]) == 2
+
+
+def test_sweep_int_parameter_takes_integral_values_only(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": 3, "t_max": 0.5}))
+    argv = ["sweep", "driven-cavity", "--param", "n_max", "--config",
+            str(cfg), "--out", str(tmp_path / "s.json")]
+    assert main(argv + ["--values", "6.5,7"]) == 2
+    # "7" parses as 7.0, which names the integer 7
+    assert main(argv + ["--values", "7"]) == 0
+    doc, = json.loads((tmp_path / "s.json").read_text())
+    assert doc["params"]["n_max"] == 7
+
+
 def test_gnuplot_only_for_grids(tmp_path):
     assert main(["run", "spontaneous-emission", "--format", "gnuplot"]) == 2
     out = tmp_path / "w.dat"
@@ -117,7 +164,13 @@ def test_gnuplot_only_for_grids(tmp_path):
                  "--format", "gnuplot", "--out", str(out)]) == 0
     blocks = out.read_text().strip().split("\n\n")
     assert len(blocks) == 65
-    assert len(blocks[0].splitlines()) == 65
+    for block in blocks:
+        rows = [[float(v) for v in line.split(" ")]
+                for line in block.splitlines()]
+        assert len(rows) == 65
+        assert all(len(row) == 3 for row in rows)
+        # one x value per block, as splot expects
+        assert len({row[0] for row in rows}) == 1
 
 
 def test_wigner_gallery_normalization(tmp_path):

@@ -227,16 +227,24 @@ def test_frame_transform_makes_drive_static():
     omega_c, omega_l, gamma = 5.0, 4.7, 0.3
     e_amp = 0.25
     h_lab = omega_c * ops.n
-    lab = q.LindbladModel(basis, h_lab, ((gamma, ops.a),),
-                          drive=q.DriveTerm(ops.a, 1j * e_amp, omega_l))
-    rot = q.frame_transform(lab, ops.n, omega_l)
-    assert rot.drive is None
+    lab = q.LindbladModel(basis, h_lab, ((gamma, ops.a),))
+    drive = q.DriveTerm(ops.a, 1j * e_amp, omega_l)
+    rot = q.frame_transform(lab, ops.n, omega_l, drive)
     expected = q.driven_cavity_model(
         q.CavityParams(omega_c, gamma, omega_l - omega_c, e_amp), n_max)
     assert np.abs(rot.h.entries - expected.h.entries).max() < 1e-12
     # jump operator only picked up a phase: dissipators identical
     assert np.abs(q.build_liouvillian(rot).matrix
                   - q.build_liouvillian(expected).matrix).max() < 1e-12
+    # a drive that the frame does not make static is refused
+    with pytest.raises(QuopticsError):
+        q.frame_transform(lab, ops.n, omega_l + 0.1, drive)
+    with pytest.raises(QuopticsError):
+        q.frame_transform(lab, ops.n, omega_l,
+                          q.DriveTerm(ops.a_dag, 1j * e_amp, omega_l))
+    with pytest.raises(q.BasisMismatchError):
+        q.frame_transform(lab, ops.n, omega_l,
+                          q.DriveTerm(q.fock_ops(4).a, 1j * e_amp, omega_l))
 
 
 @pytest.mark.parametrize("p, n_max, nbar0, t", [
@@ -399,14 +407,6 @@ def test_steady_state_degenerate_null_space_raises(eps):
         # two-level factors are ordered (|e>, |g>), so |gg> is the last state
         gg = np.diag([0.0, 0.0, 0.0, 1.0])
         assert np.abs(q.steady_state(m).entries - gg).max() < 1e-8
-
-
-def test_build_liouvillian_rejects_pending_drive():
-    ops = q.fock_ops(4)
-    lab = q.LindbladModel(q.fock_basis(4), 1.0 * ops.n, ((0.5, ops.a),),
-                          drive=q.DriveTerm(ops.a, 0.2j, 1.0))
-    with pytest.raises(QuopticsError):
-        q.build_liouvillian(lab)
 
 
 def test_evolve_master_initial_time_offset():
