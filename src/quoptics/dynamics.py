@@ -10,7 +10,7 @@ in a frame rotating at the drive frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -301,25 +301,64 @@ def pdc_photon_number(p: PDCParams, t) -> np.ndarray:
 # Linear-system engine
 # ---------------------------------------------------------------------------
 
-# Generators of dimension up to this use one cached dense expm per distinct
-# step: on stiff models and long tau grids that beats expm_multiply
-# (purcell-cooling 0.012 s against 2.9 s), while above it the dense
-# exponential costs O(n^3) time and 16 n^2 bytes (0.7 GB for the n_max 80
-# Liouvillian).
-DENSE_EXPM_MAX_DIM = 1024
+# Cost laws of the two routes, in seconds on one OpenBLAS thread of a 2-vCPU
+# x86_64 host: dense scaling and squaring costs about _C_DENSE D^3 per
+# distinct step (Higham 2005; 1.0-2.2e-9 D^3 measured at D 441 and 961),
+# and each sparse expm_multiply substep about _C_SPARSE, since the step split
+# bounds its s m* mat-vecs (Al-Mohy & Higham 2011; 1-5e-3 s measured on the
+# cavity Liouvillians, the n_max 12 OPO and purcell-cooling).
+_C_DENSE = 2e-9
+_C_SPARSE = 3e-3
 # Steps are split to keep ||dt (B - mu I)||_1 below condition (3.13) of
 # Al-Mohy & Higham (2011), about 63 for one vector; above it scipy calls
 # onenormest, which draws from the global np.random stream.
 _STEP_NORM_MAX = 60.0
 
 
+def _distinct_steps(steps: np.ndarray):
+    """Index of each distinct step's first occurrence and, per step, its
+    index among the distinct ones; steps equal to 15 decimals coincide."""
+    _, first, which = np.unique(np.round(steps, 15), return_index=True,
+                                return_inverse=True)
+    return first, which
+
+
 def _step_exponentials(b: np.ndarray, steps: np.ndarray):
     """One expm(b dt) per distinct step, built from the step's first
     occurrence; returns the exponentials and, per step, its index among
-    them.  Steps equal to 15 decimals share an exponential."""
-    _, first, which = np.unique(np.round(steps, 15), return_index=True,
-                                return_inverse=True)
+    them."""
+    first, which = _distinct_steps(steps)
     return [expm(b * steps[k]) for k in first], which
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Route chosen by ``_plan_route`` and the sizes it was chosen from."""
+
+    route: str               # "dense" or "sparse"
+    dim: int
+    n_distinct_steps: int    # dense expm calls of the dense route
+    n_substeps: int          # expm_multiply calls of the sparse route
+    splits: np.ndarray = field(repr=False)   # sparse substeps per grid step
+
+
+def _plan_route(b, steps: np.ndarray) -> _Plan:
+    """Pick the cheaper propagation route from sizes alone: dense iff
+    n_distinct_steps C_DENSE D^3 <= n_substeps C_SPARSE.  ``b`` is a dense
+    array or a CSR matrix; the choice never depends on timings, so the
+    route, and with it every result, is reproducible."""
+    n = b.shape[0]
+    shift = (b.diagonal().sum() / n) * (sp.identity(n) if sp.issparse(b)
+                                        else np.eye(n))
+    norm = abs(b - shift).sum(axis=0).max()
+    if not (np.isfinite(norm) and np.all(np.isfinite(steps))):
+        raise ValidationError("B and t_grid must be finite")
+    splits = np.maximum(1, np.ceil(np.abs(steps) * norm / _STEP_NORM_MAX))
+    n_distinct = _distinct_steps(steps)[0].size
+    n_substeps = int(splits.sum())
+    dense = n_distinct * _C_DENSE * n**3 <= n_substeps * _C_SPARSE
+    return _Plan("dense" if dense else "sparse", n, n_distinct, n_substeps,
+                 splits.astype(int))
 
 
 def solve_linear(b, x0, t_grid) -> np.ndarray:
@@ -327,33 +366,35 @@ def solve_linear(b, x0, t_grid) -> np.ndarray:
 
     ``b`` is a dense array or a scipy.sparse matrix; ``x0`` is a vector or an
     (n, k) matrix of k initial columns, and the result has shape (nt, n) or
-    (nt, n, k).  Generators up to DENSE_EXPM_MAX_DIM propagate by one dense
+    (nt, n, k).  Two routes give the same numbers to round-off: one dense
     expm per distinct step (scaling and squaring, exact also for defective
-    B); larger ones by step-split sparse expm_multiply, which never forms
-    the dense exponential.
+    B), or step-split sparse expm_multiply, which never forms the dense
+    exponential.  ``_plan_route`` takes whichever its cost model, which reads
+    only D and the step counts, rates cheaper: dense for small or stiff
+    generators on long grids, sparse for large ones on short grids.
     """
-    if not sp.issparse(b):
+    if sp.issparse(b):
+        b = sp.csr_matrix(b, dtype=complex)
+    else:
         b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValidationError("B must be square")
     t = np.asarray(t_grid, dtype=float)
     steps = np.diff(t)
     x = np.asarray(x0, dtype=complex)
-    n = b.shape[0]
     out = np.empty((t.size,) + x.shape, dtype=complex)
     out[0] = x
-    if n <= DENSE_EXPM_MAX_DIM:
+    plan = _plan_route(b, steps)
+    if plan.route == "dense":
         dense = b.toarray() if sp.issparse(b) else b
         props, which = _step_exponentials(dense, steps)
         for k, p in enumerate(which):
             x = props[p] @ x
             out[k + 1] = x
     else:
-        b = sp.csr_matrix(b, dtype=complex)
+        b = sp.csr_matrix(b)
         trace = b.diagonal().sum()
-        norm = abs(b - (trace / n) * sp.identity(n)).sum(axis=0).max()
-        for k, dt in enumerate(steps):
-            n_sub = max(1, math.ceil(abs(dt) * norm / _STEP_NORM_MAX))
+        for k, (dt, n_sub) in enumerate(zip(steps, plan.splits)):
             h = dt / n_sub
             for _ in range(n_sub):
                 x = expm_multiply(b * h, x, traceA=trace * h)

@@ -231,7 +231,7 @@ def _steady_state(m: LindbladModel, liouv: sp.csr_matrix,
     # with |v| = 1 before the last step, |(B^dag B)^-1 v| -> 1/sigma_min^2;
     # a NaN estimate fails the test below and raises too
     sigma_min = growth ** -0.5
-    if not sigma_min >= 1e-10 * scale:
+    if not sigma_min >= settings.eps_ss_sigma * scale:
         raise QuopticsError(
             f"steady state is not unique: sigma_min of the trace-bordered "
             f"Liouvillian is about {sigma_min:.3e}"
@@ -243,7 +243,7 @@ def _steady_state(m: LindbladModel, liouv: sp.csr_matrix,
     rho = rho / rho.trace().real
     out = DensityMatrix(m.basis, rho)
     res = np.max(np.abs(lindblad_rhs(m, rho)))
-    if res > 1e-9 * max(scale, 1.0):
+    if res > settings.eps_ss_res * max(scale, 1.0):
         raise QuopticsError(f"steady-state residual {res:.3e}")
     return out
 
@@ -270,13 +270,15 @@ def moment_rhs(a: Operator, m: LindbladModel, state) -> complex:
 # Frame changes
 # ---------------------------------------------------------------------------
 
-def _proportionality(commutator: np.ndarray, op: np.ndarray) -> float | None:
+def _proportionality(commutator: np.ndarray, op: np.ndarray,
+                     settings: Settings) -> float | None:
     """Return c with commutator = c * op, or None if not proportional."""
     norm = np.abs(op).max()
     if norm == 0:
         return 0.0 if np.abs(commutator).max() == 0 else None
     c = np.vdot(op, commutator) / np.vdot(op, op)
-    if np.abs(commutator - c * op).max() > 1e-10 * max(1.0, np.abs(commutator).max()):
+    if np.abs(commutator - c * op).max() > settings.eps_comm * max(
+            1.0, np.abs(commutator).max()):
         return None
     return complex(c)
 
@@ -295,10 +297,12 @@ def frame_transform(m: LindbladModel, generator: Operator,
     if herm_residual(g) > settings.eps_herm:
         raise ValidationError("frame generator must be Hermitian")
     h = m.h.entries
-    if np.abs(g @ h - h @ g).max() > 1e-10 * max(1.0, np.abs(h).max()):
+    if np.abs(g @ h - h @ g).max() > settings.eps_comm * max(
+            1.0, np.abs(h).max()):
         raise QuopticsError("Hamiltonian does not commute with the generator")
     for _, op in m.jumps:
-        if _proportionality(g @ op.entries - op.entries @ g, op.entries) is None:
+        if _proportionality(g @ op.entries - op.entries @ g, op.entries,
+                            settings) is None:
             raise QuopticsError(
                 "a jump operator is not phase-covariant under the generator"
             )
@@ -312,7 +316,7 @@ def frame_transform(m: LindbladModel, generator: Operator,
                 "residual time dependence would remain"
             )
         a_op = drive.op.entries
-        c = _proportionality(g @ a_op - a_op @ g, a_op)
+        c = _proportionality(g @ a_op - a_op @ g, a_op, settings)
         if c is None or abs(c + 1.0) > 1e-9:
             raise QuopticsError("drive operator must satisfy [G, A] = -A")
         h_new = h_new + drive.amp * a_op.conj().T + np.conj(drive.amp) * a_op

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 from . import (
     CavityParams,
-    JCParams,
     LindbladModel,
     OPOParams,
     PDCParams,
@@ -24,7 +23,6 @@ from . import (
     fock_ops,
     g2_normalized,
     integrate_bloch,
-    jc_excited_population,
     mcwf_evolve,
     opo_g2,
     opo_lindblad_model,
@@ -51,11 +49,8 @@ from .operators import (
     DensityMatrix,
     Fock,
     KetState,
-    Operator,
-    QuopticsError,
     TwoLevel,
     ValidationError,
-    identity,
     tensor_embed,
     two_level_basis,
 )
