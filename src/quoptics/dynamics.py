@@ -10,7 +10,7 @@ in a frame rotating at the drive frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -302,12 +302,16 @@ def pdc_photon_number(p: PDCParams, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Cost laws of the two routes, in seconds on one OpenBLAS thread of a 2-vCPU
-# x86_64 host: dense scaling and squaring costs about _C_DENSE D^3 per
-# distinct step (Higham 2005; 1.0-2.2e-9 D^3 measured at D 441 and 961),
-# and each sparse expm_multiply substep about _C_SPARSE, since the step split
-# bounds its s m* mat-vecs (Al-Mohy & Higham 2011; 1-5e-3 s measured on the
-# cavity Liouvillians, the n_max 12 OPO and purcell-cooling).
+# x86_64 host.  The dense route pays about _C_DENSE D^3 per distinct step
+# for scaling and squaring (Higham 2005; 1.0-2.2e-9 D^3 measured at D 441
+# and 961) and _C_DENSE_STEP D^2 per grid step for the product with the
+# exponential, which streams its 16 D^2 bytes once whatever the number of
+# columns (3.5-8.4e-10 D^2 measured from D 169 to 2116).  The sparse route
+# pays about _C_SPARSE per expm_multiply substep, since the step split bounds
+# its s m* mat-vecs (Al-Mohy & Higham 2011; 1-5e-3 s measured on the cavity
+# Liouvillians, the n_max 12 OPO and purcell-cooling).
 _C_DENSE = 2e-9
+_C_DENSE_STEP = 8e-10
 _C_SPARSE = 3e-3
 # Steps are split to keep ||dt (B - mu I)||_1 below condition (3.13) of
 # Al-Mohy & Higham (2011), about 63 for one vector; above it scipy calls
@@ -333,31 +337,33 @@ def _step_exponentials(b: np.ndarray, steps: np.ndarray):
 
 @dataclass(frozen=True)
 class _Plan:
-    """Route chosen by ``_plan_route`` and the sizes it was chosen from."""
+    """Route chosen by ``_plan_route`` and what that route runs on."""
 
     route: str               # "dense" or "sparse"
-    dim: int
-    n_distinct_steps: int    # dense expm calls of the dense route
-    n_substeps: int          # expm_multiply calls of the sparse route
-    splits: np.ndarray = field(repr=False)   # sparse substeps per grid step
+    first: np.ndarray        # the dense route's grouping of the steps,
+    which: np.ndarray        # as _distinct_steps returns it
+    trace: complex           # trace of B, for expm_multiply
+    splits: np.ndarray       # sparse substeps per grid step
 
 
 def _plan_route(b, steps: np.ndarray) -> _Plan:
     """Pick the cheaper propagation route from sizes alone: dense iff
-    n_distinct_steps C_DENSE D^3 <= n_substeps C_SPARSE.  ``b`` is a dense
-    array or a CSR matrix; the choice never depends on timings, so the
-    route, and with it every result, is reproducible."""
+    n_distinct C_DENSE D^3 + n_steps C_DENSE_STEP D^2 <= n_substeps
+    C_SPARSE.  ``b`` is a dense array or a CSR matrix; the choice never
+    depends on timings, so the route, and with it every result, is
+    reproducible."""
     n = b.shape[0]
-    shift = (b.diagonal().sum() / n) * (sp.identity(n) if sp.issparse(b)
-                                        else np.eye(n))
+    trace = b.diagonal().sum()
+    shift = (trace / n) * (sp.identity(n) if sp.issparse(b) else np.eye(n))
     norm = abs(b - shift).sum(axis=0).max()
     if not (np.isfinite(norm) and np.all(np.isfinite(steps))):
         raise ValidationError("B and t_grid must be finite")
     splits = np.maximum(1, np.ceil(np.abs(steps) * norm / _STEP_NORM_MAX))
-    n_distinct = _distinct_steps(steps)[0].size
-    n_substeps = int(splits.sum())
-    dense = n_distinct * _C_DENSE * n**3 <= n_substeps * _C_SPARSE
-    return _Plan("dense" if dense else "sparse", n, n_distinct, n_substeps,
+    first, which = _distinct_steps(steps)
+    dense_cost = (first.size * _C_DENSE * n**3
+                  + steps.size * _C_DENSE_STEP * n**2)
+    dense = dense_cost <= splits.sum() * _C_SPARSE
+    return _Plan("dense" if dense else "sparse", first, which, trace,
                  splits.astype(int))
 
 
@@ -371,7 +377,8 @@ def solve_linear(b, x0, t_grid) -> np.ndarray:
     B), or step-split sparse expm_multiply, which never forms the dense
     exponential.  ``_plan_route`` takes whichever its cost model, which reads
     only D and the step counts, rates cheaper: dense for small or stiff
-    generators on long grids, sparse for large ones on short grids.
+    generators on long grids, sparse for large ones on short grids and for
+    very large ones on any grid.
     """
     if sp.issparse(b):
         b = sp.csr_matrix(b, dtype=complex)
@@ -387,16 +394,15 @@ def solve_linear(b, x0, t_grid) -> np.ndarray:
     plan = _plan_route(b, steps)
     if plan.route == "dense":
         dense = b.toarray() if sp.issparse(b) else b
-        props, which = _step_exponentials(dense, steps)
-        for k, p in enumerate(which):
+        props = [expm(dense * steps[j]) for j in plan.first]
+        for k, p in enumerate(plan.which):
             x = props[p] @ x
             out[k + 1] = x
     else:
         b = sp.csr_matrix(b)
-        trace = b.diagonal().sum()
         for k, (dt, n_sub) in enumerate(zip(steps, plan.splits)):
             h = dt / n_sub
             for _ in range(n_sub):
-                x = expm_multiply(b * h, x, traceA=trace * h)
+                x = expm_multiply(b * h, x, traceA=plan.trace * h)
             out[k + 1] = x
     return out

@@ -210,6 +210,11 @@ def steady_state(m: LindbladModel, settings: Settings = DEFAULT) -> DensityMatri
 
 # inverse-iteration steps on B^dag B that estimate sigma_min(B)
 _SIGMA_MIN_STEPS = 4
+# sigma_min(B) below this fraction of max|L| means a (nearly) degenerate null
+# space: such a B is singular to working precision, so no state is unique
+_SS_SIGMA_FLOOR = 1e-10
+# largest |L rho| accepted, per max(max|L|, 1): round-off of one LU solve
+_SS_RES = 1e-9
 
 
 def _steady_state(m: LindbladModel, liouv: sp.csr_matrix,
@@ -231,7 +236,7 @@ def _steady_state(m: LindbladModel, liouv: sp.csr_matrix,
     # with |v| = 1 before the last step, |(B^dag B)^-1 v| -> 1/sigma_min^2;
     # a NaN estimate fails the test below and raises too
     sigma_min = growth ** -0.5
-    if not sigma_min >= settings.eps_ss_sigma * scale:
+    if not sigma_min >= _SS_SIGMA_FLOOR * scale:
         raise QuopticsError(
             f"steady state is not unique: sigma_min of the trace-bordered "
             f"Liouvillian is about {sigma_min:.3e}"
@@ -243,7 +248,7 @@ def _steady_state(m: LindbladModel, liouv: sp.csr_matrix,
     rho = rho / rho.trace().real
     out = DensityMatrix(m.basis, rho)
     res = np.max(np.abs(lindblad_rhs(m, rho)))
-    if res > settings.eps_ss_res * max(scale, 1.0):
+    if res > _SS_RES * max(scale, 1.0):
         raise QuopticsError(f"steady-state residual {res:.3e}")
     return out
 
@@ -270,14 +275,18 @@ def moment_rhs(a: Operator, m: LindbladModel, state) -> complex:
 # Frame changes
 # ---------------------------------------------------------------------------
 
-def _proportionality(commutator: np.ndarray, op: np.ndarray,
-                     settings: Settings) -> float | None:
+# commutator residual, per max(1, max|entry|), that counts as zero in frame
+# changes: round-off of a product of two dense operators
+_COMM_TOL = 1e-10
+
+
+def _proportionality(commutator: np.ndarray, op: np.ndarray) -> float | None:
     """Return c with commutator = c * op, or None if not proportional."""
     norm = np.abs(op).max()
     if norm == 0:
         return 0.0 if np.abs(commutator).max() == 0 else None
     c = np.vdot(op, commutator) / np.vdot(op, op)
-    if np.abs(commutator - c * op).max() > settings.eps_comm * max(
+    if np.abs(commutator - c * op).max() > _COMM_TOL * max(
             1.0, np.abs(commutator).max()):
         return None
     return complex(c)
@@ -297,12 +306,10 @@ def frame_transform(m: LindbladModel, generator: Operator,
     if herm_residual(g) > settings.eps_herm:
         raise ValidationError("frame generator must be Hermitian")
     h = m.h.entries
-    if np.abs(g @ h - h @ g).max() > settings.eps_comm * max(
-            1.0, np.abs(h).max()):
+    if np.abs(g @ h - h @ g).max() > _COMM_TOL * max(1.0, np.abs(h).max()):
         raise QuopticsError("Hamiltonian does not commute with the generator")
     for _, op in m.jumps:
-        if _proportionality(g @ op.entries - op.entries @ g, op.entries,
-                            settings) is None:
+        if _proportionality(g @ op.entries - op.entries @ g, op.entries) is None:
             raise QuopticsError(
                 "a jump operator is not phase-covariant under the generator"
             )
@@ -316,7 +323,7 @@ def frame_transform(m: LindbladModel, generator: Operator,
                 "residual time dependence would remain"
             )
         a_op = drive.op.entries
-        c = _proportionality(g @ a_op - a_op @ g, a_op, settings)
+        c = _proportionality(g @ a_op - a_op @ g, a_op)
         if c is None or abs(c + 1.0) > 1e-9:
             raise QuopticsError("drive operator must satisfy [G, A] = -A")
         h_new = h_new + drive.amp * a_op.conj().T + np.conj(drive.amp) * a_op

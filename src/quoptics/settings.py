@@ -31,9 +31,6 @@ class Settings:
     eps_sup: float = 1e-9        # trace-preservation residual of Liouvillians
     eps_close: float = 1e-8      # closure residual in the regression formula
     eps_ww: float = 1e-6         # single-excitation norm identity residual
-    eps_ss_sigma: float = 1e-10  # sigma_min floor of bordered L, per max|L|
-    eps_ss_res: float = 1e-9     # steady-state residual, per max(max|L|, 1)
-    eps_comm: float = 1e-10      # commutator residuals of frame changes
 
 
 DEFAULT = Settings()

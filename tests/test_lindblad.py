@@ -247,13 +247,24 @@ def test_frame_transform_makes_drive_static():
                           q.DriveTerm(q.fock_ops(4).a, 1j * e_amp, omega_l))
 
 
+_SHORT_GRID = np.linspace(0.0, 6.0, 41)   # 41 points over 6 / gamma
+_DRIVEN = q.CavityParams(1.0, 1.0, 0.3, 0.3, nbar=0.05)
+_THERMAL = q.CavityParams(1.0, 1.0, 0.3, 0.0, nbar=0.05)
+
+
 @pytest.mark.parametrize("p, n_max, nbar0, t", [
     # thermally damped: two jump operators at D = 33^2
     (q.CavityParams(1.0, 0.5, 0.4, 0.3, nbar=0.2), 32, 0.1,
      np.linspace(0.0, 2.0, 7)),
     # strongly driven: <n> reaches 16 on an n_max 80 cutoff
     (q.CavityParams(1.0, 1.0, 0.0, 4.0), 80, 0.0, np.linspace(0.0, 2.5, 41)),
-], ids=["thermal-n32", "driven-n80"])
+    # a short grid: one sparse substep per step beats a dense D^3 exponential
+    (_DRIVEN, 20, 0.0, _SHORT_GRID),
+    (_THERMAL, 20, 0.0, _SHORT_GRID),
+    (_DRIVEN, 30, 0.0, _SHORT_GRID),
+    (_THERMAL, 30, 0.0, _SHORT_GRID),
+], ids=["thermal-n32", "driven-n80", "driven-n20", "thermal-n20",
+        "driven-n30", "thermal-n30"])
 def test_evolve_master_sparse_route_matches_analytic(p, n_max, nbar0, t):
     m = q.driven_cavity_model(p, n_max)
     liouv = _liouvillian_sparse(m, q.DEFAULT)
@@ -271,13 +282,11 @@ def test_evolve_master_sparse_route_matches_analytic(p, n_max, nbar0, t):
 def test_evolve_master_memory_stays_below_one_dense_exponential():
     # at D = 961 a single dense exponential would take 16 D^2 bytes
     n_max = 30
-    p = q.CavityParams(1.0, 1.0, 0.3, 0.3, nbar=0.05)
-    m = q.driven_cavity_model(p, n_max)
+    m = q.driven_cavity_model(_DRIVEN, n_max)
     rho0 = q.thermal_state(0.0, n_max)
-    t = np.linspace(0.0, 6.0, 41)
     tracemalloc.start()
     try:
-        q.evolve_master(rho0, m, t)
+        q.evolve_master(rho0, m, _SHORT_GRID)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -405,31 +414,6 @@ def test_gaussian_closure_master_vs_lyapunov():
         q.cavity_langevin_model(p.gamma, p.delta, p.drive, p.nbar))
     assert mean == pytest.approx(lang.mean[0], abs=1e-7)
     assert n_fluct == pytest.approx(lang.second[1, 1].real, abs=1e-7)
-
-
-def test_steady_state_and_frame_tolerances_come_from_settings():
-    # the second qubit relaxes at 1e-6 of the first rate: unique by default,
-    # nearly degenerate under a tighter sigma_min floor
-    basis = q.BasisSpec((q.TwoLevel(), q.TwoLevel()))
-    h = q.Operator(basis, np.zeros((4, 4), dtype=complex))
-    sm1 = q.tensor_embed(q.pauli_ops().sm, 0, basis)
-    sm2 = q.tensor_embed(q.pauli_ops().sm, 1, basis)
-    slow = q.LindbladModel(basis, h, ((1.0, sm1), (1e-6, sm2)))
-    q.steady_state(slow)
-    with pytest.raises(QuopticsError, match="not unique"):
-        q.steady_state(slow, replace(q.DEFAULT, eps_ss_sigma=1e-4))
-    cavity = q.driven_cavity_model(q.CavityParams(1.0, 0.5, 0.2, 0.3), 8)
-    with pytest.raises(QuopticsError, match="residual"):
-        q.steady_state(cavity, replace(q.DEFAULT, eps_ss_res=0.0))
-    # a Hamiltonian that commutes with the number operator up to 1e-12
-    ops = q.fock_ops(8)
-    h = ops.n.entries + 1e-12 * (ops.a.entries + ops.a_dag.entries)
-    m = q.LindbladModel(ops.n.basis, q.Operator(ops.n.basis, h),
-                        ((1.0, ops.a),))
-    q.frame_transform(m, ops.n, 1.0)
-    with pytest.raises(QuopticsError, match="commute"):
-        q.frame_transform(m, ops.n, 1.0,
-                          settings=replace(q.DEFAULT, eps_comm=1e-14))
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-13, 1e-11, 1e-6])
