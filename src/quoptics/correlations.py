@@ -33,7 +33,7 @@ from .operators import (
     fock_basis,
     fock_ops,
 )
-from .settings import DEFAULT, Settings
+from .settings import DEFAULT
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +87,7 @@ class SpectrumSeries:
 
 def regression_correlator(a: Operator, b: Operator, c: Operator,
                           m: LindbladModel, tau_grid,
-                          initial="steady", kind: str = "generic",
-                          settings: Settings = DEFAULT) -> CorrelationSeries:
+                          initial="steady") -> CorrelationSeries:
     """lim_t <A(t) B(t+tau) C(t)> = tr{B exp(L tau)[C rho A]}.
 
     ``initial`` is the steady state by default; pass a DensityMatrix to
@@ -97,12 +96,12 @@ def regression_correlator(a: Operator, b: Operator, c: Operator,
     for op in (a, b, c):
         if op.basis != m.basis:
             raise BasisMismatchError("operator/model basis mismatch")
-    liouv = _liouvillian_sparse(m, settings)
-    rho = _steady_state(m, liouv, settings) if initial == "steady" else initial
+    liouv = _liouvillian_sparse(m)
+    rho = _steady_state(m, liouv) if initial == "steady" else initial
     tau = np.asarray(tau_grid, dtype=float)
     values = _regression(liouv, b.entries, c.entries @ rho.entries @ a.entries,
                          tau)
-    return CorrelationSeries(tau=tau, values=values, kind=kind)
+    return CorrelationSeries(tau=tau, values=values, kind="generic")
 
 
 def _regression(liouv, b: np.ndarray, seed: np.ndarray,
@@ -129,8 +128,8 @@ _CLOSURE_SEED = 7
 
 
 def regression_formula(ops, coeff: np.ndarray, a: Operator, c: Operator,
-                       m: LindbladModel, tau_grid, initial="steady",
-                       settings: Settings = DEFAULT) -> list[CorrelationSeries]:
+                       m: LindbladModel, tau_grid,
+                       initial="steady") -> list[CorrelationSeries]:
     """Two-time correlators of a closed operator set from its moment matrix.
 
     Verifies (on random states) that d<B_j>/dt = sum_k M_jk <B_k> before
@@ -153,11 +152,11 @@ def regression_formula(ops, coeff: np.ndarray, a: Operator, c: Operator,
         resid = np.max(np.abs(rhs - coeff @ moments))
         scale = max(1.0, float(np.max(np.abs(moments))),
                     float(np.max(np.abs(coeff))))
-        if resid > settings.eps_close * scale:
+        if resid > DEFAULT.eps_close * scale:
             raise QuopticsError(
                 f"operator set does not close: residual {resid:.3e}"
             )
-    rho = steady_state(m, settings) if initial == "steady" else initial
+    rho = steady_state(m) if initial == "steady" else initial
     g0 = np.array([
         np.trace(a.entries @ op.entries @ c.entries @ rho.entries) for op in ops
     ])
@@ -329,8 +328,7 @@ def _one_sided_ft(tau: np.ndarray, cov: np.ndarray,
 
 def spectrum_numeric(model, phase: float, omega_grid,
                      mode_op: Operator | None = None,
-                     kappa_out: float | None = None,
-                     settings: Settings = DEFAULT) -> SpectrumSeries:
+                     kappa_out: float | None = None) -> SpectrumSeries:
     """Quadrature noise spectrum V = 1 + kappa_out * FT of the normally
     ordered stationary quadrature covariance.
 
@@ -358,13 +356,13 @@ def spectrum_numeric(model, phase: float, omega_grid,
                 "LindbladModel spectra need mode_op and kappa_out"
             )
         kappa = kappa_out
-        liouv = _liouvillian_sparse(model, settings)
+        liouv = _liouvillian_sparse(model)
         ev = np.linalg.eigvals(liouv.toarray())
         nonzero = ev[np.abs(ev) > 1e-9 * max(1.0, np.abs(ev).max())]
         if np.any(nonzero.real > 1e-12 * max(1.0, np.abs(ev).max())):
             raise QuopticsError("non-decaying correlations in the Liouvillian")
         tau, dtau, tail = _spectrum_tau_grid(nonzero, omega)
-        rho = _steady_state(model, liouv, settings).entries
+        rho = _steady_state(model, liouv).entries
         da = mode_op.entries - np.trace(mode_op.entries @ rho) * np.eye(
             mode_op.dim)
         # time orders as _normally_ordered_quadrature_cov needs them:

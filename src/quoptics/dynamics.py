@@ -19,22 +19,25 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from .operators import QuopticsError, ValidationError
-from .settings import DEFAULT, Settings
+from .settings import DEFAULT
 
 
 # ---------------------------------------------------------------------------
 # Bloch equations
 # ---------------------------------------------------------------------------
 
-def validate_bloch(b, settings: Settings = DEFAULT) -> np.ndarray:
+def validate_bloch(b) -> np.ndarray:
     b = np.asarray(b, dtype=float).reshape(3)
-    if np.linalg.norm(b) > 1.0 + settings.eps_bloch:
+    if np.linalg.norm(b) > 1.0 + DEFAULT.eps_bloch:
         raise ValidationError(f"Bloch vector length {np.linalg.norm(b)} > 1")
     return b
 
 
-def integrate_bloch(b0, alpha, t_grid, rtol: float = 1e-10,
-                    atol: float = 1e-12) -> np.ndarray:
+# DOP853 tolerances of integrate_bloch, far below the O(Omega_R/eps) RWA error
+_BLOCH_RTOL, _BLOCH_ATOL = 1e-10, 1e-12
+
+
+def integrate_bloch(b0, alpha, t_grid) -> np.ndarray:
     """Integrate db/dt = alpha(t) x b with an adaptive embedded RK pair.
 
     ``alpha`` maps time to the 3-vector of Hamiltonian coefficients
@@ -47,7 +50,7 @@ def integrate_bloch(b0, alpha, t_grid, rtol: float = 1e-10,
         return np.cross(np.asarray(alpha(t), dtype=float), b)
 
     sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), b0, t_eval=t_grid,
-                    rtol=rtol, atol=atol, method="DOP853")
+                    rtol=_BLOCH_RTOL, atol=_BLOCH_ATOL, method="DOP853")
     if not sol.success:
         raise QuopticsError(f"Bloch integration failed: {sol.message}")
     return sol.y.T
@@ -203,8 +206,11 @@ class CollapseRevival:
     t_revivals: np.ndarray  # 2 pi m sqrt(nbar) / g within the time window
 
 
-def collapse_revival(nbar: float, g: float, t_grid,
-                     tail_tol: float = 1e-12) -> CollapseRevival:
+# largest Poisson mass that collapse_revival may drop outside its window
+_TAIL_TOL = 1e-12
+
+
+def collapse_revival(nbar: float, g: float, t_grid) -> CollapseRevival:
     """Resonant excited population for a coherent field of mean number nbar.
 
     Exact series 1/2 - (1/2) sum_n w_n cos(2 sqrt(n) g t) with Poisson
@@ -227,9 +233,9 @@ def collapse_revival(nbar: float, g: float, t_grid,
     from scipy.special import gammaln
 
     w = np.exp(n * math.log(nbar) - nbar - gammaln(n + 1))
-    if 1.0 - w.sum() > tail_tol:
+    if 1.0 - w.sum() > _TAIL_TOL:
         raise QuopticsError(
-            f"Poisson tail mass {1.0 - w.sum():.2e} exceeds {tail_tol:.0e}"
+            f"Poisson tail mass {1.0 - w.sum():.2e} exceeds {_TAIL_TOL:.0e}"
         )
     phases = 2.0 * g * np.sqrt(n)
     series = 0.5 - 0.5 * (w[None, :] * np.cos(np.outer(t, phases))).sum(axis=1)
@@ -317,22 +323,18 @@ _C_SPARSE = 3e-3
 # Al-Mohy & Higham (2011), about 63 for one vector; above it scipy calls
 # onenormest, which draws from the global np.random stream.
 _STEP_NORM_MAX = 60.0
+# Steps equal to this many digits of the largest step share one exponential:
+# round-off spreads the n steps of a linspace grid by about n eps relative.
+_STEP_DIGITS = 9
 
 
 def _distinct_steps(steps: np.ndarray):
     """Index of each distinct step's first occurrence and, per step, its
-    index among the distinct ones; steps equal to 15 decimals coincide."""
-    _, first, which = np.unique(np.round(steps, 15), return_index=True,
-                                return_inverse=True)
+    index among the distinct ones (see _STEP_DIGITS)."""
+    key = np.round(steps / (np.abs(steps).max(initial=0.0) or 1.0),
+                   _STEP_DIGITS)
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
     return first, which
-
-
-def _step_exponentials(b: np.ndarray, steps: np.ndarray):
-    """One expm(b dt) per distinct step, built from the step's first
-    occurrence; returns the exponentials and, per step, its index among
-    them."""
-    first, which = _distinct_steps(steps)
-    return [expm(b * steps[k]) for k in first], which
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .operators import (
     ValidationError,
     herm_residual,
 )
-from .settings import DEFAULT, Settings
+from .settings import DEFAULT
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +62,12 @@ class EffectiveHamiltonian:
     time_dependent_tail: float
 
 
+# times in [0, t_horizon] at which the hermiticity residual is sampled
+_RESIDUAL_SAMPLES = 201
+
+
 def effective_hamiltonian_2nd(h0: Operator, h1: Operator, proj: ProjectorPair,
-                              t_horizon: float,
-                              settings: Settings = DEFAULT,
-                              n_residual_samples: int = 201) -> EffectiveHamiltonian:
+                              t_horizon: float) -> EffectiveHamiltonian:
     """Eliminate the complement of P to second order in H1.
 
     Builds P H0 P + Int_0^t (dtau / i) P H1 H1(tau) P with
@@ -79,10 +81,10 @@ def effective_hamiltonian_2nd(h0: Operator, h1: Operator, proj: ProjectorPair,
     h0m = h0.entries.copy()
     h1m = h1.entries.copy()
     scale = max(1.0, float(np.abs(h0m).max()))
-    if np.abs(p @ h0m - h0m @ p).max() > 1e3 * settings.eps_herm * scale:
+    if np.abs(p @ h0m - h0m @ p).max() > 1e3 * DEFAULT.eps_herm * scale:
         raise QuopticsError("P does not commute with H0")
     php = p @ h1m @ p
-    if np.abs(php).max() > settings.eps_herm:
+    if np.abs(php).max() > DEFAULT.eps_herm:
         h0m = h0m + php
         h1m = h1m - php
 
@@ -106,7 +108,7 @@ def effective_hamiltonian_2nd(h0: Operator, h1: Operator, proj: ProjectorPair,
     full = h0_proj + second_order(-inv_gaps + osc_factor(t_horizon))
 
     resid = 0.0
-    for t in np.linspace(0.0, t_horizon, n_residual_samples):
+    for t in np.linspace(0.0, t_horizon, _RESIDUAL_SAMPLES):
         ht = h0_proj + second_order(-inv_gaps + osc_factor(t))
         resid = max(resid, float(np.abs(ht - ht.conj().T).max()))
     pe_abs = np.abs(pe)
@@ -154,8 +156,11 @@ def _hermitian_basis(d: int) -> list[np.ndarray]:
     return basis
 
 
-def lindblad_decompose(t_matrix: np.ndarray, basis: BasisSpec,
-                       rate_tol: float = 1e-12):
+# Kossakowski eigenvalues below this fraction of max|c| are round-off
+_RATE_TOL = 1e-12
+
+
+def lindblad_decompose(t_matrix: np.ndarray, basis: BasisSpec):
     """Split a Hermiticity- and trace-preserving generator into a Hamiltonian
     commutator plus jump dissipators (our 2 J rho J^dag convention).
 
@@ -185,7 +190,7 @@ def lindblad_decompose(t_matrix: np.ndarray, basis: BasisSpec,
     jumps = []
     dropped = 0.0
     for val, v in zip(evals, evecs.T):
-        if abs(val) < rate_tol * scale:
+        if abs(val) < _RATE_TOL * scale:
             continue
         if val < 0:
             dropped = max(dropped, float(-val))
@@ -408,15 +413,18 @@ class WWResult:
     norm_residual: float
 
 
-def default_k_grid(gamma: float, epsilon: float, span: float = 100.0,
-                   n_core: int = 4001) -> np.ndarray:
-    """Uniform grid over the emission line, [epsilon - span*gamma, +span*gamma].
+# half-width, in linewidths, and point count of default_k_grid
+_K_SPAN, _K_POINTS = 100.0, 4001
 
-    The default span keeps the analytic-tail error of the norm identity below
-    1e-6 whenever the transition sits well above the linewidth.
+
+def default_k_grid(gamma: float, epsilon: float) -> np.ndarray:
+    """Uniform grid over the emission line, epsilon +- _K_SPAN gamma.
+
+    The span keeps the analytic-tail error of the norm identity below 1e-6
+    whenever the transition sits well above the linewidth.
     """
-    lo = max(epsilon - span * gamma, 1e-3 * gamma)
-    return np.linspace(lo, epsilon + span * gamma, n_core)
+    lo = max(epsilon - _K_SPAN * gamma, 1e-3 * gamma)
+    return np.linspace(lo, epsilon + _K_SPAN * gamma, _K_POINTS)
 
 
 def _osc_tail(a_over: float, t: np.ndarray) -> np.ndarray:
@@ -433,8 +441,8 @@ def _osc_tail(a_over: float, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def wigner_weisskopf(gamma: float, epsilon: float, k_grid=None, t_grid=None,
-                     settings: Settings = DEFAULT) -> WWResult:
+def wigner_weisskopf(gamma: float, epsilon: float, k_grid=None,
+                     t_grid=None) -> WWResult:
     """Closed-form single-excitation dynamics of an emitter in a 1-D continuum.
 
     alpha(t) = e^{-gamma t} and beta(k, t) = sqrt(gamma/2pi)
@@ -481,7 +489,7 @@ def wigner_weisskopf(gamma: float, epsilon: float, k_grid=None, t_grid=None,
             - (2.0 * gamma / math.pi) * alpha_t * osc)
     total = alpha_t**2 + norm_k + tail
     resid = float(np.max(np.abs(total - 1.0)))
-    if resid > max(settings.eps_ww, 1e-3):
+    if resid > DEFAULT.eps_ww:
         raise QuopticsError(f"norm deficit {resid:.2e}: k span insufficient")
     return WWResult(t=t, k=k, alpha_t=alpha_t, beta_k_t=beta,
                     norm_residual=resid)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.sparse.linalg import splu
 
-from .dynamics import _step_exponentials, solve_linear
+from .dynamics import _distinct_steps, solve_linear
 from .operators import (
     BasisMismatchError,
     BasisSpec,
@@ -29,7 +29,7 @@ from .operators import (
     fock_ops,
     herm_residual,
 )
-from .settings import DEFAULT, Settings
+from .settings import DEFAULT
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -79,9 +79,9 @@ class LindbladModel:
             if op.basis != self.basis:
                 raise BasisMismatchError("jump-operator basis mismatch")
 
-    def validate(self, settings: Settings = DEFAULT) -> None:
+    def validate(self) -> None:
         res = herm_residual(self.h.entries)
-        if res > settings.eps_herm:
+        if res > DEFAULT.eps_herm:
             raise ValidationError(f"Hamiltonian residual {res:.3e}")
 
 
@@ -147,9 +147,9 @@ def lindblad_rhs(m: LindbladModel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _liouvillian_sparse(m: LindbladModel, settings: Settings) -> sp.csr_matrix:
+def _liouvillian_sparse(m: LindbladModel) -> sp.csr_matrix:
     """Sparse matrix of rho -> -i[H, rho] + sum_j kappa_j D_{J_j}[rho]."""
-    m.validate(settings)
+    m.validate()
     d = m.basis.total_dim
     eye = sp.identity(d, dtype=complex, format="csr")
     h = m.h.entries
@@ -164,30 +164,30 @@ def _liouvillian_sparse(m: LindbladModel, settings: Settings) -> sp.csr_matrix:
         )
     liouv = liouv.tocsr()
     res = float(np.abs(vec(np.eye(d, dtype=complex)).conj() @ liouv).max())
-    if res > settings.eps_sup * max(1.0, abs(liouv).max()):
+    if res > DEFAULT.eps_sup * max(1.0, abs(liouv).max()):
         raise ValidationError(f"Liouvillian trace residual {res:.3e}")
     return liouv
 
 
-def build_liouvillian(m: LindbladModel, settings: Settings = DEFAULT) -> Superoperator:
+def build_liouvillian(m: LindbladModel) -> Superoperator:
     """Dense matrix of rho -> -i[H, rho] + sum_j kappa_j D_{J_j}[rho]."""
-    return Superoperator(_liouvillian_sparse(m, settings).toarray(), m.basis)
+    return Superoperator(_liouvillian_sparse(m).toarray(), m.basis)
 
 
-def evolve_master(rho0: DensityMatrix, m: LindbladModel, t_grid,
-                  settings: Settings = DEFAULT) -> list[DensityMatrix]:
+def evolve_master(rho0: DensityMatrix, m: LindbladModel,
+                  t_grid) -> list[DensityMatrix]:
     """Master-equation evolution sampled on t_grid (t_grid[0] is the
     initial time); each output is re-validated as a density matrix."""
-    rho0.validate(settings)
+    rho0.validate()
     if rho0.basis != m.basis:
         raise BasisMismatchError("state/model basis mismatch")
-    mats = unvec(solve_linear(_liouvillian_sparse(m, settings),
+    mats = unvec(solve_linear(_liouvillian_sparse(m),
                               vec(rho0.entries), t_grid))
     out = []
     for k, mat in enumerate(mats):
         rho = DensityMatrix(m.basis, mat)
         try:
-            rho.validate(settings)
+            rho.validate()
         except ValidationError as err:
             raise ValidationError(
                 f"state invariant violated at t={np.asarray(t_grid)[k]}: {err}"
@@ -196,7 +196,7 @@ def evolve_master(rho0: DensityMatrix, m: LindbladModel, t_grid,
     return out
 
 
-def steady_state(m: LindbladModel, settings: Settings = DEFAULT) -> DensityMatrix:
+def steady_state(m: LindbladModel) -> DensityMatrix:
     """Null vector of the Liouvillian, Hermitized and trace-normalized.
 
     Row 0 of L is replaced by the trace functional vec(I)^dag; the bordered
@@ -205,7 +205,7 @@ def steady_state(m: LindbladModel, settings: Settings = DEFAULT) -> DensityMatri
     LU of B both solves B x = e_0 and estimates sigma_min(B); a singular or
     nearly singular B raises with that estimate.
     """
-    return _steady_state(m, _liouvillian_sparse(m, settings), settings)
+    return _steady_state(m, _liouvillian_sparse(m))
 
 
 # inverse-iteration steps on B^dag B that estimate sigma_min(B)
@@ -217,8 +217,7 @@ _SS_SIGMA_FLOOR = 1e-10
 _SS_RES = 1e-9
 
 
-def _steady_state(m: LindbladModel, liouv: sp.csr_matrix,
-                  settings: Settings) -> DensityMatrix:
+def _steady_state(m: LindbladModel, liouv: sp.csr_matrix) -> DensityMatrix:
     """steady_state from the model's already built sparse Liouvillian."""
     d = m.basis.total_dim
     scale = abs(liouv).max()
@@ -278,6 +277,9 @@ def moment_rhs(a: Operator, m: LindbladModel, state) -> complex:
 # commutator residual, per max(1, max|entry|), that counts as zero in frame
 # changes: round-off of a product of two dense operators
 _COMM_TOL = 1e-10
+# largest |c + 1| passing the drive check [G, A] = c A, c = -1: c carries
+# the commutator round-off of _COMM_TOL, with a factor 10 of margin
+_DRIVE_CHARGE_TOL = 1e-9
 
 
 def _proportionality(commutator: np.ndarray, op: np.ndarray) -> float | None:
@@ -293,8 +295,8 @@ def _proportionality(commutator: np.ndarray, op: np.ndarray) -> float | None:
 
 
 def frame_transform(m: LindbladModel, generator: Operator,
-                    frequency: float, drive: DriveTerm | None = None,
-                    settings: Settings = DEFAULT) -> LindbladModel:
+                    frequency: float,
+                    drive: DriveTerm | None = None) -> LindbladModel:
     """Move to the frame rotating at ``frequency`` along a Hermitian generator.
 
     Requires [G, H] = 0 (so the static part is frame invariant) and each jump
@@ -303,7 +305,7 @@ def frame_transform(m: LindbladModel, generator: Operator,
     [G, A] = -A becomes the static term amp A^dag + amp* A.
     """
     g = generator.entries
-    if herm_residual(g) > settings.eps_herm:
+    if herm_residual(g) > DEFAULT.eps_herm:
         raise ValidationError("frame generator must be Hermitian")
     h = m.h.entries
     if np.abs(g @ h - h @ g).max() > _COMM_TOL * max(1.0, np.abs(h).max()):
@@ -324,7 +326,7 @@ def frame_transform(m: LindbladModel, generator: Operator,
             )
         a_op = drive.op.entries
         c = _proportionality(g @ a_op - a_op @ g, a_op)
-        if c is None or abs(c + 1.0) > 1e-9:
+        if c is None or abs(c + 1.0) > _DRIVE_CHARGE_TOL:
             raise QuopticsError("drive operator must satisfy [G, A] = -A")
         h_new = h_new + drive.amp * a_op.conj().T + np.conj(drive.amp) * a_op
     return LindbladModel(m.basis, Operator(m.basis, h_new), m.jumps)
@@ -400,8 +402,7 @@ class MCWFResult:
 
 
 def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
-                seed: int, dt_max: float | None = None,
-                settings: Settings = DEFAULT) -> MCWFResult:
+                seed: int, dt_max: float | None = None) -> MCWFResult:
     """First-order jump/no-jump unraveling of the master equation.
 
     No-jump segments evolve under the non-Hermitian H_eff = H - i sum_j
@@ -412,7 +413,7 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     random stream, so the ensemble is reproducible for a fixed seed
     regardless of batching.
     """
-    psi0.validate(settings)
+    psi0.validate()
     if psi0.basis != m.basis:
         raise BasisMismatchError("state/model basis mismatch")
     t = np.asarray(t_grid, dtype=float)
@@ -437,9 +438,8 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     h_eff = m.h.entries.astype(complex).copy()
     for rate, j in jump_ops:
         h_eff = h_eff - 1j * rate * (j.conj().T @ j)
-    # no-jump propagators from the substeps rounded to 15 decimals: that
-    # keeps seeded ensembles bit-identical to those of earlier releases
-    props, which = _step_exponentials(-1j * h_eff, np.round(dts, 15))
+    first, which = _distinct_steps(dts)
+    props = [expm(-1j * h_eff * dts[k]) for k in first]
 
     # two uniforms per step per trajectory: jump decision, channel choice;
     # they are drawn in blocks, so memory stays at n_traj x _MCWF_DRAW_BLOCK

@@ -17,7 +17,6 @@ from scipy.special import gammaln
 
 from .settings import (
     DEFAULT,
-    Settings,
     coherent_cutoff,
     squeezed_cutoff,
     thermal_cutoff,
@@ -139,8 +138,8 @@ class Operator:
     def dag(self) -> "Operator":
         return Operator(self.basis, self.entries.conj().T)
 
-    def is_hermitian(self, settings: Settings = DEFAULT) -> bool:
-        return herm_residual(self.entries) <= settings.eps_herm
+    def is_hermitian(self) -> bool:
+        return herm_residual(self.entries) <= DEFAULT.eps_herm
 
     def __matmul__(self, other):
         if isinstance(other, Operator):
@@ -185,9 +184,9 @@ class KetState:
             raise BasisMismatchError("amplitude length does not match basis")
         object.__setattr__(self, "amplitudes", v)
 
-    def validate(self, settings: Settings = DEFAULT) -> None:
+    def validate(self) -> None:
         n = np.linalg.norm(self.amplitudes)
-        if abs(n - 1.0) > settings.eps_norm:
+        if abs(n - 1.0) > DEFAULT.eps_norm:
             raise ValidationError(f"ket norm {n} deviates from 1")
 
     def to_density_matrix(self) -> "DensityMatrix":
@@ -209,15 +208,15 @@ class DensityMatrix:
             raise BasisMismatchError("density matrix shape does not match basis")
         object.__setattr__(self, "entries", arr)
 
-    def validate(self, settings: Settings = DEFAULT) -> None:
+    def validate(self) -> None:
         h = herm_residual(self.entries)
-        if h > settings.eps_herm:
+        if h > DEFAULT.eps_herm:
             raise ValidationError(f"hermiticity residual {h:.3e}")
         tr = self.entries.trace()
-        if abs(tr - 1.0) > settings.eps_tr:
+        if abs(tr - 1.0) > DEFAULT.eps_tr:
             raise ValidationError(f"trace {tr} deviates from 1")
         w = np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))
-        if w.min() < -settings.eps_psd:
+        if w.min() < -DEFAULT.eps_psd:
             raise ValidationError(f"negative eigenvalue {w.min():.3e}")
 
     def purity(self) -> float:
@@ -309,15 +308,14 @@ def tensor_embed(op: Operator, slot: int, basis: BasisSpec) -> Operator:
     return Operator(basis, out)
 
 
-def _truncation_warning(u: np.ndarray, keep: int, what: str,
-                        settings: Settings) -> float:
+def _truncation_warning(u: np.ndarray, keep: int, what: str) -> float:
     keep = max(1, keep)
     block = (u.conj().T @ u - np.eye(u.shape[0]))[:keep, :keep]
     res = float(np.max(np.abs(block)))
-    if res > settings.eps_trunc:
+    if res > DEFAULT.eps_trunc:
         warnings.warn(
             f"{what}: unitarity residual {res:.2e} on the lower {keep}-block "
-            f"exceeds {settings.eps_trunc:.1e}; increase n_max",
+            f"exceeds {DEFAULT.eps_trunc:.1e}; increase n_max",
             stacklevel=3,
         )
     return res
@@ -345,8 +343,7 @@ def _exp_raising(coef: complex, dim: int, p: int = 1) -> np.ndarray:
     return out
 
 
-def displacement_op(alpha: complex, n_max: int,
-                    settings: Settings = DEFAULT) -> Operator:
+def displacement_op(alpha: complex, n_max: int) -> Operator:
     """Displacement exp(alpha a^dag - alpha* a) on the truncated space.
 
     Built from the normal form e^{-|alpha|^2/2} e^{alpha a^dag}
@@ -361,11 +358,11 @@ def displacement_op(alpha: complex, n_max: int,
     upper = _exp_raising(-np.conj(alpha), dim).T
     u = math.exp(-0.5 * abs(alpha) ** 2) * (lower @ upper)
     keep = dim - math.ceil(4.0 * abs(alpha))
-    res = _truncation_warning(u, keep, "displacement_op", settings)
+    res = _truncation_warning(u, keep, "displacement_op")
     return Operator(fock_basis(n_max), u, meta={"trunc_residual": res})
 
 
-def squeeze_op(z: complex, n_max: int, settings: Settings = DEFAULT) -> Operator:
+def squeeze_op(z: complex, n_max: int) -> Operator:
     """Squeezer exp((z*/2) a^2 - (z/2) a_dag^2) on the truncated space.
 
     Uses the factored form e^{-(eta/2) a_dag^2} (cosh r)^{-N - 1/2}
@@ -384,7 +381,7 @@ def squeeze_op(z: complex, n_max: int, settings: Settings = DEFAULT) -> Operator
     mid = np.power(math.cosh(r), -(n + 0.5))
     u = (lower * mid[None, :]) @ upper
     keep = dim - math.ceil(4.0 * math.sinh(r) ** 2 + 4.0)
-    res = _truncation_warning(u, keep, "squeeze_op", settings)
+    res = _truncation_warning(u, keep, "squeeze_op")
     return Operator(fock_basis(n_max), u, meta={"trunc_residual": res})
 
 
@@ -490,24 +487,24 @@ def expectation(op: Operator, state) -> complex:
     return complex(np.trace(state.entries @ op.entries))
 
 
-def variance(op: Operator, state, settings: Settings = DEFAULT) -> float:
+def variance(op: Operator, state) -> float:
     """<A^2> - <A>^2; requires the imaginary part to vanish for Hermitian A."""
     mean = expectation(op, state)
     sq = expectation(Operator(op.basis, op.entries @ op.entries), state)
     var = sq - mean * mean
-    if op.is_hermitian(settings) and abs(var.imag) > 1e3 * settings.eps_herm:
+    if op.is_hermitian() and abs(var.imag) > 1e3 * DEFAULT.eps_herm:
         raise ValidationError(f"variance imaginary part {var.imag:.3e}")
     return float(var.real)
 
 
-def propagator(h: Operator, t: float, settings: Settings = DEFAULT) -> Operator:
+def propagator(h: Operator, t: float) -> Operator:
     """U(t) = exp(-i H t) by eigendecomposition; H must be Hermitian."""
     res = herm_residual(h.entries)
-    if res > settings.eps_herm:
+    if res > DEFAULT.eps_herm:
         raise ValidationError(f"propagator needs Hermitian H (residual {res:.3e})")
     w, v = np.linalg.eigh(0.5 * (h.entries + h.entries.conj().T))
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     unit = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if unit > settings.eps_unit:
+    if unit > DEFAULT.eps_unit:
         raise ValidationError(f"unitarity residual {unit:.3e}")
     return Operator(h.basis, u, meta={"exp_method": "eigh", "unit_residual": unit})

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    DEFAULT,
     DensityMatrix,
     QuopticsError,
-    Settings,
     ValidationError,
 )
+from .settings import DEFAULT
 
 OMEGA_SYM = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -132,11 +131,11 @@ class GaussianState:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "v", v)
 
-    def validate(self, settings: Settings = DEFAULT) -> None:
-        if np.max(np.abs(self.v - self.v.T)) > settings.eps_herm:
+    def validate(self) -> None:
+        if np.max(np.abs(self.v - self.v.T)) > DEFAULT.eps_herm:
             raise ValidationError("covariance must be symmetric")
         det = float(np.linalg.det(self.v))
-        if det < 1.0 - settings.eps_gauss:
+        if det < 1.0 - DEFAULT.eps_gauss:
             raise ValidationError(f"uncertainty bound violated: det V = {det}")
         if np.linalg.eigvalsh(self.v).min() <= 0:
             raise ValidationError("covariance must be positive definite")
@@ -159,8 +158,7 @@ def wigner_gaussian(g: GaussianState, x, p) -> np.ndarray:
 
 
 def gaussian_from_complex_moments(mean_a: complex, var_a: complex,
-                                  n_fluct: float,
-                                  settings: Settings = DEFAULT) -> GaussianState:
+                                  n_fluct: float) -> GaussianState:
     """Gaussian state from <a>, <da^2>, <da^dag da>.
 
     d = 2(Re<a>, Im<a>); V = (1 + 2 n_fluct) I + 2 [[Re, Im], [Im, -Re]]<da^2>.
@@ -170,12 +168,7 @@ def gaussian_from_complex_moments(mean_a: complex, var_a: complex,
         [[var_a.real, var_a.imag], [var_a.imag, -var_a.real]]
     )
     g = GaussianState(d, v)
-    det = float(np.linalg.det(v))
-    if det < 1.0 - settings.eps_gauss:
-        raise ValidationError(
-            f"moments violate the uncertainty bound: det V = {det:.6g} < 1"
-        )
-    g.validate(settings)
+    g.validate()
     return g
 
 
@@ -215,9 +208,9 @@ class SymplecticMap:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "a", a)
 
-    def validate(self, settings: Settings = DEFAULT) -> None:
+    def validate(self) -> None:
         res = np.max(np.abs(self.s @ OMEGA_SYM @ self.s.T - OMEGA_SYM))
-        if res > settings.eps_symp:
+        if res > DEFAULT.eps_symp:
             raise ValidationError(f"symplectic residual {res:.3e}")
 
 
@@ -236,12 +229,11 @@ def displacement_map(alpha: complex) -> SymplecticMap:
     return SymplecticMap(np.eye(2), 2.0 * np.array([alpha.real, alpha.imag]))
 
 
-def symplectic_apply(m: SymplecticMap, g: GaussianState,
-                     settings: Settings = DEFAULT) -> GaussianState:
+def symplectic_apply(m: SymplecticMap, g: GaussianState) -> GaussianState:
     """d -> S d + a, V -> S V S^T."""
-    m.validate(settings)
+    m.validate()
     out = GaussianState(m.s @ g.d + m.a, m.s @ g.v @ m.s.T)
-    out.validate(settings)
+    out.validate()
     return out
 
 
@@ -273,8 +265,7 @@ def _occupied_levels(rho: np.ndarray, tol: float = 1e-13) -> int:
     return int(nz[-1]) if nz.size else 0
 
 
-def wigner_numeric(rho: DensityMatrix, grid: PhaseGrid,
-                   settings: Settings = DEFAULT) -> WignerGrid:
+def wigner_numeric(rho: DensityMatrix, grid: PhaseGrid) -> WignerGrid:
     """Wigner transform of a single-mode density matrix on the given grid.
 
     Evaluates the midpoint integral W(x,p) = (2 pi)^-1 Int du e^{-ipu}
@@ -312,7 +303,7 @@ def wigner_numeric(rho: DensityMatrix, grid: PhaseGrid,
         values[ix] = (du / (2.0 * math.pi)) * np.real(g @ kernel)
     w = WignerGrid(grid, values, meta={"n_eff": n_eff, "du": du, "nu": nu})
     norm = w.integral()
-    if abs(norm - 1.0) > settings.eps_wig:
+    if abs(norm - 1.0) > DEFAULT.eps_wig:
         raise ValidationError(f"Wigner normalization {norm} off by > eps_wig")
     return w
 

@@ -18,8 +18,7 @@ def test_regression_constant_for_trivial_operators():
     ops = q.fock_ops(22)
     ident = q.identity(m.basis)
     tau = np.linspace(0, 4.0, 9)
-    series = q.regression_correlator(ident, ops.n, ident, m, tau,
-                                     kind="generic")
+    series = q.regression_correlator(ident, ops.n, ident, m, tau)
     nbar = 0.4
     assert np.abs(series.values - nbar).max() < 1e-9
 
