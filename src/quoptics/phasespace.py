@@ -259,9 +259,19 @@ def position_wavefunctions(n_top: int, x: np.ndarray) -> np.ndarray:
     return 2.0 ** -0.25 * _hermite_functions(n_top, np.asarray(x) / math.sqrt(2.0))
 
 
-def _occupied_levels(rho: np.ndarray, tol: float = 1e-13) -> int:
+# Levels whose row and column mass is below this fraction of the largest are
+# numerically empty: they would only add roundoff to the Hermite sums.
+_OCCUPANCY_CUT = 1e-13
+
+# Rows of the output grid share one pass through the u-grid sum, as many as
+# keep each (n+1) x rows x nu Hermite table within this many float64 elements
+# (1 MB), so the memory held does not grow with the grid.
+_BLOCK_ELEMENTS = 1 << 17
+
+
+def _occupied_levels(rho: np.ndarray) -> int:
     mass = np.abs(rho).sum(axis=0) + np.abs(rho).sum(axis=1)
-    nz = np.nonzero(mass > tol * mass.max())[0]
+    nz = np.nonzero(mass > _OCCUPANCY_CUT * mass.max())[0]
     return int(nz[-1]) if nz.size else 0
 
 
@@ -273,6 +283,11 @@ def wigner_numeric(rho: DensityMatrix, grid: PhaseGrid) -> WignerGrid:
     a trapezoid Fourier integral over u; the u step resolves every requested
     p and every position-space oscillation, so for a truncated rho the result
     carries no sampling bias.
+
+    The Hermite tables psi_n(x +- u) are real, so the sum runs as real BLAS
+    products over blocks of x rows: g_re = sum_m psi+ * (Re rho @ psi-),
+    g_im likewise with Im rho, then the real part of g(u) e^{-iup} gives
+    W = du/(2 pi) (g_re @ cos(u p) + g_im @ sin(u p)).
     """
     rho.basis.single_fock()
     n_eff = _occupied_levels(rho.entries)
@@ -294,13 +309,23 @@ def wigner_numeric(rho: DensityMatrix, grid: PhaseGrid) -> WignerGrid:
 
     n_top = min(rho.entries.shape[0] - 1, n_eff)
     block = rho.entries[: n_top + 1, : n_top + 1]
+    rho_re = np.ascontiguousarray(block.real)
+    rho_im = np.ascontiguousarray(block.imag)
+    up = np.outer(u, p)  # (nu, np)
+    cos_up = np.cos(up)
+    sin_up = np.sin(up, out=up)
+    rows = max(1, _BLOCK_ELEMENTS // ((n_top + 1) * nu))
     values = np.empty((grid.nx, grid.np))
-    kernel = np.exp(-1j * np.outer(u, p))  # (nu, np)
-    for ix, xv in enumerate(x):
-        psi_plus = position_wavefunctions(n_top, xv + u)    # (n+1, nu)
-        psi_minus = position_wavefunctions(n_top, xv - u)
-        g = np.einsum("mu,mn,nu->u", psi_plus, block, psi_minus.conj())
-        values[ix] = (du / (2.0 * math.pi)) * np.real(g @ kernel)
+    for start in range(0, grid.nx, rows):
+        xs = x[start:start + rows, None]
+        # (n+1, rows*nu) tables, one nu-long stretch per row
+        psi_plus = position_wavefunctions(n_top, (xs + u).ravel())
+        psi_minus = position_wavefunctions(n_top, (xs - u).ravel())
+        g_re = np.einsum("mk,mk->k", psi_plus, rho_re @ psi_minus)
+        g_im = np.einsum("mk,mk->k", psi_plus, rho_im @ psi_minus)
+        values[start:start + rows] = (g_re.reshape(-1, nu) @ cos_up
+                                      + g_im.reshape(-1, nu) @ sin_up)
+    values *= du / (2.0 * math.pi)
     w = WignerGrid(grid, values, meta={"n_eff": n_eff, "du": du, "nu": nu})
     norm = w.integral()
     if abs(norm - 1.0) > DEFAULT.eps_wig:

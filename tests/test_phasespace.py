@@ -1,11 +1,16 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import quoptics as q
+from quoptics import phasespace
 from quoptics.operators import ValidationError
 from quoptics.phasespace import GridTooCoarseError
 
@@ -330,3 +335,82 @@ def test_wigner_numeric_displaced_squeezed_state():
     g = q.gaussian_from_complex_moments(alpha, var_a, math.sinh(r) ** 2)
     xx, pp = np.meshgrid(grid.x, grid.p, indexing="ij")
     assert np.abs(w.values - q.wigner_gaussian(g, xx, pp)).max() < 1e-6
+
+
+def _wigner_by_rows(rho: np.ndarray, grid: q.PhaseGrid):
+    """Reference transform: the same u grid and midpoint sum as
+    ``wigner_numeric``, with one three-operand einsum per x row and a complex
+    Fourier kernel.  ``rho`` must occupy every level it has."""
+    n_top = rho.shape[0] - 1
+    x, p = grid.x, grid.p
+    p_abs = float(np.max(np.abs(p)))
+    x_abs = float(np.max(np.abs(x)))
+    u_max = 2.0 * math.sqrt(n_top) + 8.0 + x_abs
+    du = math.pi / (2.0 * (p_abs + 2.0 * math.sqrt(n_top) + 4.0))
+    nu = 2 * int(math.ceil(u_max / du)) + 1
+    u = np.linspace(-u_max, u_max, nu)
+    du = u[1] - u[0]
+    values = np.empty((grid.nx, grid.np))
+    kernel = np.exp(-1j * np.outer(u, p))
+    for ix, xv in enumerate(x):
+        psi_plus = phasespace.position_wavefunctions(n_top, xv + u)
+        psi_minus = phasespace.position_wavefunctions(n_top, xv - u)
+        g = np.einsum("mu,mn,nu->u", psi_plus, rho, psi_minus.conj())
+        values[ix] = (du / TWO_PI) * np.real(g @ kernel)
+    return values, {"n_eff": n_top, "du": du, "nu": nu}
+
+
+@st.composite
+def _mixed_states_on_skewed_grids(draw):
+    """A full-rank random mixed state with n <= 12 on a grid that covers it,
+    with nx != np, bounds off-centre on both axes, and a row count per block
+    that does not divide nx."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    r = 2.0 * math.sqrt(n) + 4.0
+    step = math.pi / r  # the coarsest spacing wigner_numeric accepts
+    lo_x, hi_x, lo_p, hi_p = (r + draw(st.floats(0.0, 3.0)) for _ in range(4))
+    assume(abs(lo_x - hi_x) > 0.1 and abs(lo_p - hi_p) > 0.1)
+    nx = math.ceil((lo_x + hi_x) / step) + 1 + draw(st.integers(0, 15))
+    n_p = math.ceil((lo_p + hi_p) / step) + 1 + draw(st.integers(0, 15))
+    assume(nx != n_p)
+    rows = draw(st.integers(2, 7))
+    assume(nx % rows != 0)
+    grid = q.PhaseGrid(-lo_x, hi_x, -lo_p, hi_p, nx, n_p)
+    return q.DensityMatrix(q.fock_basis(n), rho), grid, rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(_mixed_states_on_skewed_grids())
+def test_wigner_numeric_matches_per_row_reference(case):
+    rho, grid, rows = case
+    ref, ref_meta = _wigner_by_rows(rho.entries, grid)
+    # a block of exactly `rows` x rows, so the last block is a partial one
+    budget = rows * (ref_meta["n_eff"] + 1) * ref_meta["nu"]
+    with mock.patch.object(phasespace, "_BLOCK_ELEMENTS", budget):
+        w = q.wigner_numeric(rho, grid)
+    assert w.meta == ref_meta
+    assert np.abs(w.values - ref).max() < 1e-13
+
+
+def test_wigner_numeric_memory_is_bounded_on_the_kerr_cat_grid():
+    # the kerr-cat scenario's state: |alpha = 2> after exp(-i pi N^2 / 2)
+    start = q.coherent_state(2.0)
+    n_max = start.basis.factors[0].n_max
+    n = np.arange(n_max + 1)
+    amps = start.amplitudes * np.exp(-1j * math.pi * n**2 / 2.0)
+    rho = q.KetState(q.fock_basis(n_max), amps).to_density_matrix()
+    grid = q.default_grid(n_max, 257)
+    tracemalloc.start()
+    try:
+        w = q.wigner_numeric(rho, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the cos and sin kernels take 2 x 8 nu np bytes (4.8 MB here); all 257
+    # rows in one block would hold 8 (n+1) nx nu bytes (65 MB) per table
+    assert (w.meta["n_eff"], w.meta["nu"]) == (26, 1173)
+    assert peak < 12e6
