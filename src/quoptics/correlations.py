@@ -16,8 +16,6 @@ from .dynamics import solve_linear
 from .lindblad import (
     LangevinLinearModel,
     LindbladModel,
-    _liouvillian_sparse,
-    _steady_state,
     langevin_steady,
     moment_rhs,
     steady_state,
@@ -40,6 +38,10 @@ from .settings import DEFAULT
 # Series containers
 # ---------------------------------------------------------------------------
 
+# largest |Im G2|, per max(1, max|G2|), still counted as regression round-off
+_G2_IMAG_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class CorrelationSeries:
     tau: np.ndarray
@@ -58,9 +60,8 @@ class CorrelationSeries:
         vals.setflags(write=False)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "values", vals)
-        if self.kind == "G2" and np.max(np.abs(vals.imag)) > 1e-8 * max(
-            1.0, np.max(np.abs(vals))
-        ):
+        if self.kind == "G2" and np.max(np.abs(vals.imag)) > (
+                _G2_IMAG_TOL * max(1.0, np.max(np.abs(vals)))):
             raise ValidationError("G2 correlators must be real")
 
 
@@ -96,11 +97,10 @@ def regression_correlator(a: Operator, b: Operator, c: Operator,
     for op in (a, b, c):
         if op.basis != m.basis:
             raise BasisMismatchError("operator/model basis mismatch")
-    liouv = _liouvillian_sparse(m)
-    rho = _steady_state(m, liouv) if initial == "steady" else initial
+    rho = steady_state(m) if initial == "steady" else initial
     tau = np.asarray(tau_grid, dtype=float)
-    values = _regression(liouv, b.entries, c.entries @ rho.entries @ a.entries,
-                         tau)
+    values = _regression(m.liouvillian, b.entries,
+                         c.entries @ rho.entries @ a.entries, tau)
     return CorrelationSeries(tau=tau, values=values, kind="generic")
 
 
@@ -191,11 +191,8 @@ class RFAnalytics:
     g2: CorrelationSeries
 
 
-def _rf_oscillatory(x: np.ndarray, q: float) -> np.ndarray:
-    """cosh(q x) + 5 sinh(q x)/q for q >= 0 (q -> 0 limit included)."""
-    if q > 1e-7:
-        return np.cosh(q * x) + 5.0 * np.sinh(q * x) / q
-    return 1.0 + 5.0 * x
+# |9 - 16 P| below this is the critical P = 9/16, where the g2 body is 1 + 5 x
+_RF_DISC_TOL = 1e-12
 
 
 def rf_analytics(p: RFParams, tau_grid) -> RFAnalytics:
@@ -213,10 +210,10 @@ def rf_analytics(p: RFParams, tau_grid) -> RFAnalytics:
         raise ValidationError("the closed-form g2 is resonant only")
     disc = 9.0 - 16.0 * p.p_sat
     x = 0.5 * p.gamma * tau
-    if disc > 1e-12:
+    if disc > _RF_DISC_TOL:
         r = math.sqrt(disc)
-        body = _rf_oscillatory(x, r)
-    elif disc < -1e-12:
+        body = np.cosh(r * x) + 5.0 * np.sinh(r * x) / r
+    elif disc < -_RF_DISC_TOL:
         s = math.sqrt(-disc)
         body = np.cos(s * x) + 5.0 * np.sin(s * x) / s
     else:
@@ -356,13 +353,13 @@ def spectrum_numeric(model, phase: float, omega_grid,
                 "LindbladModel spectra need mode_op and kappa_out"
             )
         kappa = kappa_out
-        liouv = _liouvillian_sparse(model)
+        liouv = model.liouvillian
         ev = np.linalg.eigvals(liouv.toarray())
         nonzero = ev[np.abs(ev) > 1e-9 * max(1.0, np.abs(ev).max())]
         if np.any(nonzero.real > 1e-12 * max(1.0, np.abs(ev).max())):
             raise QuopticsError("non-decaying correlations in the Liouvillian")
         tau, dtau, tail = _spectrum_tau_grid(nonzero, omega)
-        rho = _steady_state(model, liouv).entries
+        rho = steady_state(model).entries
         da = mode_op.entries - np.trace(mode_op.entries @ rho) * np.eye(
             mode_op.dim)
         # time orders as _normally_ordered_quadrature_cov needs them:

@@ -131,8 +131,14 @@ class DressedLevels:
     v_minus: np.ndarray
 
 
+# amplitudes below this are round-off zeros (cos(pi/2) = 6e-17), not phases
+_PHASE_FIX_FLOOR = 1e-14
+# largest |sum |c_n|^2 - 1| of field amplitudes: 10 eps_norm of round-off
+_JC_NORM_TOL = 1e-9
+
+
 def _fix_global_phase(v: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(v) > 1e-14)
+    idx = np.argmax(np.abs(v) > _PHASE_FIX_FLOOR)
     phase = v[idx] / abs(v[idx])
     return v / phase
 
@@ -165,7 +171,7 @@ def jc_excited_population(cn, p: JCParams, t) -> np.ndarray:
     """p_e(t) for an initial |field> (x) |g> state with field amplitudes cn."""
     cn = np.asarray(cn, dtype=complex)
     norm = np.sum(np.abs(cn) ** 2)
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > _JC_NORM_TOL:
         raise ValidationError(f"field amplitudes have norm {norm}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     delta = p.delta_detuning

@@ -64,6 +64,8 @@ class EffectiveHamiltonian:
 
 # times in [0, t_horizon] at which the hermiticity residual is sampled
 _RESIDUAL_SAMPLES = 201
+# gaps below this, per max(1, largest gap), are eigh round-off: degenerate
+_GAP_TOL = 1e-12
 
 
 def effective_hamiltonian_2nd(h0: Operator, h1: Operator, proj: ProjectorPair,
@@ -92,7 +94,7 @@ def effective_hamiltonian_2nd(h0: Operator, h1: Operator, proj: ProjectorPair,
     h1e = u.conj().T @ h1m @ u
     pe = u.conj().T @ p @ u
     gaps = w[:, None] - w[None, :]  # w_{mk} = E_m - E_k
-    small = np.abs(gaps) < 1e-12 * max(1.0, float(np.abs(gaps).max()))
+    small = np.abs(gaps) < _GAP_TOL * max(1.0, float(np.abs(gaps).max()))
     inv_gaps = np.where(small, 0.0, 1.0 / np.where(small, 1.0, gaps))
 
     def second_order(fmat: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,6 +85,34 @@ class LindbladModel:
         if res > DEFAULT.eps_herm:
             raise ValidationError(f"Hamiltonian residual {res:.3e}")
 
+    @cached_property
+    def liouvillian(self) -> sp.csr_matrix:
+        """Sparse CSR matrix of rho -> -i[H, rho] + sum_j kappa_j D_j[rho],
+        built and checked on first access and kept for every engine.
+
+        The model is immutable, so the cache cannot go stale: frame_transform
+        and dataclasses.replace make new models, which start without it.  No
+        engine writes to the matrix; vstack, toarray, b * h and b - shift all
+        make new arrays."""
+        self.validate()
+        d = self.basis.total_dim
+        eye = sp.identity(d, dtype=complex, format="csr")
+        h = self.h.entries
+        liouv = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
+        for rate, op in self.jumps:
+            j = op.entries
+            jdj = j.conj().T @ j
+            liouv += rate * (
+                2.0 * sp.kron(j.conj(), j)
+                - sp.kron(eye, jdj)
+                - sp.kron(jdj.T, eye)
+            )
+        liouv = liouv.tocsr()
+        res = float(np.abs(vec(np.eye(d, dtype=complex)).conj() @ liouv).max())
+        if res > DEFAULT.eps_sup * max(1.0, abs(liouv).max()):
+            raise ValidationError(f"Liouvillian trace residual {res:.3e}")
+        return liouv
+
 
 @dataclass(frozen=True)
 class Superoperator:
@@ -133,45 +162,21 @@ def driven_cavity_model(p: CavityParams, n_max: int) -> LindbladModel:
 # Superoperator construction and propagation
 # ---------------------------------------------------------------------------
 
-def dissipator_apply(j: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    jd = j.conj().T
-    jdj = jd @ j
-    return 2.0 * (j @ rho @ jd) - jdj @ rho - rho @ jdj
-
-
 def lindblad_rhs(m: LindbladModel, rho: np.ndarray) -> np.ndarray:
+    """-i[H, rho] + sum_j kappa_j D_j[rho], applied to rho directly."""
     h = m.h.entries
     out = -1j * (h @ rho - rho @ h)
     for rate, op in m.jumps:
-        out += rate * dissipator_apply(op.entries, rho)
+        j = op.entries
+        jd = j.conj().T
+        jdj = jd @ j
+        out += rate * (2.0 * (j @ rho @ jd) - jdj @ rho - rho @ jdj)
     return out
 
 
-def _liouvillian_sparse(m: LindbladModel) -> sp.csr_matrix:
-    """Sparse matrix of rho -> -i[H, rho] + sum_j kappa_j D_{J_j}[rho]."""
-    m.validate()
-    d = m.basis.total_dim
-    eye = sp.identity(d, dtype=complex, format="csr")
-    h = m.h.entries
-    liouv = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
-    for rate, op in m.jumps:
-        j = op.entries
-        jdj = j.conj().T @ j
-        liouv += rate * (
-            2.0 * sp.kron(j.conj(), j)
-            - sp.kron(eye, jdj)
-            - sp.kron(jdj.T, eye)
-        )
-    liouv = liouv.tocsr()
-    res = float(np.abs(vec(np.eye(d, dtype=complex)).conj() @ liouv).max())
-    if res > DEFAULT.eps_sup * max(1.0, abs(liouv).max()):
-        raise ValidationError(f"Liouvillian trace residual {res:.3e}")
-    return liouv
-
-
 def build_liouvillian(m: LindbladModel) -> Superoperator:
-    """Dense matrix of rho -> -i[H, rho] + sum_j kappa_j D_{J_j}[rho]."""
-    return Superoperator(_liouvillian_sparse(m).toarray(), m.basis)
+    """Dense view of ``m.liouvillian``."""
+    return Superoperator(m.liouvillian.toarray(), m.basis)
 
 
 def evolve_master(rho0: DensityMatrix, m: LindbladModel,
@@ -181,8 +186,7 @@ def evolve_master(rho0: DensityMatrix, m: LindbladModel,
     rho0.validate()
     if rho0.basis != m.basis:
         raise BasisMismatchError("state/model basis mismatch")
-    mats = unvec(solve_linear(_liouvillian_sparse(m),
-                              vec(rho0.entries), t_grid))
+    mats = unvec(solve_linear(m.liouvillian, vec(rho0.entries), t_grid))
     out = []
     for k, mat in enumerate(mats):
         rho = DensityMatrix(m.basis, mat)
@@ -196,18 +200,6 @@ def evolve_master(rho0: DensityMatrix, m: LindbladModel,
     return out
 
 
-def steady_state(m: LindbladModel) -> DensityMatrix:
-    """Null vector of the Liouvillian, Hermitized and trace-normalized.
-
-    Row 0 of L is replaced by the trace functional vec(I)^dag; the bordered
-    matrix B is singular exactly when the steady state is not unique, since
-    a second steady state leaves a traceless null vector of L.  One sparse
-    LU of B both solves B x = e_0 and estimates sigma_min(B); a singular or
-    nearly singular B raises with that estimate.
-    """
-    return _steady_state(m, _liouvillian_sparse(m))
-
-
 # inverse-iteration steps on B^dag B that estimate sigma_min(B)
 _SIGMA_MIN_STEPS = 4
 # sigma_min(B) below this fraction of max|L| means a (nearly) degenerate null
@@ -217,8 +209,16 @@ _SS_SIGMA_FLOOR = 1e-10
 _SS_RES = 1e-9
 
 
-def _steady_state(m: LindbladModel, liouv: sp.csr_matrix) -> DensityMatrix:
-    """steady_state from the model's already built sparse Liouvillian."""
+def steady_state(m: LindbladModel) -> DensityMatrix:
+    """Null vector of the Liouvillian, Hermitized and trace-normalized.
+
+    Row 0 of L is replaced by the trace functional vec(I)^dag; the bordered
+    matrix B is singular exactly when the steady state is not unique, since
+    a second steady state leaves a traceless null vector of L.  One sparse
+    LU of B both solves B x = e_0 and estimates sigma_min(B); a singular or
+    nearly singular B raises with that estimate.
+    """
+    liouv = m.liouvillian
     d = m.basis.total_dim
     scale = abs(liouv).max()
     trace_row = sp.csr_matrix(vec(np.eye(d, dtype=complex)).conj())
@@ -253,21 +253,13 @@ def _steady_state(m: LindbladModel, liouv: sp.csr_matrix) -> DensityMatrix:
 
 
 def moment_rhs(a: Operator, m: LindbladModel, state) -> complex:
-    """d<A>/dt evaluated on a given state:
-    <[A, H]> / i + sum_j kappa_j (<[J^dag, A] J> + <J^dag [A, J]>)."""
+    """d<A>/dt evaluated on a given state, tr(A L[rho]).  In Heisenberg form
+    that is <[A, H]> / i + sum_j kappa_j (<[J^dag, A] J> + <J^dag [A, J]>)."""
     if a.basis != m.basis:
         raise BasisMismatchError("operator/model basis mismatch")
     rho = state.entries if isinstance(state, DensityMatrix) else \
         state.to_density_matrix().entries
-    h = m.h.entries
-    am = a.entries
-    total = np.trace((am @ h - h @ am) @ rho) / 1j
-    for rate, op in m.jumps:
-        j = op.entries
-        jd = j.conj().T
-        total += rate * np.trace(((jd @ am - am @ jd) @ j
-                                  + jd @ (am @ j - j @ am)) @ rho)
-    return complex(total)
+    return complex(np.trace(a.entries @ lindblad_rhs(m, rho)))
 
 
 # ---------------------------------------------------------------------------

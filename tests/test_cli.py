@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from quoptics.scenarios import (
 )
 from quoptics.serialize import (
     artifact_from_json,
+    artifact_to_csv,
     artifact_to_json,
     state_from_json,
     state_to_json,
@@ -118,6 +120,58 @@ def test_run_csv(tmp_path):
         assert np.array_equal(rows[:, k], art.columns[name])
 
 
+def test_run_without_out_writes_to_stdout(capsys):
+    assert main(["run", "dephasing", "--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    art = run_scenario("dephasing", {})
+    assert text == artifact_to_csv(art)
+    # the complex coherence column becomes its real and imaginary parts
+    lines = text.strip().splitlines()
+    headers = lines[0].split(",")
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in lines[1:]])
+    coherence = art.columns["coherence"]
+    assert np.iscomplexobj(coherence) and "coherence" not in headers
+    assert np.array_equal(rows[:, headers.index("coherence_re")],
+                          coherence.real)
+    assert np.array_equal(rows[:, headers.index("coherence_im")],
+                          coherence.imag)
+
+
+def test_sweep_csv_writes_one_file_per_value(tmp_path, capsys):
+    argv = ["sweep", "dephasing", "--param", "gamma_phi",
+            "--values", "0.5,1,2", "--format", "csv"]
+    assert main(argv) == 2
+    assert "--out" in capsys.readouterr().err
+    assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == ["s_000.csv", "s_001.csv", "s_002.csv"]
+    for name, art in zip(names, sweep("dephasing", "gamma_phi",
+                                      [0.5, 1.0, 2.0])):
+        assert (tmp_path / name).read_text() == artifact_to_csv(art)
+
+
+def test_run_numerical_failure_exits_3(tmp_path, capsys):
+    # a thermal state with nbar 5 needs a finer grid than 257 points
+    bad = {"state": "thermal", "nbar_state": 5.0}
+    with pytest.raises(q.GridTooCoarseError):
+        run_scenario("wigner-gallery", bad)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    assert main(["run", "wigner-gallery", "--config", str(cfg)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_run_rejects_missing_and_non_object_configs(tmp_path, capsys):
+    assert main(["run", "dephasing", "--config",
+                 str(tmp_path / "absent.json")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert main(["run", "dephasing", "--config", str(cfg)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_run_rejects_unknown_scenario_and_keys(tmp_path, capsys):
     assert main(["run", "not-a-scenario"]) == 2
     cfg = tmp_path / "cfg.json"
@@ -177,6 +231,33 @@ def test_wigner_gallery_normalization(tmp_path):
     art = run_scenario("wigner-gallery",
                        {"state": "fock", "n": 1, "grid_points": 129})
     assert art.metadata["integral"] == pytest.approx(1.0, abs=1e-6)
+
+
+def _gallery_gaussian(state: str, p: dict) -> q.GaussianState:
+    """Closed-form Gaussian of a wigner-gallery state with parameters p."""
+    if state == "coherent":
+        return q.gaussian_from_complex_moments(complex(p["alpha"]), 0.0, 0.0)
+    if state == "squeezed":
+        r = p["r"]
+        return q.gaussian_from_complex_moments(
+            0.0, -math.cosh(r) * math.sinh(r), math.sinh(r) ** 2)
+    return q.gaussian_from_complex_moments(0.0, 0.0, p["nbar_state"])
+
+
+@pytest.mark.parametrize("state", ["coherent", "squeezed", "thermal", "cat"])
+def test_wigner_gallery_states_match_their_closed_forms(state):
+    art = run_scenario("wigner-gallery", {"state": state})
+    assert abs(art.metadata["integral"] - 1.0) <= q.DEFAULT.eps_wig
+    x, p, w = (art.columns[k] for k in ("x", "p", "w"))
+    if state == "cat":
+        # the even cat has parity +1, so W(0, 0) = 1/(2 pi)
+        centre = np.argmin(np.abs(x) + np.abs(p))
+        assert x[centre] == 0.0 and p[centre] == 0.0
+        assert abs(w[centre] - 1.0 / (2 * math.pi)) <= 1e-9
+    else:
+        # criterion 01's bound for a numeric transform against its oracle
+        exact = q.wigner_gaussian(_gallery_gaussian(state, art.params), x, p)
+        assert np.abs(w - exact).max() <= 1e-6
 
 
 def test_sweep_json_and_determinism(tmp_path):

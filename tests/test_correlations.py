@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -132,8 +131,10 @@ def test_rf_analytics_limits():
     assert big.pe_bar == pytest.approx(0.5, abs=1e-6)
 
 
-def test_rf_analytics_satisfies_its_ode():
-    gamma, p_sat = 1.0, 2.0
+# P = 9/16 is the critical point, where the closed form is 1 + 5 x
+@pytest.mark.parametrize("p_sat", [2.0, 9 / 16, 0.3])
+def test_rf_analytics_satisfies_its_ode(p_sat):
+    gamma = 1.0
     h = 0.005
     tau = np.arange(0, 6.0 + 4 * h, h)
     rf = q.rf_analytics(q.RFParams(p_sat, gamma), tau)
@@ -146,6 +147,14 @@ def test_rf_analytics_satisfies_its_ode():
     resid = d2 + 5 * gamma * d1 + 4 * gamma**2 * (1 + p_sat) * interior \
         - 2 * gamma**2 * p_sat
     assert np.abs(resid).max() < 1e-8
+    # the initial conditions p(0) = p'(0) = 0 pick the solution of the ODE;
+    # five-point forward stencil for p'(0), on a finer step
+    h0 = 1e-3
+    start = q.rf_analytics(q.RFParams(p_sat, gamma), h0 * np.arange(5))
+    p0 = start.g2.values.real * start.pe_bar
+    d1_0 = (-25 * p0[0] + 48 * p0[1] - 36 * p0[2] + 16 * p0[3]
+            - 3 * p0[4]) / (12 * h0)
+    assert abs(p0[0]) < 1e-8 and abs(d1_0) < 1e-8
 
 
 def test_rf_analytics_strong_drive_oscillates_at_twice_the_drive():
@@ -295,20 +304,35 @@ def test_spectrum_numeric_detuned_thermal_cavity():
 
 
 def _count_liouvillian_builds(monkeypatch) -> list:
-    """Wrap _liouvillian_sparse in every quoptics module that holds it and
-    return the list its calls are appended to."""
-    original = q.lindblad._liouvillian_sparse
+    """Wrap the builder behind the cached LindbladModel.liouvillian and
+    return the list of models it is called on."""
+    prop = vars(q.LindbladModel)["liouvillian"]
+    original = prop.func
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])  # the model
-        return original(*args, **kwargs)
+    def counting(model):
+        calls.append(model)
+        return original(model)
 
-    for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "quoptics"
-                and getattr(module, "_liouvillian_sparse", None) is original):
-            monkeypatch.setattr(module, "_liouvillian_sparse", counting)
+    monkeypatch.setattr(prop, "func", counting)
     return calls
+
+
+def _engine_runs(m: q.LindbladModel, n_max: int) -> dict:
+    """The five engines that read the Liouvillian, each as a call on m."""
+    ops = q.fock_ops(n_max)
+    tau = np.linspace(0.0, 1.0, 5)
+    vacuum = np.diag(np.eye(n_max + 1)[0])
+    rho0 = q.DensityMatrix(m.basis, vacuum)
+    return {
+        "build_liouvillian": lambda: q.build_liouvillian(m),
+        "steady_state": lambda: q.steady_state(m),
+        "evolve_master": lambda: q.evolve_master(rho0, m, tau),
+        "regression_correlator": lambda: q.regression_correlator(
+            ops.a_dag, ops.n, ops.a, m, tau),
+        "spectrum_numeric": lambda: q.spectrum_numeric(
+            m, 0.3, np.linspace(0.0, 2.0, 3), mode_op=ops.a, kappa_out=2.0),
+    }
 
 
 @pytest.mark.parametrize("engine", ["steady_state", "evolve_master",
@@ -317,18 +341,17 @@ def _count_liouvillian_builds(monkeypatch) -> list:
 def test_each_call_builds_the_liouvillian_once(monkeypatch, engine):
     n_max = 6
     m = _thermal_cavity(1.0, 0.3, n_max)
-    ops = q.fock_ops(n_max)
-    tau = np.linspace(0.0, 1.0, 5)
-    vacuum = np.diag(np.eye(n_max + 1)[0])
-    rho0 = q.DensityMatrix(m.basis, vacuum)
+    run = _engine_runs(m, n_max)[engine]
     calls = _count_liouvillian_builds(monkeypatch)
-    run = {
-        "steady_state": lambda: q.steady_state(m),
-        "evolve_master": lambda: q.evolve_master(rho0, m, tau),
-        "regression_correlator": lambda: q.regression_correlator(
-            ops.a_dag, ops.n, ops.a, m, tau),
-        "spectrum_numeric": lambda: q.spectrum_numeric(
-            m, 0.3, np.linspace(0.0, 2.0, 3), mode_op=ops.a, kappa_out=2.0),
-    }[engine]
     run()
+    assert len(calls) == 1 and calls[0] is m
+
+
+def test_one_model_builds_its_liouvillian_once(monkeypatch):
+    # the five engines in turn on one model share one cached matrix
+    n_max = 6
+    m = _thermal_cavity(1.0, 0.3, n_max)
+    calls = _count_liouvillian_builds(monkeypatch)
+    for run in _engine_runs(m, n_max).values():
+        run()
     assert len(calls) == 1 and calls[0] is m

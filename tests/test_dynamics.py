@@ -12,7 +12,7 @@ from quoptics.dynamics import (
     jc_hamiltonian,
     rwa_bloch_matrix,
 )
-from quoptics.lindblad import _liouvillian_sparse, vec
+from quoptics.lindblad import vec
 from quoptics.operators import ValidationError
 from quoptics.scenarios import run_scenario
 
@@ -363,7 +363,7 @@ _DENSE_SCENARIOS = {
 
 
 def _opo_liouvillian(n_max: int):
-    return _liouvillian_sparse(q.opo_lindblad_model(1.0, 0.3, n_max))
+    return q.opo_lindblad_model(1.0, 0.3, n_max).liouvillian
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import pytest
 
 import quoptics as q
 from quoptics.dynamics import _plan_route
-from quoptics.lindblad import _liouvillian_sparse, lindblad_rhs, vec
+from quoptics.lindblad import lindblad_rhs, vec
 from quoptics.operators import QuopticsError
 
 
@@ -267,7 +267,7 @@ _THERMAL = q.CavityParams(1.0, 1.0, 0.3, 0.0, nbar=0.05)
         "driven-n30", "thermal-n30"])
 def test_evolve_master_sparse_route_matches_analytic(p, n_max, nbar0, t):
     m = q.driven_cavity_model(p, n_max)
-    liouv = _liouvillian_sparse(m)
+    liouv = m.liouvillian
     assert _plan_route(liouv, np.diff(t)).route == "sparse"
     states = q.evolve_master(q.thermal_state(nbar0, n_max), m, t)
     ops = q.fock_ops(n_max)
