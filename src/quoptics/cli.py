@@ -144,6 +144,8 @@ def main(argv=None) -> int:
             _emit(_render(art, args.format), args.out)
             return EXIT_OK
         if args.command == "sweep":
+            if args.format == "csv" and args.out is None:
+                raise ConfigError("csv sweeps need --out")
             cfg = _load_config(args.config)
             values = _parse_values(args.values)
             arts = sweep(args.scenario, args.param, values, cfg,
@@ -153,8 +155,6 @@ def main(argv=None) -> int:
                                           for a in arts) + "\n]\n"
                 _emit(body, args.out)
             else:
-                if args.out is None:
-                    raise ConfigError("csv sweeps need --out")
                 stem, ext = os.path.splitext(args.out)
                 for idx, art in enumerate(arts):
                     _emit(artifact_to_csv(art), f"{stem}_{idx:03d}{ext}")

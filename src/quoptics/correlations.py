@@ -17,7 +17,7 @@ from .lindblad import (
     LangevinLinearModel,
     LindbladModel,
     langevin_steady,
-    moment_rhs,
+    lindblad_rhs,
     steady_state,
     unvec,
     vec,
@@ -94,14 +94,18 @@ def regression_correlator(a: Operator, b: Operator, c: Operator,
     ``initial`` is the steady state by default; pass a DensityMatrix to
     correlate from a specific state instead.
     """
-    for op in (a, b, c):
-        if op.basis != m.basis:
-            raise BasisMismatchError("operator/model basis mismatch")
+    _check_bases((a, b, c), m)
     rho = steady_state(m) if initial == "steady" else initial
     tau = np.asarray(tau_grid, dtype=float)
     values = _regression(m.liouvillian, b.entries,
                          c.entries @ rho.entries @ a.entries, tau)
     return CorrelationSeries(tau=tau, values=values, kind="generic")
+
+
+def _check_bases(ops, m: LindbladModel) -> None:
+    for op in ops:
+        if op.basis != m.basis:
+            raise BasisMismatchError("operator/model basis mismatch")
 
 
 def _regression(liouv, b: np.ndarray, seed: np.ndarray,
@@ -136,6 +140,7 @@ def regression_formula(ops, coeff: np.ndarray, a: Operator, c: Operator,
     solving d/dtau <A B_j(t+tau) C> = M <A B(t+tau) C> with initial
     condition tr{A B_j C rho}.
     """
+    _check_bases(ops, m)
     coeff = np.asarray(coeff, dtype=complex)
     dim = m.basis.total_dim
     rng = np.random.default_rng(_CLOSURE_SEED)
@@ -148,7 +153,9 @@ def regression_formula(ops, coeff: np.ndarray, a: Operator, c: Operator,
         rho_m = r @ r.conj().T
         rho = DensityMatrix(m.basis, rho_m / rho_m.trace())
         moments = np.array([np.trace(op.entries @ rho.entries) for op in ops])
-        rhs = np.array([moment_rhs(op, m, rho) for op in ops])
+        # d<B_j>/dt = tr(B_j L[rho]), as moment_rhs, with L[rho] formed once
+        l_rho = lindblad_rhs(m, rho.entries)
+        rhs = np.array([np.trace(op.entries @ l_rho) for op in ops])
         resid = np.max(np.abs(rhs - coeff @ moments))
         scale = max(1.0, float(np.max(np.abs(moments))),
                     float(np.max(np.abs(coeff))))

@@ -364,8 +364,6 @@ def _plan_route(b, steps: np.ndarray) -> _Plan:
     trace = b.diagonal().sum()
     shift = (trace / n) * (sp.identity(n) if sp.issparse(b) else np.eye(n))
     norm = abs(b - shift).sum(axis=0).max()
-    if not (np.isfinite(norm) and np.all(np.isfinite(steps))):
-        raise ValidationError("B and t_grid must be finite")
     splits = np.maximum(1, np.ceil(np.abs(steps) * norm / _STEP_NORM_MAX))
     first, which = _distinct_steps(steps)
     dense_cost = (first.size * _C_DENSE * n**3
@@ -375,14 +373,34 @@ def _plan_route(b, steps: np.ndarray) -> _Plan:
                  splits.astype(int))
 
 
+def _touched_rows(b, x: np.ndarray) -> np.ndarray:
+    """Sorted indices of the rows that exp(B t) x can reach: the connected
+    components of the pattern of |B| + |B|^T that hold a nonzero of x.
+    B is block diagonal over its components, so every other row stays
+    exactly zero.  The pattern is a copy; ``b`` is never written to."""
+    # imported on first use, so that importing quoptics does not load csgraph
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = sp.csr_matrix(abs(b))
+    pattern.eliminate_zeros()
+    _, label = connected_components(pattern, directed=False)
+    seeded = np.unique(label[np.any(x, axis=tuple(range(1, x.ndim)))])
+    return np.flatnonzero(np.isin(label, seeded))
+
+
 def solve_linear(b, x0, t_grid) -> np.ndarray:
     """x(t) = exp(B (t - t_grid[0])) x0 sampled on t_grid.
 
     ``b`` is a dense array or a scipy.sparse matrix; ``x0`` is a vector or an
     (n, k) matrix of k initial columns, and the result has shape (nt, n) or
-    (nt, n, k).  Two routes give the same numbers to round-off: one dense
-    expm per distinct step (scaling and squaring, exact also for defective
-    B), or step-split sparse expm_multiply, which never forms the dense
+    (nt, n, k).  Only the blocks of B that x0 touches are propagated: the
+    connected components of the nonzero pattern of |B| + |B|^T that hold an
+    exact nonzero of x0 (a symmetry of B, such as the coherence order a
+    thermal cavity conserves, splits it into such blocks).  Their principal
+    submatrix is propagated at its own D and every other row is exactly 0.
+    Two routes give the same numbers to round-off: one dense expm per
+    distinct step (scaling and squaring, exact also for defective B), or
+    step-split sparse expm_multiply, which never forms the dense
     exponential.  ``_plan_route`` takes whichever its cost model, which reads
     only D and the step counts, rates cheaper: dense for small or stiff
     generators on long grids, sparse for large ones on short grids and for
@@ -395,9 +413,24 @@ def solve_linear(b, x0, t_grid) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValidationError("B must be square")
     t = np.asarray(t_grid, dtype=float)
-    steps = np.diff(t)
+    entries = b.data if sp.issparse(b) else b
+    if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(t))):
+        raise ValidationError("B and t_grid must be finite")
     x = np.asarray(x0, dtype=complex)
-    out = np.empty((t.size,) + x.shape, dtype=complex)
+    if x.ndim not in (1, 2) or x.shape[0] != b.shape[0]:
+        raise ValidationError("x0 must have one row per row of B")
+    keep = _touched_rows(b, x)
+    if keep.size == b.shape[0]:
+        return _propagate(b, x, np.diff(t))
+    out = np.zeros((t.size,) + x.shape, dtype=complex)
+    if keep.size:
+        out[:, keep] = _propagate(b[keep][:, keep], x[keep], np.diff(t))
+    return out
+
+
+def _propagate(b, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """exp(B (t_k - t_0)) x for every grid point, on the planned route."""
+    out = np.empty((steps.size + 1,) + x.shape, dtype=complex)
     out[0] = x
     plan = _plan_route(b, steps)
     if plan.route == "dense":

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import quoptics as q
+from quoptics import scenarios
 from quoptics.cli import main
 from quoptics.scenarios import (
     REGISTRY,
@@ -151,6 +152,23 @@ def test_sweep_csv_writes_one_file_per_value(tmp_path, capsys):
         assert (tmp_path / name).read_text() == artifact_to_csv(art)
 
 
+def test_sweep_csv_without_out_runs_no_scenario(monkeypatch, capsys):
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[0])
+        return run_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "run_scenario", counted)
+    argv = ["sweep", "dephasing", "--param", "gamma_phi",
+            "--values", "0.5,1,2"]
+    assert main(argv + ["--format", "csv"]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert runs == []
+    assert main(argv + ["--format", "json"]) == 0
+    assert runs == ["dephasing"] * 3
+
+
 def test_run_numerical_failure_exits_3(tmp_path, capsys):
     # a thermal state with nbar 5 needs a finer grid than 257 points
     bad = {"state": "thermal", "nbar_state": 5.0}
@@ -284,10 +302,10 @@ def test_sweep_empty_values():
         sweep("opo-squeezing", "bogus", [0.1])
 
 
-def test_mcwf_scenario_bit_stable_across_thread_counts(tmp_path):
+def _artifacts_at_thread_counts(tmp_path, scenario: str, config: dict):
+    """JSON bytes of `quoptics run` with 1 and with 4 BLAS threads."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"trajectories": 200, "points": 5,
-                               "t_max": 1.0}))
+    cfg.write_text(json.dumps(config))
     # The subprocess runs in tmp_path, where a relative PYTHONPATH such as
     # "src" does not resolve; put the directory of the imported package first
     # so the subprocess runs the same quoptics as this test process.
@@ -304,12 +322,29 @@ def test_mcwf_scenario_bit_stable_across_thread_counts(tmp_path):
         out = tmp_path / f"run_{threads}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "quoptics.cli", "run",
-             "spontaneous-emission", "--config", str(cfg),
+             scenario, "--config", str(cfg),
              "--seed", "7", "--out", str(out)],
             env=env, capture_output=True, text=True, cwd=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_mcwf_scenario_bit_stable_across_thread_counts(tmp_path):
+    first, second = _artifacts_at_thread_counts(
+        tmp_path, "spontaneous-emission",
+        {"trajectories": 200, "points": 5, "t_max": 1.0})
+    assert first == second
+
+
+@pytest.mark.parametrize("scenario", ["thermal-g2", "purcell-cooling"])
+def test_block_propagated_scenario_bit_stable_across_thread_counts(
+        tmp_path, scenario):
+    # both propagate only the block of their Liouvillian that their seed
+    # touches: thermal-g2 31 of 961 rows on the dense route, purcell-cooling
+    # 18 of 100
+    first, second = _artifacts_at_thread_counts(tmp_path, scenario, {})
+    assert first == second
 
 
 def test_out_dir_environment_variable(tmp_path, monkeypatch):

@@ -109,6 +109,14 @@ def test_regression_formula_at_the_bloch_exceptional_point(kappa):
     assert np.abs(series[2].values - oracle.values).max() < 1e-12
 
 
+def test_regression_formula_rejects_operators_of_another_basis():
+    m = _thermal_cavity(0.8, 0.6, 4)
+    other = q.fock_ops(5)
+    with pytest.raises(q.BasisMismatchError):
+        q.regression_formula([other.n], np.array([[0.0]]), other.a_dag,
+                             other.a, m, np.linspace(0, 1, 3))
+
+
 def test_regression_formula_rejects_open_set():
     m = _rf = q.LindbladModel(
         q.two_level_basis(), 0.7 * q.pauli_ops().sx,

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import quoptics as q
 from quoptics import dynamics, lindblad
@@ -316,10 +317,25 @@ def test_solve_linear_exact_on_a_jordan_block():
     assert np.abs(out - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 2)])
+def test_solve_linear_returns_zeros_for_a_zero_seed(shape):
+    b = np.array([[-1.0, 2.0, 0.0], [0.5, -0.3, 1j], [0.0, 1.0, -2.0]])
+    t = np.linspace(0.0, 1.0, 5)
+    for gen in (b, sp.csr_matrix(b)):
+        out = q.solve_linear(gen, np.zeros(shape), t)
+        assert out.shape == (t.size,) + shape and not out.any()
+
+
+def test_solve_linear_rejects_a_seed_of_the_wrong_length():
+    with pytest.raises(ValidationError):
+        q.solve_linear(np.eye(3), [1.0, 0.0], [0.0, 1.0])
+
+
 # Route choice.  The cases are the propagations whose cost was timed on both
 # routes (one BLAS thread, 2-vCPU x86_64).  Dense wins on small or stiff
-# generators and long grids: 0.006 s against 3.8 s sparse for
-# purcell-cooling, 0.14 s against 7.5 s for the n_max 12 spectrum grid and
+# generators and long grids: 0.02 s against 3.0 s sparse for
+# purcell-cooling, whose seeds touch blocks of 18 and 2 of its 100 rows,
+# 0.14 s against 7.5 s for the n_max 12 spectrum grid and
 # 10.0 s against 12.2 s for that grid at n_max 30.  Sparse wins on cavities
 # from n_max 20 up on a short grid (0.09 s against 0.36 s dense at n_max 20,
 # 0.15 s against 3.3 s at n_max 30; test_lindblad checks that route) and on
@@ -355,9 +371,10 @@ _CAVITIES = {
     "driven-n30": (q.CavityParams(1.0, 1.0, 0.3, 0.3, nbar=0.05), 30),
     "thermal-n30": (q.CavityParams(1.0, 1.0, 0.3, 0.0, nbar=0.05), 30),
 }
+# D of the blocks each scenario propagates: the rows its seeds touch
 _DENSE_SCENARIOS = {
-    "purcell-cooling": {100, 4},
-    "spontaneous-emission": {4},
+    "purcell-cooling": {18, 2},
+    "spontaneous-emission": {2},
     "dephasing": {4},
 }
 
@@ -383,8 +400,28 @@ def test_plan_keeps_small_and_stiff_scenarios_dense(monkeypatch, name):
     assert {dim for dim, _ in plans} == _DENSE_SCENARIOS[name]
     assert all(p.route == "dense" for _, p in plans)
     if name == "purcell-cooling":
-        # the stiff atom-cavity model: about 630 sparse substeps at D = 100
+        # the stiff atom-cavity model: about 630 sparse substeps at D = 18
         assert max(p.splits.sum() for _, p in plans) > 600
+
+
+def test_thermal_regression_propagates_only_the_seeded_block(monkeypatch):
+    # a thermal cavity conserves the coherence order m - n, so its L splits
+    # into 61 blocks; the G2 seed a rho a^dag is diagonal and touches only
+    # the n_max + 1 populations of the 961 rows
+    p, n_max = _CAVITIES["thermal-n30"]
+    m = q.driven_cavity_model(p, n_max)
+    ops = q.fock_ops(n_max)
+    liouv = m.liouvillian
+    cached = (liouv.data.copy(), liouv.indices.copy(), liouv.indptr.copy())
+    plans = _record_plans(monkeypatch)
+    q.regression_correlator(ops.a.dag(), ops.n, ops.a, m, _SHORT_GRID)
+    assert [dim for dim, _ in plans] == [n_max + 1]
+    assert liouv.shape == ((n_max + 1) ** 2,) * 2
+    # the cached matrix is read, never written
+    assert m.liouvillian is liouv
+    for before, after in zip(cached, (liouv.data, liouv.indices,
+                                      liouv.indptr)):
+        assert np.array_equal(before, after)
 
 
 @pytest.mark.parametrize("n_max, route", [

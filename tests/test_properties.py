@@ -2,6 +2,7 @@
 the linear propagator on random generators."""
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -166,3 +167,45 @@ def test_solve_linear_matches_the_matrix_exponential(problem):
         prop = expm(b * (tk - t[0]))
         scale = np.linalg.norm(prop, 2) * np.linalg.norm(x0)
         assert np.abs(xk - prop @ x0).max() <= 1e-10 * scale
+
+
+@st.composite
+def block_problems(draw):
+    """B made of 1..4 random blocks of 1..4 rows with its rows shuffled,
+    dense or CSR; x0, a vector or an (n, k) matrix, is nonzero on the rows
+    of one or more seeded blocks and exactly zero elsewhere."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    seeded = draw(st.sets(st.integers(0, len(sizes) - 1), min_size=1))
+    n = sum(sizes)
+    b = np.zeros((n, n), dtype=complex)
+    ends = np.cumsum(sizes)
+    for d, end in zip(sizes, ends):
+        b[end - d:end, end - d:end] = _random_matrix(rng, d) / d
+    perm = rng.permutation(n)
+    b = b[np.ix_(perm, perm)]
+    block = np.repeat(np.arange(len(sizes)), sizes)[perm]
+    if draw(st.booleans()):
+        b = sp.csr_matrix(b)
+    k = draw(st.integers(0, 2))
+    shape = (n, k) if k else (n,)
+    x0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    x0[~np.isin(block, list(seeded))] = 0.0
+    steps = draw(st.lists(st.sampled_from([0.1, 0.25, 0.4]), min_size=0,
+                          max_size=8))
+    t = draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+    return b, x0, t, np.isin(block, list(seeded))
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_problems())
+def test_solve_linear_propagates_only_the_seeded_blocks(problem):
+    b, x0, t, seeded = problem
+    out = q.solve_linear(b, x0, t)
+    assert out.shape == (t.size,) + x0.shape
+    assert not out[:, ~seeded].any()
+    full = b.toarray() if sp.issparse(b) else b
+    for tk, xk in zip(t, out):
+        prop = expm(full * (tk - t[0]))
+        scale = np.linalg.norm(prop, 2) * np.linalg.norm(x0)
+        assert np.abs(xk - prop @ x0).max() <= 1e-12 * scale
