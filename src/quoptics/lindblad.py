@@ -389,40 +389,47 @@ class MCWFResult:
     populations: np.ndarray       # ensemble-averaged |amplitude|^2, (nt, dim)
     n_traj: int
     n_jumps: np.ndarray           # jump count per trajectory
-    dt: float
+    dt: float                     # smallest substep; <= 0.05 / rate bound
     seed: int
 
 
 def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
-                seed: int, dt_max: float | None = None) -> MCWFResult:
+                seed: int) -> MCWFResult:
     """First-order jump/no-jump unraveling of the master equation.
 
     No-jump segments evolve under the non-Hermitian H_eff = H - i sum_j
     kappa_j J_j^dag J_j (applied exactly through one matrix exponential per
     distinct substep) with renormalization; jumps fire with probability
-    p = 2 kappa dt <J^dag J>.  The step is chosen so the worst-case p stays
-    at or below 0.05.  Each trajectory draws from its own counter-split
+    p = 2 kappa dt <J^dag J>, evaluated at the start of the substep.  The
+    model alone sets the substep, and nothing overrides it: every output
+    interval is split evenly into steps of at most 0.05 / sum_j 2 kappa_j
+    lambda_max(J_j^dag J_j), so the total p stays at or below 0.05.  The
+    scheme is first order in dt, and so is its bias: a decaying atom
+    (kappa = 1, dt = 0.025) survives to t = 0.5 with probability 0.95^20 =
+    0.3585 instead of e^-1 = 0.3679, an error of -0.0094.  The waiting-time
+    unravelling planned in ROADMAP.md removes this bias; a step argument
+    would only shrink it.  Each trajectory draws from its own counter-split
     random stream, so the ensemble is reproducible for a fixed seed
-    regardless of batching.
+    regardless of batching.  t_grid must not decrease; repeated points are
+    allowed.
     """
     psi0.validate()
     if psi0.basis != m.basis:
         raise BasisMismatchError("state/model basis mismatch")
     t = np.asarray(t_grid, dtype=float)
+    if np.any(np.diff(t) < 0):
+        raise ValidationError("t_grid must not decrease")
     d = m.basis.total_dim
     jump_ops = [(rate, op.entries) for rate, op in m.jumps]
+    rates = np.array([rate for rate, _ in jump_ops], dtype=float)
 
-    # worst-case total jump rate over the truncated space sets the step;
-    # an explicit dt_max overrides it (the runtime p < 0.1 guard still holds)
-    if dt_max is not None:
-        dt = dt_max
-    else:
-        rate_bound = 0.0
-        for rate, j in jump_ops:
-            rate_bound += 2.0 * rate * float(
-                np.linalg.eigvalsh(j.conj().T @ j).max()
-            )
-        dt = 0.05 / rate_bound if rate_bound > 0 else (t[-1] - t[0])
+    # worst-case total jump rate over the truncated space sets the step
+    rate_bound = 0.0
+    for rate, j in jump_ops:
+        rate_bound += 2.0 * rate * float(
+            np.linalg.eigvalsh(j.conj().T @ j).max()
+        )
+    dt = 0.05 / rate_bound if rate_bound > 0 else (t[-1] - t[0])
     # commensurate substepping of the output grid
     steps = np.maximum(1, np.ceil(np.diff(t) / dt).astype(int))
     dts = np.diff(t) / steps
@@ -447,41 +454,26 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     for seg, n_sub in enumerate(steps):
         u_no_jump = props[which[seg]]
         for u1, u2 in _uniform_pairs(rngs, n_sub):
-            # channel probabilities p_j = 2 kappa_j dt <J^dag J>
-            probs = np.empty((len(jump_ops), n_traj))
-            jpsi_all = []
-            for jidx, (rate, j) in enumerate(jump_ops):
-                jpsi = psi @ j.T
-                jpsi_all.append(jpsi)
-                probs[jidx] = 2.0 * rate * dts[seg] * np.sum(
-                    np.abs(jpsi) ** 2, axis=1
-                )
-            p_tot = probs.sum(axis=0)
-            if p_tot.max() > 0.1:
-                raise QuopticsError(
-                    f"jump probability {p_tot.max():.3f} exceeds 0.1; "
-                    "reduce dt_max"
-                )
-            do_jump = u1 < p_tot
-            # no-jump branch: exact effective evolution + renormalization
-            no_jump = ~do_jump
-            if np.any(no_jump):
-                evolved = psi[no_jump] @ u_no_jump.T
-                norms = np.linalg.norm(evolved, axis=1, keepdims=True)
-                psi[no_jump] = evolved / norms
-            if np.any(do_jump):
-                # pick the channel proportionally to its weight
-                cum = np.cumsum(probs[:, do_jump], axis=0)
-                cum /= cum[-1]
-                choice = (u2[do_jump][None, :] > cum).sum(axis=0)
-                idx_traj = np.nonzero(do_jump)[0]
-                for jidx in range(len(jump_ops)):
-                    sel = idx_traj[choice == jidx]
-                    if sel.size:
-                        jumped = jpsi_all[jidx][sel]
-                        norms = np.linalg.norm(jumped, axis=1, keepdims=True)
-                        psi[sel] = jumped / norms
-                n_jumps[idx_traj] += 1
+            # channel states J_j psi, (channels, n_traj, d), and their
+            # probabilities p_j = 2 kappa_j dt <J^dag J>
+            jpsi = np.array([psi @ j.T for _, j in jump_ops]).reshape(
+                len(jump_ops), n_traj, d)
+            probs = (2.0 * rates * dts[seg])[:, None] * np.sum(
+                np.abs(jpsi) ** 2, axis=2)
+            jumpers = np.nonzero(u1 < probs.sum(axis=0))[0]
+            # pick each jumper's channel proportionally to its weight (the
+            # slice cum[-1:] also divides the empty cum of a jumpless model)
+            cum = np.cumsum(probs[:, jumpers], axis=0)
+            cum /= cum[-1:]
+            choice = (u2[jumpers][None, :] > cum).sum(axis=0)
+            # every trajectory takes the no-jump step, then the jumpers
+            # are overwritten with their normalized channel state
+            evolved = psi @ u_no_jump.T
+            psi = evolved / np.linalg.norm(evolved, axis=1, keepdims=True)
+            jumped = jpsi[choice, jumpers]
+            psi[jumpers] = jumped / np.linalg.norm(jumped, axis=1,
+                                                   keepdims=True)
+            n_jumps[jumpers] += 1
         pops[seg + 1] = np.mean(np.abs(psi) ** 2, axis=0)
     # a one-point grid has no substeps; its dt is the step that was chosen
     return MCWFResult(t=t, populations=pops, n_traj=n_traj,

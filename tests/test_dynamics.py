@@ -342,18 +342,6 @@ def test_solve_linear_rejects_a_seed_of_the_wrong_length():
 # the spectrum grid at n_max 35, where the 8532 products with the dense
 # 1296^2 exponential dominate: 12.9 s against 21.5 s dense.
 
-def _record_plans(monkeypatch) -> list:
-    """List that collects (D, plan) of every propagation from now on."""
-    plans = []
-
-    def record(b, steps):
-        plans.append((b.shape[0], _plan_route(b, steps)))
-        return plans[-1][1]
-
-    monkeypatch.setattr(dynamics, "_plan_route", record)
-    return plans
-
-
 def _force_route(monkeypatch, route: str) -> None:
     monkeypatch.setattr(dynamics, "_plan_route", lambda b, steps: replace(
         _plan_route(b, steps), route=route))
@@ -394,8 +382,7 @@ def spectrum_tau():
 
 
 @pytest.mark.parametrize("name", sorted(_DENSE_SCENARIOS))
-def test_plan_keeps_small_and_stiff_scenarios_dense(monkeypatch, name):
-    plans = _record_plans(monkeypatch)
+def test_plan_keeps_small_and_stiff_scenarios_dense(plans, name):
     run_scenario(name)
     assert {dim for dim, _ in plans} == _DENSE_SCENARIOS[name]
     assert all(p.route == "dense" for _, p in plans)
@@ -404,7 +391,7 @@ def test_plan_keeps_small_and_stiff_scenarios_dense(monkeypatch, name):
         assert max(p.splits.sum() for _, p in plans) > 600
 
 
-def test_thermal_regression_propagates_only_the_seeded_block(monkeypatch):
+def test_thermal_regression_propagates_only_the_seeded_block(plans):
     # a thermal cavity conserves the coherence order m - n, so its L splits
     # into 61 blocks; the G2 seed a rho a^dag is diagonal and touches only
     # the n_max + 1 populations of the 961 rows
@@ -413,7 +400,6 @@ def test_thermal_regression_propagates_only_the_seeded_block(monkeypatch):
     ops = q.fock_ops(n_max)
     liouv = m.liouvillian
     cached = (liouv.data.copy(), liouv.indices.copy(), liouv.indptr.copy())
-    plans = _record_plans(monkeypatch)
     q.regression_correlator(ops.a.dag(), ops.n, ops.a, m, _SHORT_GRID)
     assert [dim for dim, _ in plans] == [n_max + 1]
     assert liouv.shape == ((n_max + 1) ** 2,) * 2

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import quoptics as q
-from quoptics.dynamics import _plan_route
 from quoptics.lindblad import lindblad_rhs, vec
 from quoptics.operators import QuopticsError
 
@@ -252,23 +251,8 @@ _DRIVEN = q.CavityParams(1.0, 1.0, 0.3, 0.3, nbar=0.05)
 _THERMAL = q.CavityParams(1.0, 1.0, 0.3, 0.0, nbar=0.05)
 
 
-@pytest.mark.parametrize("p, n_max, nbar0, t", [
-    # thermally damped: two jump operators at D = 33^2
-    (q.CavityParams(1.0, 0.5, 0.4, 0.3, nbar=0.2), 32, 0.1,
-     np.linspace(0.0, 2.0, 7)),
-    # strongly driven: <n> reaches 16 on an n_max 80 cutoff
-    (q.CavityParams(1.0, 1.0, 0.0, 4.0), 80, 0.0, np.linspace(0.0, 2.5, 41)),
-    # a short grid: one sparse substep per step beats a dense D^3 exponential
-    (_DRIVEN, 20, 0.0, _SHORT_GRID),
-    (_THERMAL, 20, 0.0, _SHORT_GRID),
-    (_DRIVEN, 30, 0.0, _SHORT_GRID),
-    (_THERMAL, 30, 0.0, _SHORT_GRID),
-], ids=["thermal-n32", "driven-n80", "driven-n20", "thermal-n20",
-        "driven-n30", "thermal-n30"])
-def test_evolve_master_sparse_route_matches_analytic(p, n_max, nbar0, t):
+def _check_against_analytic(p, n_max, nbar0, t) -> None:
     m = q.driven_cavity_model(p, n_max)
-    liouv = m.liouvillian
-    assert _plan_route(liouv, np.diff(t)).route == "sparse"
     states = q.evolve_master(q.thermal_state(nbar0, n_max), m, t)
     ops = q.fock_ops(n_max)
     analytic = q.driven_cavity_analytic(p, t, nfluct0=nbar0)
@@ -277,6 +261,32 @@ def test_evolve_master_sparse_route_matches_analytic(p, n_max, nbar0, t):
     assert np.abs(mean - analytic.mean_a).max() < 1e-8
     assert np.abs(n_mean - np.abs(analytic.mean_a) ** 2
                   - analytic.n_fluct).max() < 1e-8
+
+
+@pytest.mark.parametrize("p, n_max, nbar0, t", [
+    # thermally damped: two jump operators at D = 33^2
+    (q.CavityParams(1.0, 0.5, 0.4, 0.3, nbar=0.2), 32, 0.1,
+     np.linspace(0.0, 2.0, 7)),
+    # strongly driven: <n> reaches 16 on an n_max 80 cutoff
+    (q.CavityParams(1.0, 1.0, 0.0, 4.0), 80, 0.0, np.linspace(0.0, 2.5, 41)),
+    # a short grid: one sparse substep per step beats a dense D^3 exponential
+    (_DRIVEN, 20, 0.0, _SHORT_GRID),
+    (_DRIVEN, 30, 0.0, _SHORT_GRID),
+], ids=["thermal-n32", "driven-n80", "driven-n20", "driven-n30"])
+def test_evolve_master_sparse_route_matches_analytic(plans, p, n_max, nbar0,
+                                                     t):
+    _check_against_analytic(p, n_max, nbar0, t)
+    # the drive couples every coherence order: the whole L is propagated
+    assert [(dim, plan.route) for dim, plan in plans] == [
+        ((n_max + 1) ** 2, "sparse")]
+
+
+@pytest.mark.parametrize("n_max", [20, 30], ids=["thermal-n20", "thermal-n30"])
+def test_evolve_master_population_block_matches_analytic(plans, n_max):
+    _check_against_analytic(_THERMAL, n_max, 0.0, _SHORT_GRID)
+    # undriven from vacuum, only the n_max + 1 populations are touched, and
+    # that small block is cheaper dense
+    assert [(dim, plan.route) for dim, plan in plans] == [(n_max + 1, "dense")]
 
 
 def test_evolve_master_memory_stays_below_one_dense_exponential():
@@ -334,27 +344,33 @@ def test_mcwf_matches_spontaneous_emission():
                   <= 3 * sigma + bias + 1e-12)
 
 
-def test_mcwf_rejects_oversized_step():
-    gamma = 1.0
-    m = _rf_model(gamma, 0.0)
-    psi0 = q.KetState(q.two_level_basis(), np.array([1.0, 0.0], dtype=complex))
-    with pytest.raises(QuopticsError):
-        q.mcwf_evolve(psi0, m, [0.0, 1.0], n_traj=2, seed=0, dt_max=0.2)
-
-
 def test_mcwf_memory_is_bounded_on_a_coarse_output_grid():
-    # one output interval of 2600 substeps: drawing its uniforms at once
-    # would hold n_traj x 2600 x 16 B = 8.3 MB
+    # one output interval of 2600 substeps (the rate bound 2 x 65 sets
+    # dt = 0.05 / 130): drawing its uniforms at once would hold
+    # n_traj x 2600 x 16 B = 8.3 MB
     n_traj, n_sub = 200, 2600
     psi0 = q.KetState(q.two_level_basis(), np.array([1.0, 0.0], dtype=complex))
     tracemalloc.start()
     try:
-        q.mcwf_evolve(psi0, _rf_model(1.0, 0.0), [0.0, 1.0], n_traj=n_traj,
-                      seed=3, dt_max=1.0 / n_sub)
+        res = q.mcwf_evolve(psi0, _rf_model(65.0, 0.0), [0.0, 1.0],
+                            n_traj=n_traj, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert round(1 / res.dt) == n_sub
     assert peak < n_traj * n_sub * 16 / 4
+
+
+def test_mcwf_rejects_a_decreasing_grid():
+    psi0 = q.KetState(q.two_level_basis(), np.array([1.0, 0.0], dtype=complex))
+    m = _rf_model(1.0, 0.0)
+    with pytest.raises(q.ValidationError):
+        q.mcwf_evolve(psi0, m, [1.0, 0.0], n_traj=4, seed=0)
+    with pytest.raises(q.ValidationError):
+        q.mcwf_evolve(psi0, m, [0.0, 0.5, 0.5, 0.4], n_traj=4, seed=0)
+    # repeated points are allowed and hold the state
+    res = q.mcwf_evolve(psi0, m, [0.0, 0.5, 0.5], n_traj=4, seed=0)
+    assert np.array_equal(res.populations[1], res.populations[2])
 
 
 def test_mcwf_on_a_one_point_grid_returns_the_initial_state():
@@ -458,5 +474,29 @@ def test_mcwf_driven_atom_tracks_master_equation():
     exact = np.array([s.entries[0, 0].real for s in master])
     sigma = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / n_traj)
     bias = 2 * (gamma + abs(drive)) ** 2 * res.dt * t
+    assert np.all(np.abs(res.populations[:, 0] - exact)
+                  <= 4 * sigma + bias + 1e-12)
+
+
+def test_mcwf_two_channels_track_master_equation():
+    # a driven atom in a thermal field: sigma^- at gamma (nbar + 1) and
+    # sigma^+ at gamma nbar.  Sending every jump down, or swapping the two
+    # channels, moves p_e by 0.16 to 0.47 from t = 0.25 on, beyond the
+    # allowance below
+    gamma, nbar, omega = 1.0, 0.5, 0.4
+    p = q.pauli_ops()
+    basis = q.two_level_basis()
+    rates = (gamma * (nbar + 1), gamma * nbar)
+    m = q.LindbladModel(basis, omega * p.sx,
+                        ((rates[0], p.sm), (rates[1], p.sp)))
+    psi0 = q.KetState(basis, np.array([0.0, 1.0], dtype=complex))
+    t = np.linspace(0.0, 1.5, 7)
+    n_traj = 6000
+    res = q.mcwf_evolve(psi0, m, t, n_traj=n_traj, seed=11)
+    assert res.n_jumps.sum() > 0
+    master = q.evolve_master(psi0.to_density_matrix(), m, t)
+    exact = np.array([s.entries[0, 0].real for s in master])
+    sigma = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / n_traj)
+    bias = 2 * (sum(rates) + omega) ** 2 * res.dt * t
     assert np.all(np.abs(res.populations[:, 0] - exact)
                   <= 4 * sigma + bias + 1e-12)
