@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import LindbladModel, build_liouvillian
+from .lindblad import LindbladModel, build_liouvillian, unvec, vec
 from .operators import (
     BasisSpec,
     Operator,
@@ -138,27 +138,8 @@ def _reshuffle(t_matrix: np.ndarray, d: int) -> np.ndarray:
     return r4.reshape(d * d, d * d)
 
 
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    """Identity-first orthonormal (Frobenius) Hermitian basis of d x d."""
-    basis = [np.eye(d, dtype=complex) / math.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / math.sqrt(2.0)
-            basis.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j / math.sqrt(2.0)
-            m[k, j] = 1j / math.sqrt(2.0)
-            basis.append(m)
-    for j in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[:j, :j] = np.eye(j)
-        m[j, j] = -j
-        basis.append(m / math.sqrt(j * (j + 1)))
-    return basis
-
-
-# Kossakowski eigenvalues below this fraction of max|c| are round-off
+# Kossakowski eigenvalues below this fraction of max|r|, the largest entry
+# of the Hermitian part of the reshuffled generator, are round-off
 _RATE_TOL = 1e-12
 
 
@@ -166,29 +147,36 @@ def lindblad_decompose(t_matrix: np.ndarray, basis: BasisSpec):
     """Split a Hermiticity- and trace-preserving generator into a Hamiltonian
     commutator plus jump dissipators (our 2 J rho J^dag convention).
 
-    Expands T[rho] = sum_ab c_ab G_a rho G_b over an identity-first Hermitian
-    operator basis; the traceless block of c is the Kossakowski matrix whose
-    eigen-directions become jump operators, the identity cross terms carry
-    the Hamiltonian.  Significantly negative dissipation directions are
-    dropped and reported, never silently absorbed.
+    Works on the Hermitian part r of the reshuffled generator, with
+    T[rho] = sum_ab r_ab E_a rho E_b^dag, and on e = vec(I)/sqrt(d).  The
+    terms with one identity factor collect into K rho + rho K^dag with
+    K = (e^dag r e)/(2d) I + unvec(r e - (e^dag r e) e)/sqrt(d), whose
+    anti-Hermitian part is the Hamiltonian.  The Kossakowski matrix is r
+    compressed onto the traceless operators, P r P with P = 1 - e e^dag; its
+    eigenvectors, unvec'd, are the jump operators at half the eigenvalue.
+    Significantly negative dissipation directions are dropped and reported,
+    never silently absorbed.
     """
     d = basis.total_dim
+    t_matrix = np.asarray(t_matrix)
+    if t_matrix.shape != (d * d, d * d):
+        raise ValidationError(
+            f"generator shape {t_matrix.shape} is not ({d * d}, {d * d}) "
+            f"for a basis of dimension {d}"
+        )
     r2 = _reshuffle(t_matrix, d)
     herm_res = float(np.abs(r2 - r2.conj().T).max())
-    ops = _hermitian_basis(d)
-    b_mat = np.stack([g.reshape(-1, order="F") for g in ops], axis=1)
-    c = b_mat.conj().T @ (0.5 * (r2 + r2.conj().T)) @ b_mat
-    scale = max(1.0, float(np.abs(c).max()))
+    r = 0.5 * (r2 + r2.conj().T)
+    scale = max(1.0, float(np.abs(r).max()))
 
-    # K rho + rho K^dag collects the identity cross terms
-    sqrt_d = math.sqrt(d)
-    k_op = (c[0, 0] / (2.0 * d)) * np.eye(d, dtype=complex)
-    for a_idx in range(1, len(ops)):
-        k_op += (np.conj(c[0, a_idx]) / sqrt_d) * ops[a_idx]
+    e = vec(np.eye(d, dtype=complex)) / math.sqrt(d)
+    re = r @ e
+    r_ee = np.vdot(e, re)
+    k_op = (r_ee / (2.0 * d)) * np.eye(d) + unvec(re - r_ee * e) / math.sqrt(d)
     h = 0.5j * (k_op - k_op.conj().T)
 
-    chi = 0.5 * (c[1:, 1:] + c[1:, 1:].conj().T)
-    evals, evecs = np.linalg.eigh(chi)
+    proj = np.eye(d * d) - np.outer(e, e.conj())
+    evals, evecs = np.linalg.eigh(proj @ r @ proj)
     jumps = []
     dropped = 0.0
     for val, v in zip(evals, evecs.T):
@@ -197,8 +185,7 @@ def lindblad_decompose(t_matrix: np.ndarray, basis: BasisSpec):
         if val < 0:
             dropped = max(dropped, float(-val))
             continue
-        j = sum(vq * g for vq, g in zip(v, ops[1:]))
-        jumps.append((float(val) / 2.0, Operator(basis, j)))
+        jumps.append((float(val) / 2.0, Operator(basis, unvec(v))))
 
     rebuilt = build_liouvillian(
         LindbladModel(basis, Operator(basis, h), jumps)).matrix
@@ -430,17 +417,12 @@ def default_k_grid(gamma: float, epsilon: float) -> np.ndarray:
 
 
 def _osc_tail(a_over: float, t: np.ndarray) -> np.ndarray:
-    """Int_a^inf cos(x t)/(gamma^2 + x^2) dx for a >> gamma, via 1/x^2."""
+    """Int_a^inf cos(x t)/(gamma^2 + x^2) dx for a >> gamma, via 1/x^2; at
+    t = 0 it is exactly 1/a, because Si(0) = 0."""
     from scipy.special import sici
 
-    out = np.empty_like(t)
-    for i, tv in enumerate(t):
-        if tv == 0.0:
-            out[i] = 1.0 / a_over
-        else:
-            si, _ = sici(a_over * tv)
-            out[i] = math.cos(a_over * tv) / a_over - tv * (math.pi / 2 - si)
-    return out
+    si, _ = sici(a_over * t)
+    return np.cos(a_over * t) / a_over - t * (math.pi / 2 - si)
 
 
 def wigner_weisskopf(gamma: float, epsilon: float, k_grid=None,

@@ -429,9 +429,14 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
         rate_bound += 2.0 * rate * float(
             np.linalg.eigvalsh(j.conj().T @ j).max()
         )
-    dt = 0.05 / rate_bound if rate_bound > 0 else (t[-1] - t[0])
-    # commensurate substepping of the output grid
-    steps = np.maximum(1, np.ceil(np.diff(t) / dt).astype(int))
+    # commensurate substepping of the output grid; without a jump rate each
+    # interval is one exact step, and a zero-span grid divides nothing by 0
+    if rate_bound > 0:
+        dt = 0.05 / rate_bound
+        steps = np.maximum(1, np.ceil(np.diff(t) / dt).astype(int))
+    else:
+        dt = t[-1] - t[0]
+        steps = np.ones(t.size - 1, dtype=int)
     dts = np.diff(t) / steps
 
     h_eff = m.h.entries.astype(complex).copy()

@@ -176,6 +176,62 @@ def test_lindblad_decompose_roundtrip():
     assert np.abs(h_fit.entries - h_traceless).max() < 1e-12
 
 
+def test_lindblad_decompose_rejects_a_wrongly_shaped_generator():
+    basis = q.two_level_basis()
+    for bad in (np.eye(9), np.eye(4)[:, :3], np.zeros(16)):
+        with pytest.raises(ValidationError):
+            lindblad_decompose(bad, basis)
+
+
+def test_lindblad_decompose_drops_and_reports_negative_weight():
+    pl = q.pauli_ops()
+    basis = q.two_level_basis()
+    zero = q.Operator(basis, np.zeros((2, 2), dtype=complex))
+    kept = build_liouvillian(q.LindbladModel(basis, 0.3 * pl.sx,
+                                             ((0.3, pl.sm),))).matrix
+    # a dephasing dissipator at rate -0.2: not a Lindblad generator
+    negative = build_liouvillian(q.LindbladModel(basis, zero,
+                                                 ((0.2, pl.sz),))).matrix
+    h_fit, jumps, report = lindblad_decompose(kept - negative, basis)
+    # the sigma_z direction has Kossakowski weight -2 * 0.2 * ||sigma_z||^2
+    assert report["dropped_negative_weight"] == pytest.approx(0.8, abs=1e-12)
+    # the refit misses exactly the dropped dissipator
+    assert report["refit_residual"] == pytest.approx(
+        float(np.abs(negative).max()), abs=1e-12)
+    assert report["choi_hermiticity_residual"] < 1e-15
+    assert len(jumps) == 1
+    rate, op = jumps[0]
+    assert rate * abs(np.vdot(pl.sm.entries, op.entries)) ** 2 == (
+        pytest.approx(0.3, abs=1e-12))
+    assert np.abs(h_fit.entries - 0.3 * pl.sx.entries).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lindblad_decompose_refits_random_generators(seed):
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 3
+    basis = q.fock_basis(d - 1)
+
+    def rand_op():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    a = rand_op()
+    h = q.Operator(basis, 0.5 * (a + a.conj().T))
+    jumps = tuple((float(rng.uniform(0.1, 2.0)), q.Operator(basis, rand_op()))
+                  for _ in range(seed % 4))
+    t_matrix = build_liouvillian(q.LindbladModel(basis, h, jumps)).matrix
+    h_fit, fit_jumps, report = lindblad_decompose(t_matrix, basis)
+    assert report["refit_residual"] <= 1e-12 * max(
+        1.0, float(np.abs(t_matrix).max()))
+    assert report["dropped_negative_weight"] == 0.0
+    for _, op in fit_jumps:
+        assert abs(np.trace(op.entries)) < 1e-12
+    hm = h_fit.entries
+    assert np.abs(hm - hm.conj().T).max() < 1e-12
+    assert abs(np.trace(hm)) < 1e-12
+    assert len(fit_jumps) <= d * d - 1
+
+
 def test_purcell_effective_model_matches_rate_formulas():
     g, kappa, gamma, delta, nbar = 10.0, 1000.0, 1.0, 150.0, 1.0
     res = purcell_effective_model(g, kappa, gamma, delta, nbar)

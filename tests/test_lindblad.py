@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -379,6 +380,18 @@ def test_mcwf_on_a_one_point_grid_returns_the_initial_state():
     assert np.array_equal(res.populations, [[1.0, 0.0]])
     assert res.n_jumps.tolist() == [0, 0, 0, 0]
     assert np.isfinite(res.dt)
+
+
+def test_mcwf_without_jumps_on_a_zero_span_grid_forms_no_nan():
+    basis = q.two_level_basis()
+    m = q.LindbladModel(basis, 0.5 * q.pauli_ops().sx, ())
+    psi0 = q.KetState(basis, np.array([1.0, 0.0], dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = q.mcwf_evolve(psi0, m, [0.0, 0.0], n_traj=3, seed=1)
+    assert np.array_equal(res.populations, [[1.0, 0.0], [1.0, 0.0]])
+    assert res.n_jumps.tolist() == [0, 0, 0]
+    assert res.dt == 0.0
 
 
 def test_mcwf_reproducible():
