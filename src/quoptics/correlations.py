@@ -17,7 +17,6 @@ from .lindblad import (
     LangevinLinearModel,
     LindbladModel,
     langevin_steady,
-    lindblad_rhs,
     steady_state,
     unvec,
     vec,
@@ -111,9 +110,9 @@ def _check_bases(ops, m: LindbladModel) -> None:
 def _regression(liouv, b: np.ndarray, seed: np.ndarray,
                 tau: np.ndarray) -> np.ndarray:
     """tr{B exp(L tau)[seed]} along tau for the model's built sparse L
-    (the quantum regression theorem)."""
-    mats = unvec(solve_linear(liouv, vec(seed), tau))
-    return np.einsum("ij,kji->k", b, mats)
+    (the quantum regression theorem), as the linear functional
+    tr{B X} = vec(B^T) . vec(X) of each propagated vec(X)."""
+    return solve_linear(liouv, vec(seed), tau) @ vec(b.T)
 
 
 def g2_normalized(series: CorrelationSeries, n_mean: float) -> CorrelationSeries:
@@ -154,7 +153,7 @@ def regression_formula(ops, coeff: np.ndarray, a: Operator, c: Operator,
         rho = DensityMatrix(m.basis, rho_m / rho_m.trace())
         moments = np.array([np.trace(op.entries @ rho.entries) for op in ops])
         # d<B_j>/dt = tr(B_j L[rho]), as moment_rhs, with L[rho] formed once
-        l_rho = lindblad_rhs(m, rho.entries)
+        l_rho = unvec(m.liouvillian @ vec(rho.entries))
         rhs = np.array([np.trace(op.entries @ l_rho) for op in ops])
         resid = np.max(np.abs(rhs - coeff @ moments))
         scale = max(1.0, float(np.max(np.abs(moments))),
@@ -185,7 +184,6 @@ class RFParams:
 
     p_sat: float
     gamma: float
-    resonant: bool = True
 
     def __post_init__(self):
         if self.p_sat < 0 or self.gamma <= 0:
@@ -213,8 +211,6 @@ def rf_analytics(p: RFParams, tau_grid) -> RFAnalytics:
     """
     tau = np.asarray(tau_grid, dtype=float)
     pe_bar = p.p_sat / (2.0 * (1.0 + p.p_sat))
-    if not p.resonant:
-        raise ValidationError("the closed-form g2 is resonant only")
     disc = 9.0 - 16.0 * p.p_sat
     x = 0.5 * p.gamma * tau
     if disc > _RF_DISC_TOL:
@@ -297,11 +293,6 @@ def opo_lindblad_model(gamma: float, g: float, n_max: int) -> LindbladModel:
 # Numeric noise spectra
 # ---------------------------------------------------------------------------
 
-def _mode_two_time(model: LangevinLinearModel, tau: np.ndarray) -> np.ndarray:
-    """G(tau) = <delta v(t+tau) delta v(t)^dag> = exp(A tau) M, stacked."""
-    return solve_linear(model.a, langevin_steady(model).second, tau)
-
-
 def _normally_ordered_quadrature_cov(g12: np.ndarray, g22: np.ndarray,
                                      phase: float) -> np.ndarray:
     """Output-field <: dX^phi(t) dX^phi(t+tau) :> with X = e^{-i phi} a
@@ -351,9 +342,10 @@ def spectrum_numeric(model, phase: float, omega_grid,
         if np.any(rates.real >= 0):
             raise QuopticsError("non-decaying correlations: drift not Hurwitz")
         tau, dtau, tail = _spectrum_tau_grid(rates, omega)
-        g_tau = _mode_two_time(model, tau)
-        cov = _normally_ordered_quadrature_cov(g_tau[:, 0, 1], g_tau[:, 1, 1],
-                                               phase)
+        # G(tau) = <dv(t+tau) dv(t)^dag> = exp(A tau) M; the covariance
+        # reads only column 1, the pairs that end in da(t)
+        g_tau = solve_linear(model.a, langevin_steady(model).second[:, 1], tau)
+        cov = _normally_ordered_quadrature_cov(g_tau[:, 0], g_tau[:, 1], phase)
     elif isinstance(model, LindbladModel):
         if mode_op is None or kappa_out is None:
             raise ValidationError(

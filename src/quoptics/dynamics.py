@@ -357,12 +357,11 @@ class _Plan:
 def _plan_route(b, steps: np.ndarray) -> _Plan:
     """Pick the cheaper propagation route from sizes alone: dense iff
     n_distinct C_DENSE D^3 + n_steps C_DENSE_STEP D^2 <= n_substeps
-    C_SPARSE.  ``b`` is a dense array or a CSR matrix; the choice never
-    depends on timings, so the route, and with it every result, is
-    reproducible."""
+    C_SPARSE.  ``b`` is a CSR matrix; the choice never depends on timings,
+    so the route, and with it every result, is reproducible."""
     n = b.shape[0]
     trace = b.diagonal().sum()
-    shift = (trace / n) * (sp.identity(n) if sp.issparse(b) else np.eye(n))
+    shift = (trace / n) * sp.identity(n, format="csr")
     norm = abs(b - shift).sum(axis=0).max()
     splits = np.maximum(1, np.ceil(np.abs(steps) * norm / _STEP_NORM_MAX))
     first, which = _distinct_steps(steps)
@@ -381,7 +380,7 @@ def _touched_rows(b, x: np.ndarray) -> np.ndarray:
     # imported on first use, so that importing quoptics does not load csgraph
     from scipy.sparse.csgraph import connected_components
 
-    pattern = sp.csr_matrix(abs(b))
+    pattern = abs(b)
     pattern.eliminate_zeros()
     _, label = connected_components(pattern, directed=False)
     seeded = np.unique(label[np.any(x, axis=tuple(range(1, x.ndim)))])
@@ -404,17 +403,14 @@ def solve_linear(b, x0, t_grid) -> np.ndarray:
     exponential.  ``_plan_route`` takes whichever its cost model, which reads
     only D and the step counts, rates cheaper: dense for small or stiff
     generators on long grids, sparse for large ones on short grids and for
-    very large ones on any grid.
+    very large ones on any grid.  B is held as complex CSR from entry on.
     """
-    if sp.issparse(b):
-        b = sp.csr_matrix(b, dtype=complex)
-    else:
-        b = np.asarray(b, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+    shape = np.shape(b)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValidationError("B must be square")
+    b = sp.csr_matrix(b, dtype=complex)
     t = np.asarray(t_grid, dtype=float)
-    entries = b.data if sp.issparse(b) else b
-    if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(t))):
+    if not (np.all(np.isfinite(b.data)) and np.all(np.isfinite(t))):
         raise ValidationError("B and t_grid must be finite")
     x = np.asarray(x0, dtype=complex)
     if x.ndim not in (1, 2) or x.shape[0] != b.shape[0]:
@@ -434,13 +430,12 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
     out[0] = x
     plan = _plan_route(b, steps)
     if plan.route == "dense":
-        dense = b.toarray() if sp.issparse(b) else b
+        dense = b.toarray()
         props = [expm(dense * steps[j]) for j in plan.first]
         for k, p in enumerate(plan.which):
             x = props[p] @ x
             out[k + 1] = x
     else:
-        b = sp.csr_matrix(b)
         for k, (dt, n_sub) in enumerate(zip(steps, plan.splits)):
             h = dt / n_sub
             for _ in range(n_sub):

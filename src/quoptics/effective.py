@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import LindbladModel, build_liouvillian, unvec, vec
+from .lindblad import LindbladModel, unvec, vec
 from .operators import (
     BasisSpec,
     Operator,
@@ -187,11 +187,10 @@ def lindblad_decompose(t_matrix: np.ndarray, basis: BasisSpec):
             continue
         jumps.append((float(val) / 2.0, Operator(basis, unvec(v))))
 
-    rebuilt = build_liouvillian(
-        LindbladModel(basis, Operator(basis, h), jumps)).matrix
+    rebuilt = LindbladModel(basis, Operator(basis, h), jumps).liouvillian
     report = {
         "choi_hermiticity_residual": herm_res,
-        "refit_residual": float(np.abs(rebuilt - t_matrix).max()),
+        "refit_residual": float(abs(rebuilt - t_matrix).max()),
         "dropped_negative_weight": dropped,
     }
     return Operator(basis, h), jumps, report

@@ -163,7 +163,8 @@ def driven_cavity_model(p: CavityParams, n_max: int) -> LindbladModel:
 # ---------------------------------------------------------------------------
 
 def lindblad_rhs(m: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """-i[H, rho] + sum_j kappa_j D_j[rho], applied to rho directly."""
+    """-i[H, rho] + sum_j kappa_j D_j[rho], applied to rho directly: the
+    reference the tests check ``LindbladModel.liouvillian`` against."""
     h = m.h.entries
     out = -1j * (h @ rho - rho @ h)
     for rate, op in m.jumps:
@@ -246,7 +247,7 @@ def steady_state(m: LindbladModel) -> DensityMatrix:
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / rho.trace().real
     out = DensityMatrix(m.basis, rho)
-    res = np.max(np.abs(lindblad_rhs(m, rho)))
+    res = np.max(np.abs(liouv @ vec(rho)))
     if res > _SS_RES * max(scale, 1.0):
         raise QuopticsError(f"steady-state residual {res:.3e}")
     return out
@@ -259,7 +260,7 @@ def moment_rhs(a: Operator, m: LindbladModel, state) -> complex:
         raise BasisMismatchError("operator/model basis mismatch")
     rho = state.entries if isinstance(state, DensityMatrix) else \
         state.to_density_matrix().entries
-    return complex(np.trace(a.entries @ lindblad_rhs(m, rho)))
+    return complex(np.trace(a.entries @ unvec(m.liouvillian @ vec(rho))))
 
 
 # ---------------------------------------------------------------------------

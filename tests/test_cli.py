@@ -302,10 +302,37 @@ def test_sweep_empty_values():
         sweep("opo-squeezing", "bogus", [0.1])
 
 
-def _artifacts_at_thread_counts(tmp_path, scenario: str, config: dict):
-    """JSON bytes of `quoptics run` with 1 and with 4 BLAS threads."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+# Runs whose artifacts must not depend on the BLAS thread count: every
+# scenario at its defaults except the two Wigner scenarios, whose Wigner sum
+# runs on BLAS dgemm, plus an MCWF ensemble of spontaneous-emission.
+_THREAD_RUNS = {name: (name, {}) for name in sorted(REGISTRY)
+                if name not in ("wigner-gallery", "kerr-cat")}
+_THREAD_RUNS["spontaneous-emission-mcwf"] = (
+    "spontaneous-emission", {"trajectories": 200, "points": 5, "t_max": 1.0})
+
+# calls the CLI entry point once per run, in one interpreter
+_RUN_ALL = """
+import json, sys
+from quoptics.cli import main
+out_dir, runs = sys.argv[1], json.loads(sys.argv[2])
+for label, (name, config) in runs.items():
+    code = main(["run", name, "--config", config, "--seed", "7",
+                 "--out", f"{out_dir}/{label}.json"])
+    if code != 0:
+        sys.exit(f"{label}: exit code {code}")
+"""
+
+
+@pytest.fixture(scope="module")
+def artifacts_at_thread_counts(tmp_path_factory):
+    """JSON bytes of `quoptics run` for every run in _THREAD_RUNS, from one
+    subprocess with 1 and one with 4 BLAS threads."""
+    tmp_path = tmp_path_factory.mktemp("threads")
+    runs = {}
+    for label, (name, config) in _THREAD_RUNS.items():
+        cfg = tmp_path / f"{label}.cfg.json"
+        cfg.write_text(json.dumps(config))
+        runs[label] = (name, str(cfg))
     # The subprocess runs in tmp_path, where a relative PYTHONPATH such as
     # "src" does not resolve; put the directory of the imported package first
     # so the subprocess runs the same quoptics as this test process.
@@ -319,32 +346,22 @@ def _artifacts_at_thread_counts(tmp_path, scenario: str, config: dict):
         env["PYTHONPATH"] = os.pathsep.join(pythonpath)
         env["OPENBLAS_NUM_THREADS"] = threads
         env["OMP_NUM_THREADS"] = threads
-        out = tmp_path / f"run_{threads}.json"
+        out_dir = tmp_path / f"threads_{threads}"
+        out_dir.mkdir()
         proc = subprocess.run(
-            [sys.executable, "-m", "quoptics.cli", "run",
-             scenario, "--config", str(cfg),
-             "--seed", "7", "--out", str(out)],
+            [sys.executable, "-c", _RUN_ALL, str(out_dir), json.dumps(runs)],
             env=env, capture_output=True, text=True, cwd=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
-        outputs.append(out.read_bytes())
+        outputs.append({label: (out_dir / f"{label}.json").read_bytes()
+                        for label in runs})
     return outputs
 
 
-def test_mcwf_scenario_bit_stable_across_thread_counts(tmp_path):
-    first, second = _artifacts_at_thread_counts(
-        tmp_path, "spontaneous-emission",
-        {"trajectories": 200, "points": 5, "t_max": 1.0})
-    assert first == second
-
-
-@pytest.mark.parametrize("scenario", ["thermal-g2", "purcell-cooling"])
-def test_block_propagated_scenario_bit_stable_across_thread_counts(
-        tmp_path, scenario):
-    # both propagate only the block of their Liouvillian that their seed
-    # touches: thermal-g2 31 of 961 rows on the dense route, purcell-cooling
-    # 18 of 100
-    first, second = _artifacts_at_thread_counts(tmp_path, scenario, {})
-    assert first == second
+@pytest.mark.parametrize("label", sorted(_THREAD_RUNS))
+def test_scenario_bit_stable_across_thread_counts(artifacts_at_thread_counts,
+                                                   label):
+    first, second = artifacts_at_thread_counts
+    assert first[label] == second[label]
 
 
 def test_out_dir_environment_variable(tmp_path, monkeypatch):

@@ -297,6 +297,12 @@ def test_solve_linear_rejects_non_square_generator():
         q.solve_linear(np.ones((2, 3)), [1.0, 0.0, 0.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("b", [np.ones((2, 2, 2)), np.ones(2), 1.0])
+def test_solve_linear_rejects_a_generator_that_is_not_2d(b):
+    with pytest.raises(ValidationError):
+        q.solve_linear(b, [1.0, 0.0], [0.0, 1.0])
+
+
 @pytest.mark.parametrize("b, t", [
     (np.array([[np.nan]]), [0.0, 1.0]),
     (np.array([[-1.0]]), [0.0, np.inf]),
@@ -345,6 +351,30 @@ def test_solve_linear_rejects_a_seed_of_the_wrong_length():
 def _force_route(monkeypatch, route: str) -> None:
     monkeypatch.setattr(dynamics, "_plan_route", lambda b, steps: replace(
         _plan_route(b, steps), route=route))
+
+
+# two blocks, rows 0-2 and rows 3-4, so that a seed in one of them takes the
+# partial-block path and a seed in both the full one
+_TWO_BLOCK_B = np.array([[-1.0, 2.0, 0.0, 0.0, 0.0],
+                         [0.5, -0.3, 1j, 0.0, 0.0],
+                         [0.0, 1.0, -2.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0, -0.7, 0.4j],
+                         [0.0, 0.0, 0.0, 0.2, -1.1]])
+
+
+@pytest.mark.parametrize("route", ["dense", "sparse"])
+@pytest.mark.parametrize("x0", [
+    np.array([1.0, 0.5j, 0.0, 0.0, 0.0]),
+    np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1j], [0.3, 0.0], [0.0, 0.0]]),
+], ids=["vector", "two-columns"])
+def test_solve_linear_output_does_not_depend_on_the_format_of_b(
+        monkeypatch, route, x0):
+    _force_route(monkeypatch, route)
+    t = np.linspace(0.0, 2.0, 9)
+    expected = q.solve_linear(_TWO_BLOCK_B, x0, t)
+    for fmt in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        assert q.solve_linear(fmt(_TWO_BLOCK_B), x0, t).tobytes() == \
+            expected.tobytes()
 
 
 def _relative_deviation(a, b) -> float:
