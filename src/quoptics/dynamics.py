@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -43,6 +42,8 @@ def integrate_bloch(b0, alpha, t_grid) -> np.ndarray:
     ``alpha`` maps time to the 3-vector of Hamiltonian coefficients
     (H = (alpha . sigma)/2); |b| is conserved up to integrator tolerance.
     """
+    # imported on first use: scipy.integrate loads scipy.optimize with it
+    from scipy.integrate import solve_ivp
     b0 = validate_bloch(b0)
     t_grid = np.asarray(t_grid, dtype=float)
 

@@ -86,27 +86,32 @@ class LindbladModel:
             raise ValidationError(f"Hamiltonian residual {res:.3e}")
 
     @cached_property
+    def h_eff(self) -> np.ndarray:
+        """Read-only H - i sum_j kappa_j J_j^dag J_j, the no-jump generator;
+        its first access validates H for every engine that reads the model."""
+        self.validate()
+        h_eff = self.h.entries.astype(complex)
+        for rate, op in self.jumps:
+            h_eff = h_eff - 1j * rate * (op.entries.conj().T @ op.entries)
+        h_eff.setflags(write=False)
+        return h_eff
+
+    @cached_property
     def liouvillian(self) -> sp.csr_matrix:
-        """Sparse CSR matrix of rho -> -i[H, rho] + sum_j kappa_j D_j[rho],
-        built and checked on first access and kept for every engine.
+        """Sparse CSR matrix of rho -> K rho + rho K^dag + sum_j 2 kappa_j J_j
+        rho J_j^dag with K = -i h_eff, which is -i[H, rho] + sum_j kappa_j
+        D_j[rho]; built and checked on first access and kept for every engine.
 
         The model is immutable, so the cache cannot go stale: frame_transform
         and dataclasses.replace make new models, which start without it.  No
         engine writes to the matrix; vstack, toarray, b * h and b - shift all
         make new arrays."""
-        self.validate()
         d = self.basis.total_dim
+        k = -1j * self.h_eff
         eye = sp.identity(d, dtype=complex, format="csr")
-        h = self.h.entries
-        liouv = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
+        liouv = sp.kron(eye, k) + sp.kron(k.conj(), eye)
         for rate, op in self.jumps:
-            j = op.entries
-            jdj = j.conj().T @ j
-            liouv += rate * (
-                2.0 * sp.kron(j.conj(), j)
-                - sp.kron(eye, jdj)
-                - sp.kron(jdj.T, eye)
-            )
+            liouv += 2.0 * rate * sp.kron(op.entries.conj(), op.entries)
         liouv = liouv.tocsr()
         res = float(np.abs(vec(np.eye(d, dtype=complex)).conj() @ liouv).max())
         if res > DEFAULT.eps_sup * max(1.0, abs(liouv).max()):
@@ -123,11 +128,6 @@ class Superoperator:
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    def trace_residual(self) -> float:
-        d = self.basis.total_dim
-        row = vec(np.eye(d, dtype=complex)).conj() @ self.matrix
-        return float(np.max(np.abs(row)))
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,8 @@ def lindblad_rhs(m: LindbladModel, rho: np.ndarray) -> np.ndarray:
 
 
 def build_liouvillian(m: LindbladModel) -> Superoperator:
-    """Dense view of ``m.liouvillian``."""
+    """Dense view of ``m.liouvillian``, kept only for the benchmark until
+    ROADMAP item 13 deletes it with ``Superoperator``."""
     return Superoperator(m.liouvillian.toarray(), m.basis)
 
 
@@ -398,10 +399,10 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
                 seed: int) -> MCWFResult:
     """First-order jump/no-jump unraveling of the master equation.
 
-    No-jump segments evolve under the non-Hermitian H_eff = H - i sum_j
-    kappa_j J_j^dag J_j (applied exactly through one matrix exponential per
-    distinct substep) with renormalization; jumps fire with probability
-    p = 2 kappa dt <J^dag J>, evaluated at the start of the substep.  The
+    No-jump segments evolve under the model's non-Hermitian ``h_eff``
+    (applied exactly through one matrix exponential per distinct substep)
+    with renormalization; jumps fire with probability p = 2 kappa dt
+    <J^dag J>, evaluated at the start of the substep.  The
     model alone sets the substep, and nothing overrides it: every output
     interval is split evenly into steps of at most 0.05 / sum_j 2 kappa_j
     lambda_max(J_j^dag J_j), so the total p stays at or below 0.05.  The
@@ -420,6 +421,9 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     t = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t) < 0):
         raise ValidationError("t_grid must not decrease")
+    for name, v, low in (("n_traj", n_traj, 1), ("seed", seed, 0)):
+        if type(v) is bool or not isinstance(v, (int, np.integer)) or v < low:
+            raise ValidationError(f"{name} must be an integer >= {low}")
     d = m.basis.total_dim
     jump_ops = [(rate, op.entries) for rate, op in m.jumps]
     rates = np.array([rate for rate, _ in jump_ops], dtype=float)
@@ -427,9 +431,7 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     # worst-case total jump rate over the truncated space sets the step
     rate_bound = 0.0
     for rate, j in jump_ops:
-        rate_bound += 2.0 * rate * float(
-            np.linalg.eigvalsh(j.conj().T @ j).max()
-        )
+        rate_bound += 2.0 * rate * np.linalg.eigvalsh(j.conj().T @ j)[-1]
     # commensurate substepping of the output grid; without a jump rate each
     # interval is one exact step, and a zero-span grid divides nothing by 0
     if rate_bound > 0:
@@ -440,11 +442,8 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
         steps = np.ones(t.size - 1, dtype=int)
     dts = np.diff(t) / steps
 
-    h_eff = m.h.entries.astype(complex).copy()
-    for rate, j in jump_ops:
-        h_eff = h_eff - 1j * rate * (j.conj().T @ j)
     first, which = _distinct_steps(dts)
-    props = [expm(-1j * h_eff * dts[k]) for k in first]
+    props = [expm(-1j * m.h_eff * dts[k]) for k in first]
 
     # two uniforms per step per trajectory: jump decision, channel choice;
     # they are drawn in blocks, so memory stays at n_traj x _MCWF_DRAW_BLOCK

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 import quoptics as q
 from quoptics.dynamics import jc_hamiltonian
 from quoptics.effective import purcell_effective_model
-from quoptics.lindblad import build_liouvillian, vec, unvec
+from quoptics.lindblad import vec, unvec
 from quoptics.scenarios import REGISTRY, run_scenario
 from quoptics.serialize import artifact_to_json
 
@@ -216,7 +216,7 @@ def test_criterion_07_spontaneous_emission_and_dephasing():
     pl = q.pauli_ops()
     basis = q.two_level_basis()
     model = q.LindbladModel(basis, 0.0 * pl.sz, ((gamma, pl.sm),))
-    liouv = build_liouvillian(model).matrix
+    liouv = model.liouvillian.toarray()
     rho0 = vec(np.diag([1.0, 0.0]).astype(complex))
 
     def pe_at(t):

@@ -364,6 +364,29 @@ def test_scenario_bit_stable_across_thread_counts(artifacts_at_thread_counts,
     assert first[label] == second[label]
 
 
+# imports the scipy modules that quoptics needs at import time, then
+# quoptics, and prints the modules that quoptics added on top of them
+_IMPORT_COST = """
+import json, sys
+import numpy, scipy.linalg, scipy.sparse, scipy.sparse.linalg, scipy.special
+before = set(sys.modules)
+import quoptics
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_integrator_optimizer_or_csgraph():
+    # scipy.integrate (which loads scipy.optimize) and csgraph are imported
+    # by the functions that use them, on first call
+    package_root = os.path.dirname(os.path.dirname(q.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_COST], env=env,
+                          capture_output=True, text=True, check=True)
+    lazy = ("scipy.integrate.", "scipy.optimize.", "scipy.sparse.csgraph.")
+    added = json.loads(proc.stdout)
+    assert [m for m in added if (m + ".").startswith(lazy)] == []
+
+
 def test_out_dir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("QUOPTICS_OUT_DIR", str(tmp_path))
     assert main(["run", "dephasing", "--out", "sub/art.json"]) == 0

@@ -6,7 +6,6 @@ from scipy.linalg import expm
 
 import quoptics as q
 from quoptics.effective import lindblad_decompose, purcell_effective_model
-from quoptics.lindblad import build_liouvillian
 from quoptics.operators import QuopticsError, ValidationError
 
 
@@ -168,7 +167,7 @@ def test_lindblad_decompose_roundtrip():
     basis = q.two_level_basis()
     h = 0.4 * pl.sz + 0.2 * pl.sx
     m = q.LindbladModel(basis, h, ((0.3, pl.sm), (0.1, pl.sz)))
-    t_matrix = build_liouvillian(m).matrix
+    t_matrix = m.liouvillian.toarray()
     h_fit, jumps, report = lindblad_decompose(t_matrix, basis)
     assert report["refit_residual"] < 1e-12
     # recovered Hamiltonian equals the traceless part of the original
@@ -187,11 +186,11 @@ def test_lindblad_decompose_drops_and_reports_negative_weight():
     pl = q.pauli_ops()
     basis = q.two_level_basis()
     zero = q.Operator(basis, np.zeros((2, 2), dtype=complex))
-    kept = build_liouvillian(q.LindbladModel(basis, 0.3 * pl.sx,
-                                             ((0.3, pl.sm),))).matrix
+    kept = q.LindbladModel(basis, 0.3 * pl.sx,
+                           ((0.3, pl.sm),)).liouvillian.toarray()
     # a dephasing dissipator at rate -0.2: not a Lindblad generator
-    negative = build_liouvillian(q.LindbladModel(basis, zero,
-                                                 ((0.2, pl.sz),))).matrix
+    negative = q.LindbladModel(basis, zero,
+                               ((0.2, pl.sz),)).liouvillian.toarray()
     h_fit, jumps, report = lindblad_decompose(kept - negative, basis)
     # the sigma_z direction has Kossakowski weight -2 * 0.2 * ||sigma_z||^2
     assert report["dropped_negative_weight"] == pytest.approx(0.8, abs=1e-12)
@@ -219,7 +218,7 @@ def test_lindblad_decompose_refits_random_generators(seed):
     h = q.Operator(basis, 0.5 * (a + a.conj().T))
     jumps = tuple((float(rng.uniform(0.1, 2.0)), q.Operator(basis, rand_op()))
                   for _ in range(seed % 4))
-    t_matrix = build_liouvillian(q.LindbladModel(basis, h, jumps)).matrix
+    t_matrix = q.LindbladModel(basis, h, jumps).liouvillian.toarray()
     h_fit, fit_jumps, report = lindblad_decompose(t_matrix, basis)
     assert report["refit_residual"] <= 1e-12 * max(
         1.0, float(np.abs(t_matrix).max()))

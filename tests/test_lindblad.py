@@ -48,24 +48,25 @@ def test_liouvillian_matches_direct_application_and_preserves_trace():
     p = q.CavityParams(omega_c=1.0, gamma=0.4, delta=0.3, drive=0.5 + 0.2j,
                        nbar=0.2)
     m = q.driven_cavity_model(p, 6)
-    sup = q.build_liouvillian(m)
+    liouv = m.liouvillian.toarray()
     r = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     rho = r @ r.conj().T
     rho /= rho.trace()
     direct = lindblad_rhs(m, rho)
-    via_matrix = sup.matrix @ vec(rho)
+    via_matrix = liouv @ vec(rho)
     assert np.abs(via_matrix - vec(direct)).max() < 1e-12
     assert abs(np.trace(direct)) < 1e-13
-    assert sup.trace_residual() < 1e-12
+    # the trace row vec(I)^dag L vanishes
+    assert np.abs(vec(np.eye(7)) @ liouv).max() < 1e-12
 
 
 def test_liouvillian_zero_mode_is_steady_state():
     p = q.CavityParams(omega_c=1.0, gamma=0.5, delta=0.2, drive=0.4, nbar=0.0)
     m = q.driven_cavity_model(p, 14)
-    sup = q.build_liouvillian(m)
+    liouv = m.liouvillian.toarray()
     rho = q.steady_state(m)
-    assert np.abs(sup.matrix @ vec(np.array(rho.entries))).max() < 1e-10
-    evals = np.linalg.eigvals(sup.matrix)
+    assert np.abs(liouv @ vec(np.array(rho.entries))).max() < 1e-10
+    evals = np.linalg.eigvals(liouv)
     assert np.min(np.abs(evals)) < 1e-10
 
 
@@ -215,8 +216,8 @@ def test_frame_transform_identity_generator_preserves_liouvillian():
     m = q.driven_cavity_model(p, 8)
     ident = q.identity(m.basis)
     shifted = q.frame_transform(m, ident, 2.5)
-    l_orig = q.build_liouvillian(m).matrix
-    l_new = q.build_liouvillian(shifted).matrix
+    l_orig = m.liouvillian.toarray()
+    l_new = shifted.liouvillian.toarray()
     assert np.abs(l_orig - l_new).max() < 1e-12
 
 
@@ -234,8 +235,8 @@ def test_frame_transform_makes_drive_static():
         q.CavityParams(omega_c, gamma, omega_l - omega_c, e_amp), n_max)
     assert np.abs(rot.h.entries - expected.h.entries).max() < 1e-12
     # jump operator only picked up a phase: dissipators identical
-    assert np.abs(q.build_liouvillian(rot).matrix
-                  - q.build_liouvillian(expected).matrix).max() < 1e-12
+    assert np.abs((rot.liouvillian - expected.liouvillian).toarray()
+                  ).max() < 1e-12
     # a drive that the frame does not make static is refused
     with pytest.raises(QuopticsError):
         q.frame_transform(lab, ops.n, omega_l + 0.1, drive)
@@ -372,6 +373,53 @@ def test_mcwf_rejects_a_decreasing_grid():
     # repeated points are allowed and hold the state
     res = q.mcwf_evolve(psi0, m, [0.0, 0.5, 0.5], n_traj=4, seed=0)
     assert np.array_equal(res.populations[1], res.populations[2])
+
+
+def test_mcwf_rejects_a_non_hermitian_hamiltonian():
+    basis = q.two_level_basis()
+    h = q.Operator(basis, np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    m = q.LindbladModel(basis, h, ((1.0, q.pauli_ops().sm),))
+    psi0 = q.KetState(basis, np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(q.ValidationError, match="Hamiltonian residual"):
+        q.mcwf_evolve(psi0, m, [0.0, 0.5], n_traj=4, seed=0)
+
+
+@pytest.mark.parametrize("n_traj, seed", [
+    (0, 0), (-1, 0), (2.5, 0), (True, 0), (4, -1), (4, 1.0),
+])
+def test_mcwf_rejects_a_bad_trajectory_count_or_seed(n_traj, seed):
+    psi0 = q.KetState(q.two_level_basis(), np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(q.ValidationError, match="must be an integer"):
+        q.mcwf_evolve(psi0, _rf_model(1.0, 0.0), [0.0, 0.5], n_traj=n_traj,
+                      seed=seed)
+
+
+def test_mcwf_accepts_numpy_integers():
+    psi0 = q.KetState(q.two_level_basis(), np.array([1.0, 0.0], dtype=complex))
+    m = _rf_model(1.0, 0.3)
+    t = np.linspace(0.0, 1.0, 3)
+    a = q.mcwf_evolve(psi0, m, t, n_traj=np.int64(8), seed=np.uint32(5))
+    b = q.mcwf_evolve(psi0, m, t, n_traj=8, seed=5)
+    assert a.populations.tobytes() == b.populations.tobytes()
+
+
+def test_master_and_mcwf_share_one_h_eff(monkeypatch):
+    prop = vars(q.LindbladModel)["h_eff"]
+    original = prop.func
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(prop, "func", counting)
+    m = _rf_model(1.0, 0.3)
+    psi0 = q.KetState(q.two_level_basis(), np.array([1.0, 0.0], dtype=complex))
+    t = np.linspace(0.0, 1.0, 3)
+    q.evolve_master(psi0.to_density_matrix(), m, t)
+    q.mcwf_evolve(psi0, m, t, n_traj=4, seed=0)
+    assert len(calls) == 1 and calls[0] is m
+    assert not m.h_eff.flags.writeable
 
 
 def test_mcwf_on_a_one_point_grid_returns_the_initial_state():
