@@ -32,29 +32,141 @@ def validate_bloch(b) -> np.ndarray:
     return b
 
 
-# DOP853 tolerances of integrate_bloch, far below the O(Omega_R/eps) RWA error
-_BLOCH_RTOL, _BLOCH_ATOL = 1e-10, 1e-12
+# Magnus-Rodrigues Bloch propagator: the rotation angle h |alpha| aimed at
+# per substep, and the most substeps built and reduced in one pass, which
+# bounds the memory at any drive strength
+_MAGNUS_ANGLE = 6e-3
+_MAGNUS_CHUNK = 1 << 14
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+
+
+def _alpha_rows(alpha, t: np.ndarray) -> np.ndarray:
+    values = np.asarray(alpha(t), dtype=float)
+    try:
+        return np.broadcast_to(values, (t.size, 3))
+    except ValueError as exc:
+        raise ValidationError(
+            f"alpha(t) must broadcast to ({t.size}, 3) for {t.size} times"
+        ) from exc
+
+
+def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """(I + later)(I + earlier) - I for 3x3 matrices stored component-major,
+    (3, 3, ...). Rotations are kept as their offset from I, so the unit
+    diagonal is not rounded at every product and |b| holds to round-off over
+    any number of substeps."""
+    product = (later[:, 0, None] * earlier[0] + later[:, 1, None] * earlier[1]
+               + later[:, 2, None] * earlier[2])
+    return later + earlier + product
+
+
+def _reduce(e: np.ndarray) -> np.ndarray:
+    """Compose the rotations along the last axis, earliest first, as a
+    pairwise tree."""
+    while e.shape[-1] > 1:
+        n = e.shape[-1]
+        pair = _compose(e[..., 1:n:2], e[..., 0:n - 1:2])
+        e = np.concatenate([pair, e[..., n - 1:]], axis=-1) if n % 2 else pair
+    return e[..., 0]
+
+
+def _substep_offsets(alpha, starts, h, j0: int, j1: int) -> np.ndarray:
+    """R - I of substeps j0..j1-1 of each interval, shape (3, 3, k, j1 - j0).
+
+    Interval i starts at starts[i] with substep h[i]. Each substep is the
+    two-Gauss-point Magnus step w = (h/2)(a1 + a2) + (sqrt(3) h^2/12)(a2 x a1),
+    exponentiated exactly by Rodrigues' formula
+    R = I + (sin th/th) [w]_x + ((1 - cos th)/th^2) [w]_x^2, th = |w|.
+    """
+    base = starts[:, None] + h[:, None] * np.arange(j0, j1)
+    hh = np.broadcast_to(h[:, None], base.shape)
+    a1, a2 = (_alpha_rows(alpha, (base + g * hh).ravel()).T.reshape(
+        3, *base.shape) for g in _GAUSS)
+    w = 0.5 * hh * (a1 + a2) + (math.sqrt(3.0) / 12.0) * hh * hh * np.cross(
+        a2, a1, axis=0)
+    th2 = (w * w).sum(axis=0)
+    # sinc is 1 at 0, so a zero-length or undriven substep is exactly I
+    s1 = np.sinc(np.sqrt(th2) / math.pi)
+    s2 = 0.5 * np.sinc(np.sqrt(th2) / (2.0 * math.pi)) ** 2
+    # [w]_x^2 = w w^T - th^2 I
+    e = s2 * w[:, None] * w[None, :]
+    for i in range(3):
+        e[i, i] -= s2 * th2
+    sw = s1 * w
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        e[i, j] -= sw[k]
+        e[j, i] += sw[k]
+    return e
+
+
+def _interval_offsets(alpha, t: np.ndarray, m: int) -> np.ndarray:
+    """R - I of each grid interval at m substeps, shape (3, 3, t.size - 1),
+    built and reduced at most _MAGNUS_CHUNK substeps at a time."""
+    starts, h = t[:-1], np.diff(t) / m
+    block = min(m, _MAGNUS_CHUNK)
+    per_pass = max(1, _MAGNUS_CHUNK // m)
+    out = np.empty((3, 3, starts.size))
+    for i0 in range(0, starts.size, per_pass):
+        rows = slice(i0, i0 + per_pass)
+        acc = None
+        for j0 in range(0, m, block):
+            e = _reduce(_substep_offsets(alpha, starts[rows], h[rows], j0,
+                                         min(j0 + block, m)))
+            acc = e if acc is None else _compose(e, acc)
+        out[..., rows] = acc
+    return out
+
+
+def _magnus_run(b0: np.ndarray, alpha, t: np.ndarray, m: int) -> np.ndarray:
+    e = np.moveaxis(_interval_offsets(alpha, t, m), -1, 0)
+    rows = np.empty((t.size, 3))
+    rows[0] = b0
+    for k in range(t.size - 1):
+        rows[k + 1] = rows[k] + e[k] @ rows[k]
+    return rows
 
 
 def integrate_bloch(b0, alpha, t_grid) -> np.ndarray:
-    """Integrate db/dt = alpha(t) x b with an adaptive embedded RK pair.
+    """Integrate db/dt = alpha(t) x b on a monotone grid; rows are b(t_grid).
 
-    ``alpha`` maps time to the 3-vector of Hamiltonian coefficients
-    (H = (alpha . sigma)/2); |b| is conserved up to integrator tolerance.
+    ``alpha`` is vectorized: an array of n times maps to the Hamiltonian
+    coefficients (H = (alpha . sigma)/2) as anything that broadcasts to
+    (n, 3), so a constant ``lambda _: np.zeros(3)`` works as it is.
+
+    Each grid interval is cut into m equal substeps, m set by the largest
+    |alpha| on the grid so that h |alpha| is about 6e-3. Each substep is a
+    fourth-order two-Gauss-point Magnus rotation, exact through Rodrigues'
+    formula, so |b| holds to round-off (Blanes, Casas, Oteo & Ros, Phys.
+    Rep. 470, 151 (2009)). The run is repeated at 2m substeps and the finer
+    one returned; its error is about 1/15 of the gap between the two. A gap
+    above ``eps_magnus`` raises QuopticsError: alpha changes faster than
+    its grid samples show (a pulse between grid points), or the span holds
+    too many drive periods for this step. Repeated times are zero-length
+    steps, and a decreasing grid integrates backwards.
     """
-    # imported on first use: scipy.integrate loads scipy.optimize with it
-    from scipy.integrate import solve_ivp
     b0 = validate_bloch(b0)
-    t_grid = np.asarray(t_grid, dtype=float)
-
-    def rhs(t, b):
-        return np.cross(np.asarray(alpha(t), dtype=float), b)
-
-    sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), b0, t_eval=t_grid,
-                    rtol=_BLOCH_RTOL, atol=_BLOCH_ATOL, method="DOP853")
-    if not sol.success:
-        raise QuopticsError(f"Bloch integration failed: {sol.message}")
-    return sol.y.T
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
+        raise ValidationError(
+            "t_grid must be a non-empty 1-D array of finite times")
+    d = np.diff(t)
+    if np.any(d > 0) and np.any(d < 0):
+        raise ValidationError("t_grid must be monotone")
+    a_max = float(np.linalg.norm(_alpha_rows(alpha, t), axis=1).max())
+    if not math.isfinite(a_max):
+        raise ValidationError("alpha(t) is not finite on t_grid")
+    span = float(np.abs(d).max(initial=0.0))
+    m = max(1, math.ceil(span * a_max / _MAGNUS_ANGLE))
+    coarse = _magnus_run(b0, alpha, t, m)
+    fine = _magnus_run(b0, alpha, t, 2 * m)
+    gap = float(np.abs(fine - coarse).max())
+    if not gap <= DEFAULT.eps_magnus:
+        raise QuopticsError(
+            f"Bloch propagation at {m} and {2 * m} substeps per grid step "
+            f"differs by {gap:.2e} > eps_magnus = {DEFAULT.eps_magnus:.0e}: "
+            "alpha varies faster than its grid samples show, or the span "
+            "holds too many drive periods for this step")
+    return fine
 
 
 @dataclass(frozen=True)

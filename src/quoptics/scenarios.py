@@ -136,7 +136,8 @@ def _run_rabi_bloch(p: dict, seed: int) -> SeriesArtifact:
     t = np.linspace(0.0, p["t_max"] / omega_rabi, int(p["points"]))
     full = integrate_bloch(
         [0.0, 0.0, -1.0],
-        lambda tt: np.array([2 * omega_rabi * math.cos(eps * tt), 0.0, eps]),
+        lambda tt: np.stack(np.broadcast_arrays(
+            2 * omega_rabi * np.cos(eps * tt), 0.0, eps), axis=-1),
         t)
     rwa = rabi_rwa([0.0, 0.0, -1.0], 0.0, omega_rabi, t, omega=eps)
     return SeriesArtifact(

@@ -7,6 +7,7 @@ shortest-repr form).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,27 +38,80 @@ class SeriesArtifact:
             raise ValidationError(f"unequal column lengths: {lengths}")
 
 
-def _column_payload(values) -> dict:
+def _column_payload(values, leaf=np.ndarray.tolist) -> dict:
     arr = np.asarray(values)
     if np.iscomplexobj(arr):
-        return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
-    return {"values": arr.tolist()}
+        return {"re": leaf(arr.real), "im": leaf(arr.imag)}
+    return {"values": leaf(arr)}
 
 
 def _column_restore(payload: dict) -> np.ndarray:
     if "re" in payload:
-        return np.asarray(payload["re"]) + 1j * np.asarray(payload["im"])
+        # set the parts: re + 1j * im turns 0.0 + 1j * inf into nan and
+        # -0.0 + 1j * 1.0 into 0.0 + 1j
+        re = np.asarray(payload["re"], dtype=float)
+        out = np.empty(re.shape, dtype=complex)
+        out.real, out.imag = re, payload["im"]
+        return out
     return np.asarray(payload["values"])
 
 
+# json's spelling of the floats whose repr is nan, inf and -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_reprs(values, spelling: dict | None = None) -> list:
+    """``float.__repr__`` of each value as a float64, in the shape of
+    ``values`` as nested lists, with ``spelling`` mapping some reprs to
+    others. repr runs once per distinct bit pattern, so -0.0 and 0.0 stay
+    apart, and a Wigner grid's 66049 x values cost 257 reprs."""
+    arr = np.asarray(values, dtype=np.float64)
+    bits = np.ascontiguousarray(arr).reshape(-1).view(np.uint64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    reprs = [float.__repr__(v) for v in distinct.view(np.float64).tolist()]
+    if spelling:
+        reprs = [spelling.get(r, r) for r in reprs]
+    return np.array(reprs, dtype=object)[index.reshape(arr.shape)].tolist()
+
+
 def artifact_to_json(art: SeriesArtifact) -> str:
-    doc = {
-        "scenario": art.scenario,
-        "params": art.params,
-        "columns": {k: _column_payload(v) for k, v in art.columns.items()},
-        "metadata": art.metadata,
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
+    """``json.dumps(doc, indent=1, sort_keys=True)`` of the artifact, byte for
+    byte. With ``indent`` set json runs its pure-Python encoder, whose cost
+    is float repr, so the document is dumped with a placeholder string in
+    place of each 1-D float64 list, and each list is spliced in with the
+    reprs of its distinct values."""
+    lists = []
+
+    def slot(arr: np.ndarray):
+        if arr.ndim != 1 or arr.dtype != np.float64:
+            return arr.tolist()
+        lists.append(arr)
+        # a NUL and the list's index, which json writes as "\u0000<index>"
+        return f"\0{len(lists) - 1}"
+
+    def dump(leaf) -> str:
+        return json.dumps({
+            "scenario": art.scenario,
+            "params": art.params,
+            "columns": {k: _column_payload(v, leaf)
+                        for k, v in art.columns.items()},
+            "metadata": art.metadata,
+        }, indent=1, sort_keys=True)
+
+    text = dump(slot)
+    if text.count("\\u0000") != len(lists):
+        # a name or string of the artifact holds a NUL as well, so the
+        # placeholders are not the only ones: dump the lists in place
+        return dump(np.ndarray.tolist)
+
+    def splice(match) -> str:
+        reprs = _float_reprs(lists[int(match.group(1))], _JSON_NONFINITE)
+        if not reprs:
+            return "[]"
+        # the lists sit at doc["columns"][name][part]: items at depth 4
+        return "[\n    " + ",\n    ".join(reprs) + "\n   ]"
+
+    return re.sub(r'"\\u0000(\d+)"', splice, text)
 
 
 def artifact_from_json(text: str) -> SeriesArtifact:
@@ -82,7 +136,7 @@ def _text_rows(art: SeriesArtifact) -> tuple[list, list]:
         else:
             headers.append(name)
             cols.append(arr)
-    rows = [[repr(float(v)) for v in row] for row in zip(*cols)]
+    rows = list(zip(*(_float_reprs(c) for c in cols)))
     return headers, rows
 
 

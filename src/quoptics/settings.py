@@ -28,6 +28,7 @@ class Settings:
     eps_gauss: float = 1e-9      # slack on det V >= 1
     eps_wig: float = 1e-6        # Wigner-grid normalization residual
     eps_bloch: float = 1e-9      # slack on |b| <= 1
+    eps_magnus: float = 1e-8     # m vs 2m substep gap of integrate_bloch
     eps_sup: float = 1e-9        # trace-preservation residual of Liouvillians
     eps_close: float = 1e-8      # closure residual in the regression formula
     # single-excitation norm identity residual: the 1/x^2 tails leave 1.6e-5

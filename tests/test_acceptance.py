@@ -92,7 +92,8 @@ def test_criterion_03_rabi_rwa():
         eps = ratio * omega_rabi
         full = q.integrate_bloch(
             [0, 0, -1.0],
-            lambda tt: np.array([2 * omega_rabi * math.cos(eps * tt), 0, eps]),
+            lambda tt: np.stack(np.broadcast_arrays(
+                2 * omega_rabi * np.cos(eps * tt), 0, eps), axis=-1),
             t)
         rwa = q.rabi_rwa([0, 0, -1.0], 0.0, omega_rabi, t)
         devs.append(float(np.abs(0.5 * (1 + full[:, 2]) - rwa.p_e).max()))

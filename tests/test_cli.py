@@ -376,8 +376,8 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 
 def test_import_loads_no_integrator_optimizer_or_csgraph():
-    # scipy.integrate (which loads scipy.optimize) and csgraph are imported
-    # by the functions that use them, on first call
+    # src does not use scipy.integrate (which loads scipy.optimize), and
+    # csgraph is imported by the function that uses it, on first call
     package_root = os.path.dirname(os.path.dirname(q.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
     proc = subprocess.run([sys.executable, "-c", _IMPORT_COST], env=env,
