@@ -27,6 +27,7 @@ from .operators import (
     Operator,
     QuopticsError,
     ValidationError,
+    _frozen,
     fock_basis,
     fock_ops,
 )
@@ -49,14 +50,12 @@ class CorrelationSeries:
     normalization: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        tau = np.array(self.tau, dtype=float)
-        vals = np.array(self.values, dtype=complex)
+        tau = _frozen(self.tau, float)
+        vals = _frozen(self.values)
         if tau[0] != 0.0 or np.any(np.diff(tau) <= 0):
             raise ValidationError("tau grid must increase strictly from 0")
         if vals.shape != tau.shape:
             raise ValidationError("tau/values length mismatch")
-        tau.setflags(write=False)
-        vals.setflags(write=False)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "values", vals)
         if self.kind == "G2" and np.max(np.abs(vals.imag)) > (
@@ -71,12 +70,10 @@ class SpectrumSeries:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        om = np.array(self.omega, dtype=float)
-        vals = np.array(self.values, dtype=float)
+        om = _frozen(self.omega, float)
+        vals = _frozen(self.values, float)
         if not (np.all(np.isfinite(om)) and np.all(np.isfinite(vals))):
             raise ValidationError("spectrum values must be finite")
-        om.setflags(write=False)
-        vals.setflags(write=False)
         object.__setattr__(self, "omega", om)
         object.__setattr__(self, "values", vals)
 

@@ -32,10 +32,12 @@ def validate_bloch(b) -> np.ndarray:
     return b
 
 
-# Magnus-Rodrigues Bloch propagator: the rotation angle h |alpha| aimed at
-# per substep, and the most substeps built and reduced in one pass, which
+# Magnus-Rodrigues Bloch propagator: the (h |alpha|)^4 T |alpha| aimed at
+# over a span T, which holds the error summed over the span fixed (6e-3 rad
+# per substep over 50 pi rad: 66 substeps per step on the rabi-bloch
+# defaults), and the most substeps built and reduced in one pass, which
 # bounds the memory at any drive strength
-_MAGNUS_ANGLE = 6e-3
+_MAGNUS_BUDGET = 6e-3 ** 4 * 50.0 * math.pi
 _MAGNUS_CHUNK = 1 << 14
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
@@ -126,6 +128,14 @@ def _magnus_run(b0: np.ndarray, alpha, t: np.ndarray, m: int) -> np.ndarray:
     return rows
 
 
+def _magnus_substeps(t: np.ndarray, a_max: float) -> int:
+    """Substeps m per grid step: h |alpha| <= (_MAGNUS_BUDGET / T a_max)^(1/4)
+    on the longest step, T the whole span."""
+    ratio = abs(t[-1] - t[0]) * a_max / _MAGNUS_BUDGET
+    step = float(np.abs(np.diff(t)).max(initial=0.0))
+    return max(1, math.ceil(step * a_max * ratio ** 0.25))
+
+
 def integrate_bloch(b0, alpha, t_grid) -> np.ndarray:
     """Integrate db/dt = alpha(t) x b on a monotone grid; rows are b(t_grid).
 
@@ -134,15 +144,15 @@ def integrate_bloch(b0, alpha, t_grid) -> np.ndarray:
     (n, 3), so a constant ``lambda _: np.zeros(3)`` works as it is.
 
     Each grid interval is cut into m equal substeps, m set by the largest
-    |alpha| on the grid so that h |alpha| is about 6e-3. Each substep is a
+    |alpha| on the grid and the span T so that (h |alpha|)^4 T |alpha| is
+    about 2e-7: the error then does not grow with the span. Each substep is a
     fourth-order two-Gauss-point Magnus rotation, exact through Rodrigues'
     formula, so |b| holds to round-off (Blanes, Casas, Oteo & Ros, Phys.
     Rep. 470, 151 (2009)). The run is repeated at 2m substeps and the finer
     one returned; its error is about 1/15 of the gap between the two. A gap
     above ``eps_magnus`` raises QuopticsError: alpha changes faster than
-    its grid samples show (a pulse between grid points), or the span holds
-    too many drive periods for this step. Repeated times are zero-length
-    steps, and a decreasing grid integrates backwards.
+    its grid samples show (a pulse between grid points). Repeated times are
+    zero-length steps, and a decreasing grid integrates backwards.
     """
     b0 = validate_bloch(b0)
     t = np.asarray(t_grid, dtype=float)
@@ -155,8 +165,7 @@ def integrate_bloch(b0, alpha, t_grid) -> np.ndarray:
     a_max = float(np.linalg.norm(_alpha_rows(alpha, t), axis=1).max())
     if not math.isfinite(a_max):
         raise ValidationError("alpha(t) is not finite on t_grid")
-    span = float(np.abs(d).max(initial=0.0))
-    m = max(1, math.ceil(span * a_max / _MAGNUS_ANGLE))
+    m = _magnus_substeps(t, a_max)
     coarse = _magnus_run(b0, alpha, t, m)
     fine = _magnus_run(b0, alpha, t, 2 * m)
     gap = float(np.abs(fine - coarse).max())
@@ -164,8 +173,7 @@ def integrate_bloch(b0, alpha, t_grid) -> np.ndarray:
         raise QuopticsError(
             f"Bloch propagation at {m} and {2 * m} substeps per grid step "
             f"differs by {gap:.2e} > eps_magnus = {DEFAULT.eps_magnus:.0e}: "
-            "alpha varies faster than its grid samples show, or the span "
-            "holds too many drive periods for this step")
+            "alpha varies faster than its grid samples show")
     return fine
 
 
@@ -456,13 +464,18 @@ def _distinct_steps(steps: np.ndarray):
     return first, which
 
 
+def _step_exponentials(b: np.ndarray, steps: np.ndarray):
+    """expm(b dt) per group of equal steps, and each step's group: the step
+    kernel of the dense route and of ``lindblad.mcwf_evolve``."""
+    first, which = _distinct_steps(steps)
+    return [expm(b * steps[j]) for j in first], which
+
+
 @dataclass(frozen=True)
 class _Plan:
     """Route chosen by ``_plan_route`` and what that route runs on."""
 
     route: str               # "dense" or "sparse"
-    first: np.ndarray        # the dense route's grouping of the steps,
-    which: np.ndarray        # as _distinct_steps returns it
     trace: complex           # trace of B, for expm_multiply
     splits: np.ndarray       # sparse substeps per grid step
 
@@ -470,19 +483,26 @@ class _Plan:
 def _plan_route(b, steps: np.ndarray) -> _Plan:
     """Pick the cheaper propagation route from sizes alone: dense iff
     n_distinct C_DENSE D^3 + n_steps C_DENSE_STEP D^2 <= n_substeps
-    C_SPARSE.  ``b`` is a CSR matrix; the choice never depends on timings,
+    C_SPARSE.  ``b`` is canonical CSR; the choice never depends on timings,
     so the route, and with it every result, is reproducible."""
     n = b.shape[0]
     trace = b.diagonal().sum()
-    shift = (trace / n) * sp.identity(n, format="csr")
-    norm = abs(b - shift).sum(axis=0).max()
+    mu = trace / n
+    # ||B - mu I||_1 from the CSR arrays, summed in row order: each stored
+    # diagonal entry is shifted, and -mu heads each row that stores none
+    rows = np.repeat(np.arange(n), np.diff(b.indptr))
+    on_diag = b.indices == rows
+    bare = np.flatnonzero(np.bincount(rows[on_diag], minlength=n) == 0)
+    cols = np.insert(b.indices, b.indptr[bare], bare)
+    shifted = np.insert(np.where(on_diag, b.data - mu, b.data),
+                        b.indptr[bare], -mu)
+    norm = np.bincount(cols, np.abs(shifted), minlength=n).max()
     splits = np.maximum(1, np.ceil(np.abs(steps) * norm / _STEP_NORM_MAX))
-    first, which = _distinct_steps(steps)
-    dense_cost = (first.size * _C_DENSE * n**3
+    n_distinct = _distinct_steps(steps)[0].size
+    dense_cost = (n_distinct * _C_DENSE * n**3
                   + steps.size * _C_DENSE_STEP * n**2)
     dense = dense_cost <= splits.sum() * _C_SPARSE
-    return _Plan("dense" if dense else "sparse", first, which, trace,
-                 splits.astype(int))
+    return _Plan("dense" if dense else "sparse", trace, splits.astype(int))
 
 
 def _touched_rows(b, x: np.ndarray) -> np.ndarray:
@@ -509,19 +529,24 @@ def solve_linear(b, x0, t_grid) -> np.ndarray:
     connected components of the nonzero pattern of |B| + |B|^T that hold an
     exact nonzero of x0 (a symmetry of B, such as the coherence order a
     thermal cavity conserves, splits it into such blocks).  Their principal
-    submatrix is propagated at its own D and every other row is exactly 0.
-    Two routes give the same numbers to round-off: one dense expm per
-    distinct step (scaling and squaring, exact also for defective B), or
-    step-split sparse expm_multiply, which never forms the dense
-    exponential.  ``_plan_route`` takes whichever its cost model, which reads
-    only D and the step counts, rates cheaper: dense for small or stiff
-    generators on long grids, sparse for large ones on short grids and for
-    very large ones on any grid.  B is held as complex CSR from entry on.
+    submatrix, all of B or a part, is propagated at its own D into a zero
+    output.  Two routes give the same numbers to round-off: one dense expm
+    per distinct step (``_step_exponentials``, scaling and squaring, exact
+    also for defective B), or step-split sparse expm_multiply, which never
+    forms the dense exponential.  ``_plan_route`` takes whichever its cost
+    model, which reads only D, the step counts and ||B - mu I||_1, rates
+    cheaper: dense for small or stiff generators on long grids, sparse for
+    large ones on short grids and for very large ones on any grid.  B is
+    held as canonical complex CSR from entry on.
     """
     shape = np.shape(b)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValidationError("B must be square")
     b = sp.csr_matrix(b, dtype=complex)
+    if not b.has_canonical_format:
+        # sorted and summed in a copy, so the caller's arrays stay as they are
+        b = b.copy()
+        b.sum_duplicates()
     t = np.asarray(t_grid, dtype=float)
     if not (np.all(np.isfinite(b.data)) and np.all(np.isfinite(t))):
         raise ValidationError("B and t_grid must be finite")
@@ -529,8 +554,6 @@ def solve_linear(b, x0, t_grid) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[0] != b.shape[0]:
         raise ValidationError("x0 must have one row per row of B")
     keep = _touched_rows(b, x)
-    if keep.size == b.shape[0]:
-        return _propagate(b, x, np.diff(t))
     out = np.zeros((t.size,) + x.shape, dtype=complex)
     if keep.size:
         out[:, keep] = _propagate(b[keep][:, keep], x[keep], np.diff(t))
@@ -543,9 +566,8 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
     out[0] = x
     plan = _plan_route(b, steps)
     if plan.route == "dense":
-        dense = b.toarray()
-        props = [expm(dense * steps[j]) for j in plan.first]
-        for k, p in enumerate(plan.which):
+        props, which = _step_exponentials(b.toarray(), steps)
+        for k, p in enumerate(which):
             x = props[p] @ x
             out[k + 1] = x
     else:

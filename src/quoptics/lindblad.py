@@ -14,10 +14,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_lyapunov
 from scipy.sparse.linalg import splu
 
-from .dynamics import _distinct_steps, solve_linear
+from .dynamics import _step_exponentials, solve_linear
 from .operators import (
     BasisMismatchError,
     BasisSpec,
@@ -26,6 +26,7 @@ from .operators import (
     Operator,
     QuopticsError,
     ValidationError,
+    _frozen,
     fock_basis,
     fock_ops,
     herm_residual,
@@ -125,9 +126,7 @@ class Superoperator:
     basis: BasisSpec
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,9 @@ def lindblad_rhs(m: LindbladModel, rho: np.ndarray) -> np.ndarray:
 def build_liouvillian(m: LindbladModel) -> Superoperator:
     """Dense view of ``m.liouvillian``, kept only for the benchmark until
     ROADMAP item 13 deletes it with ``Superoperator``."""
-    return Superoperator(m.liouvillian.toarray(), m.basis)
+    dense = m.liouvillian.toarray()
+    dense.setflags(write=False)
+    return Superoperator(dense, m.basis)
 
 
 def evolve_master(rho0: DensityMatrix, m: LindbladModel,
@@ -400,9 +401,9 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     """First-order jump/no-jump unraveling of the master equation.
 
     No-jump segments evolve under the model's non-Hermitian ``h_eff``
-    (applied exactly through one matrix exponential per distinct substep)
-    with renormalization; jumps fire with probability p = 2 kappa dt
-    <J^dag J>, evaluated at the start of the substep.  The
+    (one exponential per distinct substep, from the dense step kernel of
+    ``solve_linear``) with renormalization; jumps fire with probability
+    p = 2 kappa dt <J^dag J>, evaluated at the start of the substep.  The
     model alone sets the substep, and nothing overrides it: every output
     interval is split evenly into steps of at most 0.05 / sum_j 2 kappa_j
     lambda_max(J_j^dag J_j), so the total p stays at or below 0.05.  The
@@ -442,8 +443,7 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
         steps = np.ones(t.size - 1, dtype=int)
     dts = np.diff(t) / steps
 
-    first, which = _distinct_steps(dts)
-    props = [expm(-1j * m.h_eff * dts[k]) for k in first]
+    props, which = _step_exponentials(-1j * m.h_eff, dts)
 
     # two uniforms per step per trajectory: jump decision, channel choice;
     # they are drawn in blocks, so memory stays at n_traj x _MCWF_DRAW_BLOCK
@@ -505,18 +505,15 @@ class LangevinLinearModel:
     kappa_out: float | None = None
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=complex)
-        d = np.array(self.d, dtype=complex)
+        a = _frozen(self.a)
+        d = _frozen(self.d)
         if a.shape != d.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError("A and D must be square and equal-shaped")
-        a.setflags(write=False)
-        d.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "d", d)
         if self.drive is not None:
-            dr = np.array(self.drive, dtype=complex).reshape(a.shape[0])
-            dr.setflags(write=False)
-            object.__setattr__(self, "drive", dr)
+            object.__setattr__(self, "drive",
+                               _frozen(self.drive).reshape(a.shape[0]))
 
     def hurwitz(self) -> bool:
         return bool(np.all(np.linalg.eigvals(self.a).real < 0))

@@ -107,9 +107,15 @@ def two_level_basis() -> BasisSpec:
 # Operators and states
 # ---------------------------------------------------------------------------
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
-    a.setflags(write=False)
+def _frozen(a, dtype=complex) -> np.ndarray:
+    """Read-only ``a`` as ``dtype``: a private copy, so that the caller's
+    array cannot change it, or ``a`` itself when it already is a read-only,
+    C-ordered ``dtype`` array that owns its memory (a result frozen by its
+    maker), whose reshapes are read-only views."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.base is None
+            and a.flags.c_contiguous and not a.flags.writeable):
+        a = np.array(a, dtype=dtype)
+        a.setflags(write=False)
     return a
 
 

@@ -16,6 +16,7 @@ from .operators import (
     DensityMatrix,
     QuopticsError,
     ValidationError,
+    _frozen,
 )
 from .settings import DEFAULT
 
@@ -75,12 +76,11 @@ class WignerGrid:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = _frozen(self.values, float)
         if v.shape != (self.grid.nx, self.grid.np):
             raise ValidationError("values shape must be (nx, np)")
         if not np.all(np.isfinite(v)):
             raise ValidationError("Wigner values must be finite")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def integral(self) -> float:
@@ -124,12 +124,8 @@ class GaussianState:
     v: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.d, dtype=float).reshape(2)
-        v = np.array(self.v, dtype=float).reshape(2, 2)
-        d.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "d", _frozen(self.d, float).reshape(2))
+        object.__setattr__(self, "v", _frozen(self.v, float).reshape(2, 2))
 
     def validate(self) -> None:
         if np.max(np.abs(self.v - self.v.T)) > DEFAULT.eps_herm:
@@ -201,12 +197,8 @@ class SymplecticMap:
     a: np.ndarray
 
     def __post_init__(self):
-        s = np.array(self.s, dtype=float).reshape(2, 2)
-        a = np.array(self.a, dtype=float).reshape(2)
-        s.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "s", _frozen(self.s, float).reshape(2, 2))
+        object.__setattr__(self, "a", _frozen(self.a, float).reshape(2))
 
     def validate(self) -> None:
         res = np.max(np.abs(self.s @ OMEGA_SYM @ self.s.T - OMEGA_SYM))

@@ -124,6 +124,24 @@ def test_integrate_bloch_matches_an_independent_dop853_run(ratio):
     assert np.abs(art.columns["pe_full"] - 0.5 * (1 + ref[:, 2])).max() <= 1e-9
 
 
+def test_integrate_bloch_gap_does_not_grow_with_the_span():
+    # the m-vs-2m gap that the eps_magnus guard reads, over one Rabi period
+    # of the rabi-bloch defaults and over ten: a step rule that holds h
+    # |alpha| fixed lets it grow tenfold, to 1.5e-10
+    b0 = np.array([0.0, 0.0, -1.0])
+    drive = _drive(1.0, 25.0)
+    gaps = []
+    for periods in (1, 10):
+        t = np.linspace(0.0, 2 * math.pi * periods, 401)
+        a_max = float(np.linalg.norm(drive(t), axis=1).max())
+        m = dynamics._magnus_substeps(t, a_max)
+        if periods == 1:
+            assert m == 66
+        gaps.append(np.abs(dynamics._magnus_run(b0, drive, t, 2 * m)
+                           - dynamics._magnus_run(b0, drive, t, m)).max())
+    assert gaps[1] <= 2.0 * gaps[0]
+
+
 def test_integrate_bloch_runs_a_decreasing_grid_backwards():
     art = run_scenario("rabi-bloch", {"t_max": -1.0})
     t = art.columns["t"]
@@ -177,8 +195,8 @@ def test_integrate_bloch_rejects_bad_grids_and_drives(t_grid, alpha):
 
 
 def test_integrate_bloch_memory_is_bounded_at_a_strong_drive():
-    # epsilon/Omega = 1e4 on two default-length grid steps takes 26180 and
-    # 52360 substeps per step; held at once they peak at about 21 MB
+    # epsilon/Omega = 1e4 on two default-length grid steps takes 31134 and
+    # 62268 substeps per step; held at once they would peak at about 25 MB
     t = np.linspace(0.0, 4 * math.pi / 400, 3)
     tracemalloc.start()
     try:
@@ -475,6 +493,77 @@ def test_solve_linear_output_does_not_depend_on_the_format_of_b(
     for fmt in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
         assert q.solve_linear(fmt(_TWO_BLOCK_B), x0, t).tobytes() == \
             expected.tobytes()
+
+
+def _norm_rule_plan(b, steps):
+    """Route and splits by the planner's cost rule, with ||B - mu I||_1 taken
+    as abs(B - mu I).sum(axis=0).max() of a sparse shift."""
+    n = b.shape[0]
+    shift = (b.diagonal().sum() / n) * sp.identity(n, format="csr")
+    norm = abs(b - shift).sum(axis=0).max()
+    splits = np.maximum(1, np.ceil(np.abs(steps) * norm
+                                   / dynamics._STEP_NORM_MAX)).astype(int)
+    dense_cost = (_distinct_steps(steps)[0].size * dynamics._C_DENSE * n**3
+                  + steps.size * dynamics._C_DENSE_STEP * n**2)
+    dense = dense_cost <= splits.sum() * dynamics._C_SPARSE
+    return "dense" if dense else "sparse", splits
+
+
+def test_plan_reads_the_shifted_norm_from_the_csr_arrays():
+    # seeded sparse B with structurally missing diagonal entries and
+    # explicit stored zeros, on uniform and irregular grids
+    rng = np.random.default_rng(20)
+    routes = set()
+    for _ in range(60):
+        n = int(rng.choice([3, 12, 40, 150, 300]))
+        values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        stored = rng.random((n, n)) < min(0.6, 4.0 / n)
+        j = rng.integers(n)
+        stored[j, j] = False
+        b = sp.csr_matrix(values * stored * 10.0 ** rng.uniform(-1.0, 2.0))
+        b.data[rng.random(b.nnz) < 0.2] = 0.0
+        b.data[rng.integers(b.nnz)] = 0.0
+        k = int(rng.integers(2, 60))
+        t = (np.linspace(0.0, rng.uniform(0.1, 5.0), k) if rng.random() < 0.5
+             else np.sort(rng.uniform(0.0, 5.0, k)))
+        steps = np.diff(t)
+        assert b.has_canonical_format
+        assert (b.diagonal() == 0).any() and (b.data == 0).any()
+        plan = _plan_route(b, steps)
+        route, splits = _norm_rule_plan(b, steps)
+        assert plan.route == route
+        assert np.array_equal(plan.splits, splits)
+        routes.add(route)
+    assert routes == {"dense", "sparse"}
+
+
+def test_non_canonical_csr_b_propagates_as_its_canonical_form(monkeypatch,
+                                                              plans):
+    # every stored entry of a canonical B split into two equal halves, and
+    # each row stored backwards: duplicates and unsorted indices
+    rng = np.random.default_rng(4)
+    dense = (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))) \
+        * (rng.random((6, 6)) < 0.6)
+    canonical = sp.csr_matrix(dense)
+    order = np.concatenate([np.arange(hi - 1, lo - 1, -1) for lo, hi in
+                            zip(canonical.indptr[:-1], canonical.indptr[1:])])
+    raw = sp.csr_matrix((np.repeat(0.5 * canonical.data[order], 2),
+                         np.repeat(canonical.indices[order], 2),
+                         2 * canonical.indptr), shape=(6, 6))
+    assert not raw.has_canonical_format
+    arrays = [a.copy() for a in (raw.data, raw.indices, raw.indptr)]
+    x0 = np.array([1.0, 0.0, 0.5j, 0.0, 0.0, 0.0])
+    t = np.linspace(0.0, 2.0, 9)
+    q.solve_linear(raw, x0, t)
+    q.solve_linear(canonical, x0, t)
+    assert plans[0][1].route == plans[1][1].route
+    assert np.array_equal(plans[0][1].splits, plans[1][1].splits)
+    for route in ("dense", "sparse"):
+        _force_route(monkeypatch, route)
+        assert q.solve_linear(raw, x0, t).tobytes() == \
+            q.solve_linear(canonical, x0, t).tobytes()
+    for before, after in zip(arrays, (raw.data, raw.indices, raw.indptr)):
+        assert np.array_equal(before, after)
 
 
 def _relative_deviation(a, b) -> float:

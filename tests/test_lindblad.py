@@ -403,6 +403,20 @@ def test_mcwf_accepts_numpy_integers():
     assert a.populations.tobytes() == b.populations.tobytes()
 
 
+def test_build_liouvillian_holds_one_dense_copy():
+    m = q.driven_cavity_model(q.CavityParams(1.0, 1.0, 0.2, 0.3, 0.05), 20)
+    m.liouvillian
+    tracemalloc.start()
+    try:
+        sup = q.build_liouvillian(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * sup.matrix.nbytes
+    assert not sup.matrix.flags.writeable
+    assert np.array_equal(sup.matrix, m.liouvillian.toarray())
+
+
 def test_master_and_mcwf_share_one_h_eff(monkeypatch):
     prop = vars(q.LindbladModel)["h_eff"]
     original = prop.func

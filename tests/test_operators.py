@@ -233,6 +233,50 @@ def test_operator_immutable():
         op.entries[0, 0] = 5.0
 
 
+# each value type built from writeable caller arrays: (type, its arguments,
+# and per held array the caller's input and the expected dtype)
+_VALUE_TYPES = {
+    "CorrelationSeries": lambda: (q.CorrelationSeries, {
+        "tau": np.array([0.0, 0.5, 1.0]),
+        "values": np.array([2.0, 1.5, 1.0], dtype=complex)}, {
+        "tau": float, "values": complex}),
+    "SpectrumSeries": lambda: (q.SpectrumSeries, {
+        "omega": np.array([-1.0, 0.0, 1.0]),
+        "values": np.array([0.1, 0.4, 0.1])}, {
+        "omega": float, "values": float}),
+    "WignerGrid": lambda: (q.WignerGrid, {
+        "grid": q.PhaseGrid(-1.0, 1.0, -1.0, 1.0, 2, 3),
+        "values": np.arange(6.0).reshape(2, 3)}, {"values": float}),
+    "GaussianState": lambda: (q.GaussianState, {
+        "d": np.array([0.3, -0.2]), "v": np.eye(2)}, {
+        "d": float, "v": float}),
+    "SymplecticMap": lambda: (q.SymplecticMap, {
+        "s": np.eye(2), "a": np.array([1.0, 2.0])}, {
+        "s": float, "a": float}),
+    "LangevinLinearModel": lambda: (q.LangevinLinearModel, {
+        "a": -np.eye(2, dtype=complex), "d": np.diag([2.0, 0.0]),
+        "drive": np.array([0.5, 0.5])}, {
+        "a": complex, "d": complex, "drive": complex}),
+    "Superoperator": lambda: (q.Superoperator, {
+        "matrix": -np.eye(4, dtype=complex),
+        "basis": q.two_level_basis()}, {"matrix": complex}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUE_TYPES))
+def test_value_types_hold_private_read_only_arrays(name):
+    cls, args, held = _VALUE_TYPES[name]()
+    value = cls(**args)
+    for field_name, dtype in held.items():
+        arr = getattr(value, field_name)
+        assert arr.dtype == dtype and not arr.flags.writeable
+        before = arr.copy()
+        with pytest.raises(ValueError):
+            arr[...] = 7.0
+        args[field_name][...] = 7.0
+        assert np.array_equal(arr, before)
+
+
 def test_hermiticity_helper():
     assert herm_residual(np.array([[0, 1j], [1j, 0]])) == pytest.approx(2.0)
 
