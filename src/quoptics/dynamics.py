@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from .operators import QuopticsError, ValidationError
 from .settings import DEFAULT
@@ -440,19 +439,50 @@ def pdc_photon_number(p: PDCParams, t) -> np.ndarray:
 # and 961) and _C_DENSE_STEP D^2 per grid step for the product with the
 # exponential, which streams its 16 D^2 bytes once whatever the number of
 # columns (3.5-8.4e-10 D^2 measured from D 169 to 2116).  The sparse route
-# pays about _C_SPARSE per expm_multiply substep, since the step split bounds
-# its s m* mat-vecs (Al-Mohy & Higham 2011; 1-5e-3 s measured on the cavity
-# Liouvillians, the n_max 12 OPO and purcell-cooling).
+# pays _C_PRODUCT + _C_PRODUCT_NNZ nnz per product of its Taylor loop, nnz
+# that of h B - mu I, charged for the m* s products that bound each substep
+# (_Plan.products).  Measured per bounded product: 5.5-11.6 us from nnz 160
+# to 6481 and 38 us at 38881 on driven cavities over 41 points, whose loops
+# stop after about half the bound; 10.6-19.5 us from nnz 397 to 5457 and
+# 35 us at 15097 on the OPO spectrum's tau grid, whose loops run nearly all
+# of it; 7-8 us for D <= 6.  The constants sit between the two families,
+# charging the first up to 1.6 times and the second down to 0.6 times what
+# it takes.
 _C_DENSE = 2e-9
 _C_DENSE_STEP = 8e-10
-_C_SPARSE = 3e-3
-# Steps are split to keep ||dt (B - mu I)||_1 below condition (3.13) of
-# Al-Mohy & Higham (2011), about 63 for one vector; above it scipy calls
-# onenormest, which draws from the global np.random stream.
-_STEP_NORM_MAX = 60.0
+_C_PRODUCT = 8e-6
+_C_PRODUCT_NNZ = 1.2e-9
 # Steps equal to this many digits of the largest step share one exponential:
 # round-off spreads the n steps of a linspace grid by about n eps relative.
 _STEP_DIGITS = 9
+
+# The sparse route's truncated-Taylor step is Algorithm 3.2 of Al-Mohy &
+# Higham, SIAM J. Sci. Comput. 33, 488 (2011), with the operations and the
+# stopping rule of scipy.sparse.linalg's exponential action, so that for one
+# column it gives the same bits.
+# theta_m is the largest ||h A||_1 / s at which s steps of the degree-m
+# Taylor polynomial hold the backward error to 2^-53: m <= 30 from table A.3
+# of Higham & Al-Mohy, Acta Numer. 19, 159 (2010), m >= 35 from table 3.1 of
+# the 2011 paper.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+_DEGREES = np.array(list(_THETA))
+_THETAS = np.array(list(_THETA.values()))
+# Steps are split to keep ||h (B - mu I)||_1 below 60.  There the degree and
+# scaling are read from the theta table alone (the first branch of code
+# fragment 3.1), a bound that holds for any number of columns; scipy takes
+# that branch only below condition (3.13), 63.4 / k for k columns, and
+# otherwise estimates norms of powers of A from draws of the global
+# np.random stream.
+_STEP_NORM_MAX = 60.0
+_TAYLOR_TOL = 2.0 ** -53
 
 
 def _distinct_steps(steps: np.ndarray):
@@ -471,38 +501,106 @@ def _step_exponentials(b: np.ndarray, steps: np.ndarray):
     return [expm(b * steps[j]) for j in first], which
 
 
+def _taylor_degrees(norms: np.ndarray):
+    """Taylor degree m* and scaling s per 1-norm ||h A||_1: the fewest m s
+    products with ||h A||_1 / s <= theta_m, the smallest m on ties; (0, 1)
+    for a zero norm.  Counted in floats, which hold every m s that can be
+    the fewest exactly."""
+    scalings = np.ceil(norms[:, None] / _THETAS)
+    best = np.argmin(_DEGREES * scalings, axis=1)
+    zero = norms == 0
+    scalings = scalings[np.arange(norms.size), best].astype(int)
+    return np.where(zero, 0, _DEGREES[best]), np.where(zero, 1, scalings)
+
+
+def _full_diagonal(b):
+    """CSR arrays (data, indices, indptr) of ``b`` with every diagonal entry
+    stored, and where data holds the diagonal.  A missing entry is stored as
+    zero after the row's entries left of the diagonal, so the rows stay
+    sorted and each product sums a row in the order of scipy's b - mu I (a
+    stored zero adds nothing)."""
+    n = b.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(b.indptr))
+    left = np.bincount(rows[b.indices < rows], minlength=n)
+    bare = np.flatnonzero(
+        np.bincount(rows[b.indices == rows], minlength=n) == 0)
+    at = b.indptr[bare] + left[bare]
+    indptr = b.indptr + np.searchsorted(bare, np.arange(n + 1))
+    return ((np.insert(b.data, at, 0.0), np.insert(b.indices, at, bare),
+             indptr), indptr[:-1] + left)
+
+
+def _shifted(pattern: tuple, diagonal: np.ndarray, h, mu,
+             out: np.ndarray) -> None:
+    """Write the entries of h B - mu I into ``out``, stored as ``pattern``:
+    the operations of scipy's b * h - mu * I."""
+    np.multiply(pattern[0], h, out=out)
+    out[diagonal] -= mu
+
+
+def _one_norm(pattern: tuple, entries: np.ndarray) -> float:
+    """Largest column sum of |entries| stored as ``pattern``, each column
+    summed in row order as scipy sums it."""
+    return np.bincount(pattern[1], np.abs(entries),
+                       minlength=pattern[2].size - 1).max()
+
+
 @dataclass(frozen=True)
 class _Plan:
-    """Route chosen by ``_plan_route`` and what that route runs on."""
+    """Route chosen by ``_plan_route`` and what that route runs on.
 
-    route: str               # "dense" or "sparse"
-    trace: complex           # trace of B, for expm_multiply
-    splits: np.ndarray       # sparse substeps per grid step
+    Grid step k is split into splits[k] equal sparse substeps h, the
+    distinct value substeps[which[k]].  Substeps equal to the last bit share
+    the shift mu = h tr(B) / D, the Taylor degree m* and the scaling s read
+    from the 1-norm of h B - mu I.  ``products`` sums m* s over all substeps:
+    the most products the sparse route takes, since its Taylor loop stops
+    once two terms fall below 2^-53 of the sum.  ``pattern`` holds B with
+    every diagonal entry stored (a zero where B stores none), so that one
+    array of entries in its storage holds h B - mu I for any substep."""
+
+    route: str                # "dense" or "sparse"
+    splits: np.ndarray        # sparse substeps per grid step
+    which: np.ndarray         # each grid step's distinct substep
+    substeps: np.ndarray      # the distinct substeps h
+    shifts: tuple             # mu per distinct substep
+    degrees: np.ndarray       # m* per distinct substep
+    scalings: np.ndarray      # s per distinct substep
+    products: int             # sum of m* s over all substeps
+    pattern: tuple            # CSR (data, indices, indptr) of that B
+    diagonal: np.ndarray      # where pattern's data holds the diagonal
 
 
 def _plan_route(b, steps: np.ndarray) -> _Plan:
     """Pick the cheaper propagation route from sizes alone: dense iff
-    n_distinct C_DENSE D^3 + n_steps C_DENSE_STEP D^2 <= n_substeps
-    C_SPARSE.  ``b`` is canonical CSR; the choice never depends on timings,
-    so the route, and with it every result, is reproducible."""
+    n_distinct C_DENSE D^3 + n_steps C_DENSE_STEP D^2 <= products
+    (C_PRODUCT + C_PRODUCT_NNZ nnz), with the sparse route's product bound
+    and nnz those of h B - mu I (``_Plan``).  ``b`` is canonical CSR; the
+    choice never depends on timings, so the route, and with it every
+    result, is reproducible."""
     n = b.shape[0]
     trace = b.diagonal().sum()
-    mu = trace / n
-    # ||B - mu I||_1 from the CSR arrays, summed in row order: each stored
-    # diagonal entry is shifted, and -mu heads each row that stores none
-    rows = np.repeat(np.arange(n), np.diff(b.indptr))
-    on_diag = b.indices == rows
-    bare = np.flatnonzero(np.bincount(rows[on_diag], minlength=n) == 0)
-    cols = np.insert(b.indices, b.indptr[bare], bare)
-    shifted = np.insert(np.where(on_diag, b.data - mu, b.data),
-                        b.indptr[bare], -mu)
-    norm = np.bincount(cols, np.abs(shifted), minlength=n).max()
+    pattern, diagonal = _full_diagonal(b)
+    entries = np.empty_like(pattern[0])
+    _shifted(pattern, diagonal, 1.0, trace / n, entries)
+    norm = _one_norm(pattern, entries)
     splits = np.maximum(1, np.ceil(np.abs(steps) * norm / _STEP_NORM_MAX))
+    splits = splits.astype(int)
+    substeps, which = np.unique(steps / splits, return_inverse=True)
+    # mu and h B - mu I as scipy forms them from b * h and traceA = tr(B) h
+    shifts = tuple(trace * h / float(n) for h in substeps)
+    norms = np.empty(substeps.size)
+    for i, (h, mu) in enumerate(zip(substeps, shifts)):
+        _shifted(pattern, diagonal, h, mu, entries)
+        norms[i] = _one_norm(pattern, entries)
+    degrees, scalings = _taylor_degrees(norms)
+    products = int((splits * (degrees * scalings)[which]).sum())
     n_distinct = _distinct_steps(steps)[0].size
     dense_cost = (n_distinct * _C_DENSE * n**3
                   + steps.size * _C_DENSE_STEP * n**2)
-    dense = dense_cost <= splits.sum() * _C_SPARSE
-    return _Plan("dense" if dense else "sparse", trace, splits.astype(int))
+    dense = dense_cost <= products * (_C_PRODUCT
+                                      + _C_PRODUCT_NNZ * entries.size)
+    return _Plan("dense" if dense else "sparse", splits, which, substeps,
+                 shifts, degrees, scalings, products, pattern, diagonal)
 
 
 def _touched_rows(b, x: np.ndarray) -> np.ndarray:
@@ -532,10 +630,12 @@ def solve_linear(b, x0, t_grid) -> np.ndarray:
     submatrix, all of B or a part, is propagated at its own D into a zero
     output.  Two routes give the same numbers to round-off: one dense expm
     per distinct step (``_step_exponentials``, scaling and squaring, exact
-    also for defective B), or step-split sparse expm_multiply, which never
-    forms the dense exponential.  ``_plan_route`` takes whichever its cost
-    model, which reads only D, the step counts and ||B - mu I||_1, rates
-    cheaper: dense for small or stiff generators on long grids, sparse for
+    also for defective B), or step-split truncated Taylor series on the
+    sparse B (Al-Mohy & Higham 2011; for one column the bits of scipy's
+    sparse exponential action), which never forms the dense exponential and
+    draws nothing from np.random.  ``_plan_route`` takes whichever its cost
+    model rates cheaper from D, nnz, the step counts and the Taylor product
+    bound: dense for small or stiff generators on long grids, sparse for
     large ones on short grids and for very large ones on any grid.  B is
     held as canonical complex CSR from entry on.
     """
@@ -560,6 +660,40 @@ def solve_linear(b, x0, t_grid) -> np.ndarray:
     return out
 
 
+def _inf_norm(v: np.ndarray, mag: np.ndarray) -> float:
+    """||v||_inf, the largest row sum of |v|, with |v| written to ``mag``."""
+    np.abs(v, out=mag)
+    return (mag if v.ndim == 1 else mag.sum(axis=1)).max()
+
+
+def _taylor_step(a, f: np.ndarray, m_star: int, s: int, eta,
+                 work, mag: np.ndarray, slack: float) -> None:
+    """f <- exp(A) f in place, A = h B - mu I, by s steps of the degree-m*
+    Taylor polynomial, each scaled by eta = exp(mu / s).
+
+    A step stops once two successive terms sum to at most 2^-53 ||F||_inf,
+    F the partial sum.  ``bound`` is an upper bound on ||F||_inf, grown by
+    each term's norm and ``slack`` (the rounding of the sum and of the
+    norms), so ||F||_inf is computed only when the test can pass, and every
+    stop falls where scipy's does."""
+    for _ in range(s):
+        c1 = bound = _inf_norm(f, mag)
+        term = f
+        for j in range(m_star):
+            nxt = work[j % 2]
+            np.multiply(1.0 / (s * (j + 1)), a @ term, out=nxt)
+            c2 = _inf_norm(nxt, mag)
+            np.add(f, nxt, out=f)
+            bound = (bound + c2) * slack
+            if c1 + c2 <= _TAYLOR_TOL * bound:
+                bound = _inf_norm(f, mag)
+                if c1 + c2 <= _TAYLOR_TOL * bound:
+                    break
+            c1 = c2
+            term = nxt
+        np.multiply(eta, f, out=f)
+
+
 def _propagate(b, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """exp(B (t_k - t_0)) x for every grid point, on the planned route."""
     out = np.empty((steps.size + 1,) + x.shape, dtype=complex)
@@ -570,10 +704,28 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
         for k, p in enumerate(which):
             x = props[p] @ x
             out[k + 1] = x
-    else:
-        for k, (dt, n_sub) in enumerate(zip(steps, plan.splits)):
-            h = dt / n_sub
-            for _ in range(n_sub):
-                x = expm_multiply(b * h, x, traceA=plan.trace * h)
-            out[k + 1] = x
+        return out
+    # h B - mu I of the current distinct substep, rewritten when it changes
+    a = sp.csr_matrix((np.empty_like(plan.pattern[0]),) + plan.pattern[1:],
+                      shape=b.shape)
+    f = x.copy()
+    work = (np.empty_like(f), np.empty_like(f))
+    mag = np.empty(f.shape)
+    # one update of the bound rounds off by at most (k + 5) 2^-53 for k
+    # columns, less than 1e-15 k
+    slack = 1.0 + 1e-15 * (1 if f.ndim == 1 else f.shape[1])
+    current = -1
+    degrees, scalings = plan.degrees.tolist(), plan.scalings.tolist()
+    for k, (n_sub, p) in enumerate(zip(plan.splits.tolist(),
+                                       plan.which.tolist())):
+        m_star, s, mu = degrees[p], scalings[p], plan.shifts[p]
+        if p != current:
+            _shifted(plan.pattern, plan.diagonal, plan.substeps[p], mu,
+                     a.data)
+            current = p
+        # 1.0 * mu as scipy scales it, down to the sign of a zero
+        eta = np.exp(1.0 * mu / float(s))
+        for _ in range(n_sub):
+            _taylor_step(a, f, m_star, s, eta, work, mag, slack)
+        out[k + 1] = f
     return out

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 import quoptics as q
-from quoptics import dynamics, lindblad
+from quoptics import correlations, dynamics, lindblad
 from quoptics.dynamics import (
     _distinct_steps,
     _plan_route,
@@ -457,14 +459,14 @@ def test_solve_linear_rejects_a_seed_of_the_wrong_length():
 
 # Route choice.  The cases are the propagations whose cost was timed on both
 # routes (one BLAS thread, 2-vCPU x86_64).  Dense wins on small or stiff
-# generators and long grids: 0.02 s against 3.0 s sparse for
+# generators and long grids: 0.015 s against 1.07 s sparse for
 # purcell-cooling, whose seeds touch blocks of 18 and 2 of its 100 rows,
-# 0.14 s against 7.5 s for the n_max 12 spectrum grid and
-# 10.0 s against 12.2 s for that grid at n_max 30.  Sparse wins on cavities
-# from n_max 20 up on a short grid (0.09 s against 0.36 s dense at n_max 20,
-# 0.15 s against 3.3 s at n_max 30; test_lindblad checks that route) and on
-# the spectrum grid at n_max 35, where the 8532 products with the dense
-# 1296^2 exponential dominate: 12.9 s against 21.5 s dense.
+# and 0.09 s against 1.28 s for the n_max 12 spectrum grid (0.25 s against
+# 1.44 s at n_max 15).  Sparse wins on cavities from n_max 20 up on a short
+# grid (0.028 s against 0.13 s dense at n_max 20, 0.046 s against 1.23 s at
+# n_max 30; test_lindblad checks that route) and on the spectrum grid from
+# n_max 30 up, where the 8532 products with the dense 961^2 exponential
+# dominate: 1.96 s against 5.81 s dense.
 
 def _force_route(monkeypatch, route: str) -> None:
     monkeypatch.setattr(dynamics, "_plan_route", lambda b, steps: replace(
@@ -495,18 +497,45 @@ def test_solve_linear_output_does_not_depend_on_the_format_of_b(
             expected.tobytes()
 
 
+def _fragment_3_1(norm):
+    """Taylor degree m* and scaling s of ||h A||_1 = norm by the theta-table
+    branch of Al-Mohy & Higham's code fragment 3.1: the fewest m s products,
+    the first m on ties."""
+    if norm == 0:
+        return 0, 1
+    best = None
+    for m, theta in dynamics._THETA.items():
+        s = int(np.ceil(norm / theta))
+        if best is None or m * s < best[0] * best[1]:
+            best = (m, s)
+    return best
+
+
 def _norm_rule_plan(b, steps):
-    """Route and splits by the planner's cost rule, with ||B - mu I||_1 taken
-    as abs(B - mu I).sum(axis=0).max() of a sparse shift."""
+    """Route, splits and product bound by the planner's cost rule, with each
+    1-norm taken as abs(A).sum(axis=0).max() of a sparse A = h B - mu I,
+    formed per substep as scipy's expm_multiply forms it."""
     n = b.shape[0]
-    shift = (b.diagonal().sum() / n) * sp.identity(n, format="csr")
-    norm = abs(b - shift).sum(axis=0).max()
+    trace = b.diagonal().sum()
+    eye = sp.identity(n, dtype=complex, format="csr")
+    norm = abs(b - (trace / n) * eye).sum(axis=0).max()
     splits = np.maximum(1, np.ceil(np.abs(steps) * norm
                                    / dynamics._STEP_NORM_MAX)).astype(int)
+    products = 0
+    for dt, n_sub in zip(steps, splits):
+        h = dt / n_sub
+        shifted = b * h - (trace * h / float(n)) * eye
+        m_star, s = _fragment_3_1(abs(shifted).sum(axis=0).max())
+        products += n_sub * m_star * s
+    # the sparse route stores B and every diagonal entry B lacks
+    stored = sp.csr_matrix((np.ones(b.nnz), b.indices, b.indptr),
+                           shape=b.shape)
+    nnz = b.nnz + np.count_nonzero(stored.diagonal() == 0)
     dense_cost = (_distinct_steps(steps)[0].size * dynamics._C_DENSE * n**3
                   + steps.size * dynamics._C_DENSE_STEP * n**2)
-    dense = dense_cost <= splits.sum() * dynamics._C_SPARSE
-    return "dense" if dense else "sparse", splits
+    dense = dense_cost <= products * (dynamics._C_PRODUCT
+                                      + dynamics._C_PRODUCT_NNZ * nnz)
+    return "dense" if dense else "sparse", splits, products
 
 
 def test_plan_reads_the_shifted_norm_from_the_csr_arrays():
@@ -530,9 +559,10 @@ def test_plan_reads_the_shifted_norm_from_the_csr_arrays():
         assert b.has_canonical_format
         assert (b.diagonal() == 0).any() and (b.data == 0).any()
         plan = _plan_route(b, steps)
-        route, splits = _norm_rule_plan(b, steps)
+        route, splits, products = _norm_rule_plan(b, steps)
         assert plan.route == route
         assert np.array_equal(plan.splits, splits)
+        assert plan.products == products
         routes.add(route)
     assert routes == {"dense", "sparse"}
 
@@ -630,7 +660,7 @@ def test_thermal_regression_propagates_only_the_seeded_block(plans):
 
 
 @pytest.mark.parametrize("n_max, route", [
-    (12, "dense"), (30, "dense"), (40, "sparse"),
+    (12, "dense"), (15, "dense"), (30, "sparse"), (40, "sparse"),
 ])
 def test_plan_on_the_spectrum_tau_grid(spectrum_tau, n_max, route):
     plan = _plan_route(_opo_liouvillian(n_max), np.diff(spectrum_tau))
@@ -681,7 +711,7 @@ def test_routes_agree_on_small_and_stiff_scenarios(monkeypatch, name):
 
 
 def test_routes_agree_on_the_spectrum_tau_grid(monkeypatch, spectrum_tau):
-    # the sparse route takes about 8 s over all 8532 steps; the first 400
+    # the sparse route takes about 1 s over all 8532 steps; the first 400
     # steps use the same generator and step
     tau = spectrum_tau[:401]
     liouv = _opo_liouvillian(12)
@@ -691,3 +721,111 @@ def test_routes_agree_on_the_spectrum_tau_grid(monkeypatch, spectrum_tau):
         _force_route(monkeypatch, route)
         runs[route] = q.solve_linear(liouv, x0, tau)
     assert _relative_deviation(runs["dense"], runs["sparse"]) <= 1e-12
+
+
+def _expm_multiply_series(b, x0, t):
+    """exp(B (t_k - t_0)) x0 by scipy's expm_multiply, one call per substep
+    of the planner's split."""
+    steps = np.diff(t)
+    trace = b.diagonal().sum()
+    x, out = x0, [x0]
+    for dt, n_sub in zip(steps, _plan_route(b, steps).splits):
+        h = dt / n_sub
+        for _ in range(n_sub):
+            x = expm_multiply(b * h, x, traceA=trace * h)
+        out.append(x)
+    return np.array(out)
+
+
+def _opo_g2_block():
+    """The generator block, seed and grid of the opo-g2 scenario's one
+    propagation: 338 of its 676 rows."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return q.solve_linear(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(correlations, "solve_linear", record)
+        run_scenario("opo-g2")
+    (b, x0, t), = calls
+    b = sp.csr_matrix(b, dtype=complex)
+    x0 = np.asarray(x0, dtype=complex)
+    keep = dynamics._touched_rows(b, x0)
+    return b[keep][:, keep], x0[keep], np.asarray(t)
+
+
+_MISSING_DIAGONAL_B = sp.csr_matrix(
+    (np.array([-1.0, 0.5j, 2.0, 0.0, -0.3, 1.0, 0.7, 1j, -2.0, 0.4, 0.0]),
+     np.array([0, 3, 0, 1, 4, 1, 3, 2, 3, 1, 5]),
+     np.array([0, 2, 5, 7, 9, 10, 11])), shape=(6, 6))
+
+
+def _vacuum_seed(n_max):
+    x0 = np.zeros((n_max + 1) ** 2, dtype=complex)
+    x0[0] = 1.0
+    return x0
+
+
+_TAYLOR_CASES = {
+    "driven-n20": lambda: (q.driven_cavity_model(_CAVITIES["driven-n20"][0],
+                                                 20).liouvillian,
+                           _vacuum_seed(20), _SHORT_GRID),
+    "driven-n30": lambda: (q.driven_cavity_model(_CAVITIES["driven-n30"][0],
+                                                 30).liouvillian,
+                           _vacuum_seed(30), _SHORT_GRID),
+    # the benchmark's largest rung: <n> reaches 16 on an n_max 80 cutoff
+    "driven-n80": lambda: (q.driven_cavity_model(
+        q.CavityParams(1.0, 1.0, 0.0, 4.0), 80).liouvillian,
+        _vacuum_seed(80), np.linspace(0.0, 2.5, 41)),
+    "opo-g2": _opo_g2_block,
+    "two-block": lambda: (_TWO_BLOCK_B, np.array([1.0, 0.5j, 0.0, 0.3, 0.0]),
+                          np.linspace(0.0, 2.0, 9)),
+    "trace-shift": lambda: (_TWO_BLOCK_B - (30.0 + 40.0j) * np.eye(5),
+                            np.array([1.0, 0.5j, 0.0, 0.3, 0.0]),
+                            np.linspace(0.0, 2.0, 9)),
+    # rows that store entries on both sides of a missing diagonal entry, and
+    # stored zeros: h B - mu I gains a diagonal in the middle of a row
+    "missing-diagonal": lambda: (_MISSING_DIAGONAL_B, np.arange(1.0, 7.0),
+                                 np.linspace(0.0, 3.0, 7)),
+    # ||h A||_1 = 0: degree 0, the seed times exp(0)
+    "zero": lambda: (np.zeros((4, 4)), np.array([1.0, -2.0, 0.5j, -1j]),
+                     np.linspace(0.0, 2.0, 9)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TAYLOR_CASES))
+def test_sparse_route_gives_the_bits_of_expm_multiply(monkeypatch, case):
+    # one column and ||h (B - mu I)||_1 <= 60: scipy reads m* and s from the
+    # same theta table, so equal bits also check the transcribed table
+    b, x0, t = _TAYLOR_CASES[case]()
+    b = sp.csr_matrix(b, dtype=complex)
+    assert dynamics._touched_rows(b, x0).size == b.shape[0]
+    _force_route(monkeypatch, "sparse")
+    assert q.solve_linear(b, x0, t).tobytes() == \
+        _expm_multiply_series(b, x0, t).tobytes()
+
+
+def test_sparse_route_on_two_columns_leaves_the_global_random_stream(plans):
+    # 63.4 / k < ||h (B - mu I)||_1 <= 60 for k = 2 columns: beyond
+    # condition (3.13) of Al-Mohy & Higham, where scipy's expm_multiply
+    # estimates norms of powers of A from draws of the global np.random
+    rng = np.random.default_rng(11)
+    n = 200
+    values = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.03)
+    b = sp.csr_matrix(-1j * (values + values.T) - 0.5 * np.eye(n))
+    mu = b.diagonal().sum() / n
+    norm = abs(b - mu * sp.identity(n, format="csr")).sum(axis=0).max()
+    t = np.linspace(0.0, 90.0 / norm, 3)
+    x0 = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    assert 63.4 / 2 < norm * t[1] <= dynamics._STEP_NORM_MAX
+    for seed in (x0[:, 0], x0):
+        before = np.random.get_state()
+        out = q.solve_linear(b, seed, t)
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
+        exact = np.array([expm(b.toarray() * tk) @ seed for tk in t])
+        assert _relative_deviation(exact, out) <= 1e-13
+    assert [(dim, p.route) for dim, p in plans] == [(n, "sparse")] * 2
