@@ -440,7 +440,7 @@ def pdc_photon_number(p: PDCParams, t) -> np.ndarray:
 # exponential, which streams its 16 D^2 bytes once whatever the number of
 # columns (3.5-8.4e-10 D^2 measured from D 169 to 2116).  The sparse route
 # pays _C_PRODUCT + _C_PRODUCT_NNZ nnz per product of its Taylor loop, nnz
-# that of h B - mu I, charged for the m* s products that bound each substep
+# that of h B - mu I, charged for the m* s products that bound each grid step
 # (_Plan.products).  Measured per bounded product: 5.5-11.6 us from nnz 160
 # to 6481 and 38 us at 38881 on driven cavities over 41 points, whose loops
 # stop after about half the bound; 10.6-19.5 us from nnz 397 to 5457 and
@@ -475,13 +475,12 @@ _THETA = {
 }
 _DEGREES = np.array(list(_THETA))
 _THETAS = np.array(list(_THETA.values()))
-# Steps are split to keep ||h (B - mu I)||_1 below 60.  There the degree and
-# scaling are read from the theta table alone (the first branch of code
-# fragment 3.1), a bound that holds for any number of columns; scipy takes
-# that branch only below condition (3.13), 63.4 / k for k columns, and
-# otherwise estimates norms of powers of A from draws of the global
-# np.random stream.
-_STEP_NORM_MAX = 60.0
+# The degree and scaling are read from the theta table alone (the first
+# branch of code fragment 3.1) at any ||h (B - mu I)||_1: alpha_p(A) <=
+# ||A||_1, so the table bounds the backward error for any norm and any
+# number of columns.  scipy takes that branch only below condition (3.13),
+# 63.4 / k for k columns, and otherwise estimates norms of powers of A from
+# draws of the global np.random stream, which can only save products.
 _TAYLOR_TOL = 2.0 ** -53
 
 
@@ -549,58 +548,54 @@ def _one_norm(pattern: tuple, entries: np.ndarray) -> float:
 class _Plan:
     """Route chosen by ``_plan_route`` and what that route runs on.
 
-    Grid step k is split into splits[k] equal sparse substeps h, the
-    distinct value substeps[which[k]].  Substeps equal to the last bit share
-    the shift mu = h tr(B) / D, the Taylor degree m* and the scaling s read
-    from the 1-norm of h B - mu I.  ``products`` sums m* s over all substeps:
-    the most products the sparse route takes, since its Taylor loop stops
-    once two terms fall below 2^-53 of the sum.  ``pattern`` holds B with
-    every diagonal entry stored (a zero where B stores none), so that one
-    array of entries in its storage holds h B - mu I for any substep."""
+    Grid step k is taken as h = steps[which[k]], the first step of its group
+    (``_distinct_steps``).  A group shares the shift mu = h tr(B) / D, the
+    Taylor degree m* and the scaling s read from the 1-norm of h B - mu I.
+    ``products`` sums m* s over all grid steps: the most products the
+    sparse route takes, since its Taylor loop stops once two terms fall
+    below 2^-53 of the sum.  ``pattern`` holds B with every diagonal entry
+    stored (a zero where B stores none), so that one array of entries in
+    its storage holds h B - mu I for any group."""
 
     route: str                # "dense" or "sparse"
-    splits: np.ndarray        # sparse substeps per grid step
-    which: np.ndarray         # each grid step's distinct substep
-    substeps: np.ndarray      # the distinct substeps h
-    shifts: tuple             # mu per distinct substep
-    degrees: np.ndarray       # m* per distinct substep
-    scalings: np.ndarray      # s per distinct substep
-    products: int             # sum of m* s over all substeps
+    which: np.ndarray         # each grid step's group
+    steps: np.ndarray         # h, the first step of each group
+    shifts: tuple             # mu per group
+    degrees: np.ndarray       # m* per group
+    scalings: np.ndarray      # s per group
+    products: int             # sum of m* s over all grid steps
     pattern: tuple            # CSR (data, indices, indptr) of that B
     diagonal: np.ndarray      # where pattern's data holds the diagonal
 
 
 def _plan_route(b, steps: np.ndarray) -> _Plan:
     """Pick the cheaper propagation route from sizes alone: dense iff
-    n_distinct C_DENSE D^3 + n_steps C_DENSE_STEP D^2 <= products
+    n_groups C_DENSE D^3 + n_steps C_DENSE_STEP D^2 <= products
     (C_PRODUCT + C_PRODUCT_NNZ nnz), with the sparse route's product bound
-    and nnz those of h B - mu I (``_Plan``).  ``b`` is canonical CSR; the
-    choice never depends on timings, so the route, and with it every
-    result, is reproducible."""
+    and nnz those of h B - mu I (``_Plan``).  The steps are grouped once,
+    and one 1-norm is formed per group.  ``b`` is canonical CSR; the choice
+    never depends on timings, so the route, and with it every result, is
+    reproducible."""
     n = b.shape[0]
     trace = b.diagonal().sum()
     pattern, diagonal = _full_diagonal(b)
-    entries = np.empty_like(pattern[0])
-    _shifted(pattern, diagonal, 1.0, trace / n, entries)
-    norm = _one_norm(pattern, entries)
-    splits = np.maximum(1, np.ceil(np.abs(steps) * norm / _STEP_NORM_MAX))
-    splits = splits.astype(int)
-    substeps, which = np.unique(steps / splits, return_inverse=True)
+    first, which = _distinct_steps(steps)
+    firsts = steps[first]
     # mu and h B - mu I as scipy forms them from b * h and traceA = tr(B) h
-    shifts = tuple(trace * h / float(n) for h in substeps)
-    norms = np.empty(substeps.size)
-    for i, (h, mu) in enumerate(zip(substeps, shifts)):
+    shifts = tuple(trace * h / float(n) for h in firsts)
+    entries = np.empty_like(pattern[0])
+    norms = np.empty(firsts.size)
+    for i, (h, mu) in enumerate(zip(firsts, shifts)):
         _shifted(pattern, diagonal, h, mu, entries)
         norms[i] = _one_norm(pattern, entries)
     degrees, scalings = _taylor_degrees(norms)
-    products = int((splits * (degrees * scalings)[which]).sum())
-    n_distinct = _distinct_steps(steps)[0].size
-    dense_cost = (n_distinct * _C_DENSE * n**3
+    products = int((degrees * scalings)[which].sum())
+    dense_cost = (firsts.size * _C_DENSE * n**3
                   + steps.size * _C_DENSE_STEP * n**2)
     dense = dense_cost <= products * (_C_PRODUCT
                                       + _C_PRODUCT_NNZ * entries.size)
-    return _Plan("dense" if dense else "sparse", splits, which, substeps,
-                 shifts, degrees, scalings, products, pattern, diagonal)
+    return _Plan("dense" if dense else "sparse", which, firsts, shifts,
+                 degrees, scalings, products, pattern, diagonal)
 
 
 def _touched_rows(b, x: np.ndarray) -> np.ndarray:
@@ -628,16 +623,18 @@ def solve_linear(b, x0, t_grid) -> np.ndarray:
     exact nonzero of x0 (a symmetry of B, such as the coherence order a
     thermal cavity conserves, splits it into such blocks).  Their principal
     submatrix, all of B or a part, is propagated at its own D into a zero
-    output.  Two routes give the same numbers to round-off: one dense expm
-    per distinct step (``_step_exponentials``, scaling and squaring, exact
-    also for defective B), or step-split truncated Taylor series on the
-    sparse B (Al-Mohy & Higham 2011; for one column the bits of scipy's
-    sparse exponential action), which never forms the dense exponential and
-    draws nothing from np.random.  ``_plan_route`` takes whichever its cost
-    model rates cheaper from D, nnz, the step counts and the Taylor product
-    bound: dense for small or stiff generators on long grids, sparse for
-    large ones on short grids and for very large ones on any grid.  B is
-    held as canonical complex CSR from entry on.
+    output.  Both routes take each step as the first of its group of steps
+    equal to _STEP_DIGITS digits, and give the same numbers to round-off:
+    one dense expm per group (``_step_exponentials``, scaling and squaring,
+    exact also for defective B), or one truncated Taylor series per grid
+    step on the sparse B (Al-Mohy & Higham 2011; for one column the bits of
+    scipy's sparse exponential action), which never forms the dense
+    exponential and draws nothing from np.random.  ``_plan_route`` takes
+    whichever its cost model rates cheaper from D, nnz, the step and group
+    counts and the Taylor product bound: dense for small or stiff
+    generators on long grids, sparse for large ones on short grids and for
+    very large ones on any grid.  B is held as canonical complex CSR from
+    entry on.
     """
     shape = np.shape(b)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -648,6 +645,8 @@ def solve_linear(b, x0, t_grid) -> np.ndarray:
         b = b.copy()
         b.sum_duplicates()
     t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1:
+        raise ValidationError("t_grid must be a 1-D array of times")
     if not (np.all(np.isfinite(b.data)) and np.all(np.isfinite(t))):
         raise ValidationError("B and t_grid must be finite")
     x = np.asarray(x0, dtype=complex)
@@ -705,7 +704,7 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
             x = props[p] @ x
             out[k + 1] = x
         return out
-    # h B - mu I of the current distinct substep, rewritten when it changes
+    # h B - mu I of the current group, rewritten when the group changes
     a = sp.csr_matrix((np.empty_like(plan.pattern[0]),) + plan.pattern[1:],
                       shape=b.shape)
     f = x.copy()
@@ -716,16 +715,13 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
     slack = 1.0 + 1e-15 * (1 if f.ndim == 1 else f.shape[1])
     current = -1
     degrees, scalings = plan.degrees.tolist(), plan.scalings.tolist()
-    for k, (n_sub, p) in enumerate(zip(plan.splits.tolist(),
-                                       plan.which.tolist())):
-        m_star, s, mu = degrees[p], scalings[p], plan.shifts[p]
+    for k, p in enumerate(plan.which.tolist()):
         if p != current:
-            _shifted(plan.pattern, plan.diagonal, plan.substeps[p], mu,
-                     a.data)
+            m_star, s, mu = degrees[p], scalings[p], plan.shifts[p]
+            _shifted(plan.pattern, plan.diagonal, plan.steps[p], mu, a.data)
+            # 1.0 * mu as scipy scales it, down to the sign of a zero
+            eta = np.exp(1.0 * mu / float(s))
             current = p
-        # 1.0 * mu as scipy scales it, down to the sign of a zero
-        eta = np.exp(1.0 * mu / float(s))
-        for _ in range(n_sub):
-            _taylor_step(a, f, m_star, s, eta, work, mag, slack)
+        _taylor_step(a, f, m_star, s, eta, work, mag, slack)
         out[k + 1] = f
     return out

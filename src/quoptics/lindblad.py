@@ -413,13 +413,16 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     unravelling planned in ROADMAP.md removes this bias; a step argument
     would only shrink it.  Each trajectory draws from its own counter-split
     random stream, so the ensemble is reproducible for a fixed seed
-    regardless of batching.  t_grid must not decrease; repeated points are
-    allowed.
+    regardless of batching.  t_grid is a non-empty 1-D array of finite
+    times that does not decrease; repeated points are allowed.
     """
     psi0.validate()
     if psi0.basis != m.basis:
         raise BasisMismatchError("state/model basis mismatch")
     t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
+        raise ValidationError(
+            "t_grid must be a non-empty 1-D array of finite times")
     if np.any(np.diff(t) < 0):
         raise ValidationError("t_grid must not decrease")
     for name, v, low in (("n_traj", n_traj, 1), ("seed", seed, 0)):

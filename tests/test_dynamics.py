@@ -457,6 +457,13 @@ def test_solve_linear_rejects_a_seed_of_the_wrong_length():
         q.solve_linear(np.eye(3), [1.0, 0.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("t", [[[0.0, 1.0], [2.0, 3.0]], 1.0],
+                         ids=["2-d", "scalar"])
+def test_solve_linear_rejects_a_time_grid_that_is_not_1d(t):
+    with pytest.raises(ValidationError):
+        q.solve_linear(-np.eye(2), [1.0, 0.0], t)
+
+
 # Route choice.  The cases are the propagations whose cost was timed on both
 # routes (one BLAS thread, 2-vCPU x86_64).  Dense wins on small or stiff
 # generators and long grids: 0.015 s against 1.07 s sparse for
@@ -512,30 +519,29 @@ def _fragment_3_1(norm):
 
 
 def _norm_rule_plan(b, steps):
-    """Route, splits and product bound by the planner's cost rule, with each
-    1-norm taken as abs(A).sum(axis=0).max() of a sparse A = h B - mu I,
-    formed per substep as scipy's expm_multiply forms it."""
+    """Route, representative steps and product bound by the planner's cost
+    rule: one 1-norm per group of steps equal to 9 digits, taken as
+    abs(A).sum(axis=0).max() of a sparse A = h B - mu I formed at the
+    group's first step h, as scipy's expm_multiply forms it."""
     n = b.shape[0]
     trace = b.diagonal().sum()
     eye = sp.identity(n, dtype=complex, format="csr")
-    norm = abs(b - (trace / n) * eye).sum(axis=0).max()
-    splits = np.maximum(1, np.ceil(np.abs(steps) * norm
-                                   / dynamics._STEP_NORM_MAX)).astype(int)
-    products = 0
-    for dt, n_sub in zip(steps, splits):
-        h = dt / n_sub
+    first, which = _distinct_steps(steps)
+    bounds = np.zeros(first.size, dtype=int)
+    for g, h in enumerate(steps[first]):
         shifted = b * h - (trace * h / float(n)) * eye
         m_star, s = _fragment_3_1(abs(shifted).sum(axis=0).max())
-        products += n_sub * m_star * s
+        bounds[g] = m_star * s
+    products = int(bounds[which].sum())
     # the sparse route stores B and every diagonal entry B lacks
     stored = sp.csr_matrix((np.ones(b.nnz), b.indices, b.indptr),
                            shape=b.shape)
     nnz = b.nnz + np.count_nonzero(stored.diagonal() == 0)
-    dense_cost = (_distinct_steps(steps)[0].size * dynamics._C_DENSE * n**3
+    dense_cost = (first.size * dynamics._C_DENSE * n**3
                   + steps.size * dynamics._C_DENSE_STEP * n**2)
     dense = dense_cost <= products * (dynamics._C_PRODUCT
                                       + dynamics._C_PRODUCT_NNZ * nnz)
-    return "dense" if dense else "sparse", splits, products
+    return "dense" if dense else "sparse", steps[first], products
 
 
 def test_plan_reads_the_shifted_norm_from_the_csr_arrays():
@@ -559,9 +565,9 @@ def test_plan_reads_the_shifted_norm_from_the_csr_arrays():
         assert b.has_canonical_format
         assert (b.diagonal() == 0).any() and (b.data == 0).any()
         plan = _plan_route(b, steps)
-        route, splits, products = _norm_rule_plan(b, steps)
+        route, firsts, products = _norm_rule_plan(b, steps)
         assert plan.route == route
-        assert np.array_equal(plan.splits, splits)
+        assert np.array_equal(plan.steps, firsts)
         assert plan.products == products
         routes.add(route)
     assert routes == {"dense", "sparse"}
@@ -586,8 +592,11 @@ def test_non_canonical_csr_b_propagates_as_its_canonical_form(monkeypatch,
     t = np.linspace(0.0, 2.0, 9)
     q.solve_linear(raw, x0, t)
     q.solve_linear(canonical, x0, t)
-    assert plans[0][1].route == plans[1][1].route
-    assert np.array_equal(plans[0][1].splits, plans[1][1].splits)
+    (_, raw_plan), (_, canonical_plan) = plans
+    assert raw_plan.route == canonical_plan.route
+    assert raw_plan.products == canonical_plan.products
+    assert np.array_equal(raw_plan.steps, canonical_plan.steps)
+    assert np.array_equal(raw_plan.which, canonical_plan.which)
     for route in ("dense", "sparse"):
         _force_route(monkeypatch, route)
         assert q.solve_linear(raw, x0, t).tobytes() == \
@@ -636,8 +645,16 @@ def test_plan_keeps_small_and_stiff_scenarios_dense(plans, name):
     assert {dim for dim, _ in plans} == _DENSE_SCENARIOS[name]
     assert all(p.route == "dense" for _, p in plans)
     if name == "purcell-cooling":
-        # the stiff atom-cavity model: about 630 sparse substeps at D = 18
-        assert max(p.splits.sum() for _, p in plans) > 600
+        # the stiff atom-cavity model: ||h (B - mu I)||_1 is about 1200 at
+        # D = 18, planned unsplit as 122 scaled steps of degree 55
+        (stiff,) = [p for dim, p in plans if dim == 18]
+        b = sp.csr_matrix(stiff.pattern, shape=(18, 18))
+        eye = sp.identity(18, dtype=complex, format="csr")
+        (h,), (mu,) = stiff.steps, stiff.shifts
+        norm = abs(b * h - mu * eye).sum(axis=0).max()
+        assert norm > 60
+        assert (stiff.degrees[0], stiff.scalings[0]) == _fragment_3_1(norm)
+        assert stiff.scalings[0] > 100
 
 
 def test_thermal_regression_propagates_only_the_seeded_block(plans):
@@ -665,7 +682,9 @@ def test_thermal_regression_propagates_only_the_seeded_block(plans):
 def test_plan_on_the_spectrum_tau_grid(spectrum_tau, n_max, route):
     plan = _plan_route(_opo_liouvillian(n_max), np.diff(spectrum_tau))
     assert plan.route == route
-    assert plan.splits.sum() > 8000
+    # 8532 grid steps in one group: one exponential or one shifted B
+    assert plan.which.size == 8532 and not plan.which.any()
+    assert plan.steps.size == 1
 
 
 def test_spectrum_tau_grid_steps_share_one_exponential(spectrum_tau):
@@ -676,6 +695,24 @@ def test_spectrum_tau_grid_steps_share_one_exponential(spectrum_tau):
         grid = np.linspace(0.0, end, spectrum_tau.size)
         first, which = _distinct_steps(np.diff(grid))
         assert first.size == 1 and not which.any()
+
+
+@pytest.mark.parametrize("route", ["dense", "sparse"])
+def test_steps_equal_to_nine_digits_form_one_group(monkeypatch, route):
+    # steps 0.125 (1 +- 8e-13): one group on either route, each step taken
+    # as the first, within 1e-12 of exp(B t_k) at the grid's own t_k
+    t = 0.125 * np.arange(9)
+    t[1::2] += 1e-13
+    steps = np.diff(t)
+    assert np.unique(steps).size > 1
+    assert np.abs(steps / steps[0] - 1.0).max() < 2e-12
+    plan = _plan_route(sp.csr_matrix(_TWO_BLOCK_B, dtype=complex), steps)
+    assert plan.steps.size == 1 and not plan.which.any()
+    _force_route(monkeypatch, route)
+    x0 = np.array([1.0, 0.5j, 0.0, 0.3, 0.0])
+    out = q.solve_linear(_TWO_BLOCK_B, x0, t)
+    exact = np.array([expm(_TWO_BLOCK_B * tk) @ x0 for tk in t])
+    assert _relative_deviation(exact, out) <= 1e-12
 
 
 @pytest.mark.parametrize("case", sorted(_CAVITIES))
@@ -724,15 +761,14 @@ def test_routes_agree_on_the_spectrum_tau_grid(monkeypatch, spectrum_tau):
 
 
 def _expm_multiply_series(b, x0, t):
-    """exp(B (t_k - t_0)) x0 by scipy's expm_multiply, one call per substep
-    of the planner's split."""
+    """exp(B (t_k - t_0)) x0 by scipy's expm_multiply, one call per grid
+    step at the first step of its group."""
     steps = np.diff(t)
     trace = b.diagonal().sum()
+    plan = _plan_route(b, steps)
     x, out = x0, [x0]
-    for dt, n_sub in zip(steps, _plan_route(b, steps).splits):
-        h = dt / n_sub
-        for _ in range(n_sub):
-            x = expm_multiply(b * h, x, traceA=trace * h)
+    for h in plan.steps[plan.which]:
+        x = expm_multiply(b * h, x, traceA=trace * h)
         out.append(x)
     return np.array(out)
 
@@ -797,8 +833,9 @@ _TAYLOR_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_TAYLOR_CASES))
 def test_sparse_route_gives_the_bits_of_expm_multiply(monkeypatch, case):
-    # one column and ||h (B - mu I)||_1 <= 60: scipy reads m* and s from the
-    # same theta table, so equal bits also check the transcribed table
+    # one column and ||h (B - mu I)||_1 <= 63.4, condition (3.13): scipy
+    # reads m* and s from the same theta table, so equal bits also check the
+    # transcribed table
     b, x0, t = _TAYLOR_CASES[case]()
     b = sp.csr_matrix(b, dtype=complex)
     assert dynamics._touched_rows(b, x0).size == b.shape[0]
@@ -819,7 +856,7 @@ def test_sparse_route_on_two_columns_leaves_the_global_random_stream(plans):
     norm = abs(b - mu * sp.identity(n, format="csr")).sum(axis=0).max()
     t = np.linspace(0.0, 90.0 / norm, 3)
     x0 = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    assert 63.4 / 2 < norm * t[1] <= dynamics._STEP_NORM_MAX
+    assert 63.4 / 2 < norm * t[1]
     for seed in (x0[:, 0], x0):
         before = np.random.get_state()
         out = q.solve_linear(b, seed, t)

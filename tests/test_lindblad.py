@@ -363,15 +363,20 @@ def test_mcwf_memory_is_bounded_on_a_coarse_output_grid():
     assert peak < n_traj * n_sub * 16 / 4
 
 
-def test_mcwf_rejects_a_decreasing_grid():
+@pytest.mark.parametrize("t_grid", [
+    [1.0, 0.0], [0.0, 0.5, 0.5, 0.4], [0.0, np.nan], [0.0, np.inf], [],
+    [[0.0, 0.5], [1.0, 1.5]],
+], ids=["decreasing", "decreasing-late", "nan", "inf", "empty", "2-d"])
+def test_mcwf_rejects_a_decreasing_grid(t_grid):
     psi0 = q.KetState(q.two_level_basis(), np.array([1.0, 0.0], dtype=complex))
-    m = _rf_model(1.0, 0.0)
     with pytest.raises(q.ValidationError):
-        q.mcwf_evolve(psi0, m, [1.0, 0.0], n_traj=4, seed=0)
-    with pytest.raises(q.ValidationError):
-        q.mcwf_evolve(psi0, m, [0.0, 0.5, 0.5, 0.4], n_traj=4, seed=0)
-    # repeated points are allowed and hold the state
-    res = q.mcwf_evolve(psi0, m, [0.0, 0.5, 0.5], n_traj=4, seed=0)
+        q.mcwf_evolve(psi0, _rf_model(1.0, 0.0), t_grid, n_traj=4, seed=0)
+
+
+def test_mcwf_holds_the_state_over_a_repeated_point():
+    psi0 = q.KetState(q.two_level_basis(), np.array([1.0, 0.0], dtype=complex))
+    res = q.mcwf_evolve(psi0, _rf_model(1.0, 0.0), [0.0, 0.5, 0.5], n_traj=4,
+                        seed=0)
     assert np.array_equal(res.populations[1], res.populations[2])
 
 
