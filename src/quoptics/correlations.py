@@ -107,9 +107,10 @@ def _check_bases(ops, m: LindbladModel) -> None:
 def _regression(liouv, b: np.ndarray, seed: np.ndarray,
                 tau: np.ndarray) -> np.ndarray:
     """tr{B exp(L tau)[seed]} along tau for the model's built sparse L
-    (the quantum regression theorem), as the linear functional
-    tr{B X} = vec(B^T) . vec(X) of each propagated vec(X)."""
-    return solve_linear(liouv, vec(seed), tau) @ vec(b.T)
+    (the quantum regression theorem): ``solve_linear``'s read-out of the
+    linear functional tr{B X} = vec(B^T) . vec(X), taken of each vec(X) as
+    it is propagated, so no series of states is held."""
+    return solve_linear(liouv, vec(seed), tau, readout=vec(b.T))
 
 
 def g2_normalized(series: CorrelationSeries, n_mean: float) -> CorrelationSeries:
@@ -349,13 +350,15 @@ def spectrum_numeric(model, phase: float, omega_grid,
                 "LindbladModel spectra need mode_op and kappa_out"
             )
         kappa = kappa_out
+        # first, so that a model without a unique steady state (an undamped
+        # one) raises before its eigenvalues build a tau grid
+        rho = steady_state(model).entries
         liouv = model.liouvillian
         ev = np.linalg.eigvals(liouv.toarray())
         nonzero = ev[np.abs(ev) > 1e-9 * max(1.0, np.abs(ev).max())]
         if np.any(nonzero.real > 1e-12 * max(1.0, np.abs(ev).max())):
             raise QuopticsError("non-decaying correlations in the Liouvillian")
         tau, dtau, tail = _spectrum_tau_grid(nonzero, omega)
-        rho = steady_state(model).entries
         da = mode_op.entries - np.trace(mode_op.entries @ rho) * np.eye(
             mode_op.dim)
         # time orders as _normally_ordered_quadrature_cov needs them:

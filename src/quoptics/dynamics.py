@@ -494,8 +494,9 @@ def _distinct_steps(steps: np.ndarray):
 
 
 def _step_exponentials(b: np.ndarray, steps: np.ndarray):
-    """expm(b dt) per group of equal steps, and each step's group: the step
-    kernel of the dense route and of ``lindblad.mcwf_evolve``."""
+    """expm(b dt) per group of equal steps, and each step's group: the
+    no-jump step kernel of ``lindblad.mcwf_evolve``.  ``solve_linear``'s
+    dense route exponentiates the groups its ``_Plan`` already holds."""
     first, which = _distinct_steps(steps)
     return [expm(b * steps[j]) for j in first], which
 
@@ -613,28 +614,32 @@ def _touched_rows(b, x: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.isin(label, seeded))
 
 
-def solve_linear(b, x0, t_grid) -> np.ndarray:
-    """x(t) = exp(B (t - t_grid[0])) x0 sampled on t_grid.
+def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
+    """x(t) = exp(B (t - t_grid[0])) x0 sampled on t_grid, or its read-out.
 
     ``b`` is a dense array or a scipy.sparse matrix; ``x0`` is a vector or an
     (n, k) matrix of k initial columns, and the result has shape (nt, n) or
-    (nt, n, k).  Only the blocks of B that x0 touches are propagated: the
-    connected components of the nonzero pattern of |B| + |B|^T that hold an
-    exact nonzero of x0 (a symmetry of B, such as the coherence order a
-    thermal cavity conserves, splits it into such blocks).  Their principal
-    submatrix, all of B or a part, is propagated at its own D into a zero
-    output.  Both routes take each step as the first of its group of steps
-    equal to _STEP_DIGITS digits, and give the same numbers to round-off:
-    one dense expm per group (``_step_exponentials``, scaling and squaring,
-    exact also for defective B), or one truncated Taylor series per grid
-    step on the sparse B (Al-Mohy & Higham 2011; for one column the bits of
-    scipy's sparse exponential action), which never forms the dense
-    exponential and draws nothing from np.random.  ``_plan_route`` takes
-    whichever its cost model rates cheaper from D, nnz, the step and group
-    counts and the Taylor product bound: dense for small or stiff
-    generators on long grids, sparse for large ones on short grids and for
-    very large ones on any grid.  B is held as canonical complex CSR from
-    entry on.
+    (nt, n, k).  With ``readout``, a vector v of length n and a vector x0,
+    it is the (nt,) series v . x(t), bilinear and not conjugated.  Only the
+    blocks of B that x0 touches are propagated: the connected components of
+    the nonzero pattern of |B| + |B|^T that hold an exact nonzero of x0 (a
+    symmetry of B, such as the coherence order a thermal cavity conserves,
+    splits it into such blocks).  Their principal submatrix, copied only
+    when it is a part of B, is propagated at its own D, and each step is
+    written once: into the block's rows of the result, or as its product
+    with the block's entries of v, so no series of states is held.  Every
+    other row stays exactly zero.  Both routes take each step as the first
+    of its group of steps equal to _STEP_DIGITS digits, grouped once by
+    ``_plan_route``, and give the same numbers to round-off: one dense expm
+    per group (scaling and squaring, exact also for defective B), or one
+    truncated Taylor series per grid step on the sparse B (Al-Mohy & Higham
+    2011; for one column the bits of scipy's sparse exponential action),
+    which never forms the dense exponential and draws nothing from
+    np.random.  ``_plan_route`` takes whichever its cost model rates
+    cheaper from D, nnz, the step and group counts and the Taylor product
+    bound: dense for small or stiff generators on long grids, sparse for
+    large ones on short grids and for very large ones on any grid.  B is
+    held as canonical complex CSR from entry on.
     """
     shape = np.shape(b)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -645,17 +650,34 @@ def solve_linear(b, x0, t_grid) -> np.ndarray:
         b = b.copy()
         b.sum_duplicates()
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1:
-        raise ValidationError("t_grid must be a 1-D array of times")
+    if t.ndim != 1 or t.size == 0:
+        raise ValidationError("t_grid must be a non-empty 1-D array of times")
     if not (np.all(np.isfinite(b.data)) and np.all(np.isfinite(t))):
         raise ValidationError("B and t_grid must be finite")
     x = np.asarray(x0, dtype=complex)
     if x.ndim not in (1, 2) or x.shape[0] != b.shape[0]:
         raise ValidationError("x0 must have one row per row of B")
+    if readout is not None:
+        v = np.asarray(readout, dtype=complex)
+        if x.ndim != 1 or v.shape != x.shape:
+            raise ValidationError(
+                "readout needs a vector x0 and one entry per row of B")
     keep = _touched_rows(b, x)
-    out = np.zeros((t.size,) + x.shape, dtype=complex)
-    if keep.size:
-        out[:, keep] = _propagate(b[keep][:, keep], x[keep], np.diff(t))
+    out = np.zeros((t.size,) + (x.shape if readout is None else ()),
+                   dtype=complex)
+    if keep.size == 0:
+        return out
+    rows = slice(None)
+    if keep.size < b.shape[0]:
+        b, x, rows = b[keep][:, keep], x[keep], keep
+    series = _propagate(b, x, np.diff(t))
+    if readout is None:
+        for k, xk in enumerate(series):
+            out[k, rows] = xk
+    else:
+        v = v[rows]
+        for k, xk in enumerate(series):
+            out[k] = v @ xk
     return out
 
 
@@ -693,17 +715,19 @@ def _taylor_step(a, f: np.ndarray, m_star: int, s: int, eta,
         np.multiply(eta, f, out=f)
 
 
-def _propagate(b, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """exp(B (t_k - t_0)) x for every grid point, on the planned route."""
-    out = np.empty((steps.size + 1,) + x.shape, dtype=complex)
-    out[0] = x
+def _propagate(b, x: np.ndarray, steps: np.ndarray):
+    """Yield exp(B (t_k - t_0)) x for every grid point, on the planned
+    route.  The sparse route yields its working array, which the next step
+    overwrites, so each state must be read before the next is drawn."""
+    yield x
     plan = _plan_route(b, steps)
     if plan.route == "dense":
-        props, which = _step_exponentials(b.toarray(), steps)
-        for k, p in enumerate(which):
+        dense = b.toarray()
+        props = [expm(dense * h) for h in plan.steps]
+        for p in plan.which.tolist():
             x = props[p] @ x
-            out[k + 1] = x
-        return out
+            yield x
+        return
     # h B - mu I of the current group, rewritten when the group changes
     a = sp.csr_matrix((np.empty_like(plan.pattern[0]),) + plan.pattern[1:],
                       shape=b.shape)
@@ -715,7 +739,7 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
     slack = 1.0 + 1e-15 * (1 if f.ndim == 1 else f.shape[1])
     current = -1
     degrees, scalings = plan.degrees.tolist(), plan.scalings.tolist()
-    for k, p in enumerate(plan.which.tolist()):
+    for p in plan.which.tolist():
         if p != current:
             m_star, s, mu = degrees[p], scalings[p], plan.shifts[p]
             _shifted(plan.pattern, plan.diagonal, plan.steps[p], mu, a.data)
@@ -723,5 +747,4 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
             eta = np.exp(1.0 * mu / float(s))
             current = p
         _taylor_step(a, f, m_star, s, eta, work, mag, slack)
-        out[k + 1] = f
-    return out
+        yield f

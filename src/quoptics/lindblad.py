@@ -401,8 +401,8 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     """First-order jump/no-jump unraveling of the master equation.
 
     No-jump segments evolve under the model's non-Hermitian ``h_eff``
-    (one exponential per distinct substep, from the dense step kernel of
-    ``solve_linear``) with renormalization; jumps fire with probability
+    (one exponential per distinct substep, from
+    ``dynamics._step_exponentials``) with renormalization; jumps fire with probability
     p = 2 kappa dt <J^dag J>, evaluated at the start of the substep.  The
     model alone sets the substep, and nothing overrides it: every output
     interval is split evenly into steps of at most 0.05 / sum_j 2 kappa_j

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,29 @@ def test_regression_thermal_bunching():
     assert g2.values[0].real == pytest.approx(2 * nbar**2, abs=1e-9)
     norm = q.g2_normalized(g2, nbar)
     assert np.abs(norm.values.real - (1 + np.exp(-2 * gamma * tau))).max() < 1e-8
+
+
+def test_regression_memory_grows_with_the_grid_not_with_the_series():
+    # D 441 on 4001 tau points: a (nt, D) series of states would take
+    # 28 MB; the read-out holds O(nt + D) numbers (about 0.3 MB measured)
+    n_max = 20
+    m = _thermal_cavity(1.0, 0.4, n_max)
+    ops = q.fock_ops(n_max)
+    rho = q.steady_state(m)
+    tau = np.linspace(0.0, 10.0, 4001)
+    # a first call imports and caches what any later call reuses
+    q.regression_correlator(ops.a_dag, ops.n, ops.a, m, tau[:3], initial=rho)
+    tracemalloc.start()
+    try:
+        g2 = q.regression_correlator(ops.a_dag, ops.n, ops.a, m, tau,
+                                     initial=rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # thermal bunching, to the 1.6e-9 that the cutoff leaves out
+    expected = 2 * 0.4**2 * np.exp(-2 * tau) + 0.4**2 * (1 - np.exp(-2 * tau))
+    assert np.abs(g2.values.real - expected).max() < 1e-8
+    assert peak < 16 * 16 * (tau.size + (n_max + 1) ** 2)
 
 
 def test_regression_tau_zero_is_direct_expectation():
@@ -257,6 +281,16 @@ def test_spectrum_numeric_rejects_non_decaying_model():
                                   kappa_out=2.0)
     with pytest.raises(QuopticsError):
         q.spectrum_numeric(model, 0.0, np.linspace(0, 1, 3))
+
+
+def test_spectrum_numeric_rejects_an_undamped_lindblad_model():
+    # H = a^dag a with no jumps: every eigenvalue of L has a real part of
+    # exactly 0, so no rate decays, and the steady state is not unique
+    ops = q.fock_ops(4)
+    model = q.LindbladModel(ops.n.basis, ops.n, ())
+    with pytest.raises(QuopticsError):
+        q.spectrum_numeric(model, 0.0, np.linspace(0, 1, 3), mode_op=ops.a,
+                           kappa_out=1.0)
 
 
 def test_input_output_scaling():

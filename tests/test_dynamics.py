@@ -450,15 +450,25 @@ def test_solve_linear_returns_zeros_for_a_zero_seed(shape):
     for gen in (b, sp.csr_matrix(b)):
         out = q.solve_linear(gen, np.zeros(shape), t)
         assert out.shape == (t.size,) + shape and not out.any()
+        if len(shape) == 1:
+            out = q.solve_linear(gen, np.zeros(shape), t,
+                                 readout=[1.0, -2.0, 0.5j])
+            assert out.shape == t.shape and not out.any()
 
 
 def test_solve_linear_rejects_a_seed_of_the_wrong_length():
-    with pytest.raises(ValidationError):
-        q.solve_linear(np.eye(3), [1.0, 0.0], [0.0, 1.0])
+    # a seed or a read-out of the wrong length, a 2-D read-out, and a
+    # read-out of a 2-D seed
+    for x0, readout in [([1.0, 0.0], None),
+                        ([1.0, 0.0, 0.0], [1.0, 0.0]),
+                        ([1.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]),
+                        ([[1.0], [0.0], [0.0]], [1.0, 0.0, 0.0])]:
+        with pytest.raises(ValidationError):
+            q.solve_linear(np.eye(3), x0, [0.0, 1.0], readout=readout)
 
 
-@pytest.mark.parametrize("t", [[[0.0, 1.0], [2.0, 3.0]], 1.0],
-                         ids=["2-d", "scalar"])
+@pytest.mark.parametrize("t", [[[0.0, 1.0], [2.0, 3.0]], 1.0, []],
+                         ids=["2-d", "scalar", "empty"])
 def test_solve_linear_rejects_a_time_grid_that_is_not_1d(t):
     with pytest.raises(ValidationError):
         q.solve_linear(-np.eye(2), [1.0, 0.0], t)
@@ -502,6 +512,16 @@ def test_solve_linear_output_does_not_depend_on_the_format_of_b(
     for fmt in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
         assert q.solve_linear(fmt(_TWO_BLOCK_B), x0, t).tobytes() == \
             expected.tobytes()
+    if x0.ndim == 1:
+        # a seed in the first block, in the second, and in both: the
+        # read-out projects the series on v, nonzero on every row, within
+        # 1e-15 of each step's sum of |v_i x_i|
+        v = np.array([0.3, -1.0j, 2.0, 0.5 + 0.5j, -0.7])
+        for seed in (x0, x0[::-1], x0 + x0[::-1]):
+            series = q.solve_linear(_TWO_BLOCK_B, seed, t)
+            readout = q.solve_linear(_TWO_BLOCK_B, seed, t, readout=v)
+            assert np.all(np.abs(readout - series @ v)
+                          <= 1e-15 * (np.abs(series) @ np.abs(v)))
 
 
 def _fragment_3_1(norm):
@@ -778,9 +798,9 @@ def _opo_g2_block():
     propagation: 338 of its 676 rows."""
     calls = []
 
-    def record(*args):
+    def record(*args, **kwargs):
         calls.append(args)
-        return q.solve_linear(*args)
+        return q.solve_linear(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(correlations, "solve_linear", record)

@@ -210,3 +210,11 @@ def test_solve_linear_propagates_only_the_seeded_blocks(problem):
         prop = expm(full * (tk - t[0]))
         scale = np.linalg.norm(prop, 2) * np.linalg.norm(x0)
         assert np.abs(xk - prop @ x0).max() <= 1e-12 * scale
+    if x0.ndim == 1:
+        # a read-out that is nonzero on every row, the unseeded ones too,
+        # within 1e-15 of each step's sum of |v_i x_i|
+        v = np.arange(1.0, x0.size + 1) * (1.0 - 0.5j)
+        readout = q.solve_linear(b, x0, t, readout=v)
+        assert readout.shape == (t.size,)
+        assert np.all(np.abs(readout - out @ v)
+                      <= 1e-15 * (np.abs(out) @ np.abs(v)))
