@@ -27,6 +27,7 @@ from .operators import (
     Operator,
     QuopticsError,
     ValidationError,
+    _finite_grid,
     _frozen,
     fock_basis,
     fock_ops,
@@ -50,7 +51,7 @@ class CorrelationSeries:
     normalization: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        tau = _frozen(self.tau, float)
+        tau = _finite_grid(_frozen(self.tau, float), "tau")
         vals = _frozen(self.values)
         if tau[0] != 0.0 or np.any(np.diff(tau) <= 0):
             raise ValidationError("tau grid must increase strictly from 0")
@@ -184,7 +185,7 @@ class RFParams:
     gamma: float
 
     def __post_init__(self):
-        if self.p_sat < 0 or self.gamma <= 0:
+        if not (self.p_sat >= 0 and self.gamma > 0):
             raise ValidationError("need P >= 0 and gamma > 0")
 
 
@@ -331,7 +332,7 @@ def spectrum_numeric(model, phase: float, omega_grid,
     the slowest mode with a rectangular window; the recorded leakage bound
     is attached to the metadata.
     """
-    omega = np.asarray(omega_grid, dtype=float)
+    omega = _finite_grid(omega_grid, "omega_grid")
     if isinstance(model, LangevinLinearModel):
         if model.kappa_out is None and kappa_out is None:
             raise ValidationError("kappa_out required for the spectrum scale")

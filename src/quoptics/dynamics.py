@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from .operators import QuopticsError, ValidationError
+from .operators import QuopticsError, ValidationError, _finite_grid
 from .settings import DEFAULT
 
 
@@ -154,10 +154,7 @@ def integrate_bloch(b0, alpha, t_grid) -> np.ndarray:
     zero-length steps, and a decreasing grid integrates backwards.
     """
     b0 = validate_bloch(b0)
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
-        raise ValidationError(
-            "t_grid must be a non-empty 1-D array of finite times")
+    t = _finite_grid(t_grid, "t_grid")
     d = np.diff(t)
     if np.any(d > 0) and np.any(d < 0):
         raise ValidationError("t_grid must be monotone")
@@ -234,7 +231,7 @@ class JCParams:
     g: float
 
     def __post_init__(self):
-        if self.g < 0:
+        if not self.g >= 0:
             raise ValidationError("coupling must be >= 0")
 
     @property
@@ -348,9 +345,9 @@ def collapse_revival(nbar: float, g: float, t_grid) -> CollapseRevival:
     t_m = 2 pi m sqrt(nbar) / g; at half of that spacing adjacent terms are
     in antiphase and the series stays collapsed (no revival).
     """
-    if nbar <= 0:
-        raise ValidationError("nbar must be positive")
-    t = np.asarray(t_grid, dtype=float)
+    if not (0.0 < nbar < math.inf and 0.0 < g < math.inf):
+        raise ValidationError("nbar and g must be finite and positive")
+    t = _finite_grid(t_grid, "t_grid")
     lo = max(0, math.floor(nbar - 10.0 * math.sqrt(nbar)))
     # the +10 floor keeps the tail bound honest at small nbar, where the
     # ten-standard-deviation window alone is too narrow in absolute terms
@@ -385,7 +382,7 @@ class PDCParams:
     g: float       # dressed down-conversion rate
 
     def __post_init__(self):
-        if self.g < 0:
+        if not self.g >= 0:
             raise ValidationError("down-conversion rate must be >= 0")
 
 
@@ -437,11 +434,10 @@ def pdc_photon_number(p: PDCParams, t) -> np.ndarray:
 # x86_64 host.  The dense route pays about _C_DENSE D^3 per distinct step
 # for scaling and squaring (Higham 2005; 1.0-2.2e-9 D^3 measured at D 441
 # and 961) and _C_DENSE_STEP D^2 per grid step for the product with the
-# exponential, which streams its 16 D^2 bytes once whatever the number of
-# columns (3.5-8.4e-10 D^2 measured from D 169 to 2116).  The sparse route
-# pays _C_PRODUCT + _C_PRODUCT_NNZ nnz per product of its Taylor loop, nnz
-# that of h B - mu I, charged for the m* s products that bound each grid step
-# (_Plan.products).  Measured per bounded product: 5.5-11.6 us from nnz 160
+# exponential, which streams its 16 D^2 bytes once (3.5-8.4e-10 D^2
+# measured from D 169 to 2116).  The sparse route pays _C_PRODUCT +
+# _C_PRODUCT_NNZ nnz per product of its Taylor loop, nnz that of h B - mu I,
+# charged for the m* s products that bound each grid step (_Plan.products).  Measured per bounded product: 5.5-11.6 us from nnz 160
 # to 6481 and 38 us at 38881 on driven cavities over 41 points, whose loops
 # stop after about half the bound; 10.6-19.5 us from nnz 397 to 5457 and
 # 35 us at 15097 on the OPO spectrum's tau grid, whose loops run nearly all
@@ -458,8 +454,8 @@ _STEP_DIGITS = 9
 
 # The sparse route's truncated-Taylor step is Algorithm 3.2 of Al-Mohy &
 # Higham, SIAM J. Sci. Comput. 33, 488 (2011), with the operations and the
-# stopping rule of scipy.sparse.linalg's exponential action, so that for one
-# column it gives the same bits.
+# stopping rule of scipy.sparse.linalg's exponential action, so that it gives
+# the same bits.
 # theta_m is the largest ||h A||_1 / s at which s steps of the degree-m
 # Taylor polynomial hold the backward error to 2^-53: m <= 30 from table A.3
 # of Higham & Al-Mohy, Acta Numer. 19, 159 (2010), m >= 35 from table 3.1 of
@@ -477,10 +473,10 @@ _DEGREES = np.array(list(_THETA))
 _THETAS = np.array(list(_THETA.values()))
 # The degree and scaling are read from the theta table alone (the first
 # branch of code fragment 3.1) at any ||h (B - mu I)||_1: alpha_p(A) <=
-# ||A||_1, so the table bounds the backward error for any norm and any
-# number of columns.  scipy takes that branch only below condition (3.13),
-# 63.4 / k for k columns, and otherwise estimates norms of powers of A from
-# draws of the global np.random stream, which can only save products.
+# ||A||_1, so the table bounds the backward error for any norm.  scipy takes
+# that branch only below condition (3.13), ||h A||_1 <= 63.4 for one column,
+# and otherwise estimates norms of powers of A from draws of the global
+# np.random stream, which can only save products.
 _TAYLOR_TOL = 2.0 ** -53
 
 
@@ -600,8 +596,9 @@ def _plan_route(b, steps: np.ndarray) -> _Plan:
 
 
 def _touched_rows(b, x: np.ndarray) -> np.ndarray:
-    """Sorted indices of the rows that exp(B t) x can reach: the connected
-    components of the pattern of |B| + |B|^T that hold a nonzero of x.
+    """Sorted indices of the rows that exp(B t) x can reach for a vector x:
+    the connected components of the pattern of |B| + |B|^T that hold a
+    nonzero entry of x.
     B is block diagonal over its components, so every other row stays
     exactly zero.  The pattern is a copy; ``b`` is never written to."""
     # imported on first use, so that importing quoptics does not load csgraph
@@ -610,17 +607,17 @@ def _touched_rows(b, x: np.ndarray) -> np.ndarray:
     pattern = abs(b)
     pattern.eliminate_zeros()
     _, label = connected_components(pattern, directed=False)
-    seeded = np.unique(label[np.any(x, axis=tuple(range(1, x.ndim)))])
+    seeded = np.unique(label[x != 0])
     return np.flatnonzero(np.isin(label, seeded))
 
 
 def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
     """x(t) = exp(B (t - t_grid[0])) x0 sampled on t_grid, or its read-out.
 
-    ``b`` is a dense array or a scipy.sparse matrix; ``x0`` is a vector or an
-    (n, k) matrix of k initial columns, and the result has shape (nt, n) or
-    (nt, n, k).  With ``readout``, a vector v of length n and a vector x0,
-    it is the (nt,) series v . x(t), bilinear and not conjugated.  Only the
+    ``b`` is a dense array or a scipy.sparse matrix of n rows and ``x0`` a
+    vector of length n, and the result has shape (nt, n).  With ``readout``,
+    a vector v of length n, it is the (nt,) series v . x(t), bilinear and
+    not conjugated.  B, t_grid, x0 and v must be finite.  Only the
     blocks of B that x0 touches are propagated: the connected components of
     the nonzero pattern of |B| + |B|^T that hold an exact nonzero of x0 (a
     symmetry of B, such as the coherence order a thermal cavity conserves,
@@ -633,9 +630,9 @@ def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
     ``_plan_route``, and give the same numbers to round-off: one dense expm
     per group (scaling and squaring, exact also for defective B), or one
     truncated Taylor series per grid step on the sparse B (Al-Mohy & Higham
-    2011; for one column the bits of scipy's sparse exponential action),
-    which never forms the dense exponential and draws nothing from
-    np.random.  ``_plan_route`` takes whichever its cost model rates
+    2011; the bits of scipy's sparse exponential action), which never forms
+    the dense exponential and draws nothing from np.random.
+    ``_plan_route`` takes whichever its cost model rates
     cheaper from D, nnz, the step and group counts and the Taylor product
     bound: dense for small or stiff generators on long grids, sparse for
     large ones on short grids and for very large ones on any grid.  B is
@@ -649,21 +646,16 @@ def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
         # sorted and summed in a copy, so the caller's arrays stay as they are
         b = b.copy()
         b.sum_duplicates()
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValidationError("t_grid must be a non-empty 1-D array of times")
-    if not (np.all(np.isfinite(b.data)) and np.all(np.isfinite(t))):
-        raise ValidationError("B and t_grid must be finite")
+    t = _finite_grid(t_grid, "t_grid")
     x = np.asarray(x0, dtype=complex)
-    if x.ndim not in (1, 2) or x.shape[0] != b.shape[0]:
-        raise ValidationError("x0 must have one row per row of B")
-    if readout is not None:
-        v = np.asarray(readout, dtype=complex)
-        if x.ndim != 1 or v.shape != x.shape:
-            raise ValidationError(
-                "readout needs a vector x0 and one entry per row of B")
+    v = x if readout is None else np.asarray(readout, dtype=complex)
+    if x.shape != (b.shape[0],) or v.shape != x.shape:
+        raise ValidationError(
+            "x0 and readout must be vectors with one entry per row of B")
+    if not all(np.isfinite(a).all() for a in (b.data, x, v)):
+        raise ValidationError("B, x0 and readout must be finite")
     keep = _touched_rows(b, x)
-    out = np.zeros((t.size,) + (x.shape if readout is None else ()),
+    out = np.zeros((t.size, x.size) if readout is None else t.size,
                    dtype=complex)
     if keep.size == 0:
         return out
@@ -681,33 +673,28 @@ def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
     return out
 
 
-def _inf_norm(v: np.ndarray, mag: np.ndarray) -> float:
-    """||v||_inf, the largest row sum of |v|, with |v| written to ``mag``."""
-    np.abs(v, out=mag)
-    return (mag if v.ndim == 1 else mag.sum(axis=1)).max()
-
-
 def _taylor_step(a, f: np.ndarray, m_star: int, s: int, eta,
-                 work, mag: np.ndarray, slack: float) -> None:
+                 work, mag: np.ndarray) -> None:
     """f <- exp(A) f in place, A = h B - mu I, by s steps of the degree-m*
     Taylor polynomial, each scaled by eta = exp(mu / s).
 
     A step stops once two successive terms sum to at most 2^-53 ||F||_inf,
     F the partial sum.  ``bound`` is an upper bound on ||F||_inf, grown by
-    each term's norm and ``slack`` (the rounding of the sum and of the
-    norms), so ||F||_inf is computed only when the test can pass, and every
-    stop falls where scipy's does."""
+    each term's norm and by 1e-15 relative, more than the 6 2^-53 that one
+    update of the sum and of the norms can round off, so ||F||_inf is
+    computed only when the test can pass, and every stop falls where
+    scipy's does.  ``mag`` is scratch for |f| and |term|."""
     for _ in range(s):
-        c1 = bound = _inf_norm(f, mag)
+        c1 = bound = np.abs(f, out=mag).max()
         term = f
         for j in range(m_star):
             nxt = work[j % 2]
             np.multiply(1.0 / (s * (j + 1)), a @ term, out=nxt)
-            c2 = _inf_norm(nxt, mag)
+            c2 = np.abs(nxt, out=mag).max()
             np.add(f, nxt, out=f)
-            bound = (bound + c2) * slack
+            bound = (bound + c2) * (1.0 + 1e-15)
             if c1 + c2 <= _TAYLOR_TOL * bound:
-                bound = _inf_norm(f, mag)
+                bound = np.abs(f, out=mag).max()
                 if c1 + c2 <= _TAYLOR_TOL * bound:
                     break
             c1 = c2
@@ -733,10 +720,7 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray):
                       shape=b.shape)
     f = x.copy()
     work = (np.empty_like(f), np.empty_like(f))
-    mag = np.empty(f.shape)
-    # one update of the bound rounds off by at most (k + 5) 2^-53 for k
-    # columns, less than 1e-15 k
-    slack = 1.0 + 1e-15 * (1 if f.ndim == 1 else f.shape[1])
+    mag = np.empty(f.size)
     current = -1
     degrees, scalings = plan.degrees.tolist(), plan.scalings.tolist()
     for p in plan.which.tolist():
@@ -746,5 +730,5 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray):
             # 1.0 * mu as scipy scales it, down to the sign of a zero
             eta = np.exp(1.0 * mu / float(s))
             current = p
-        _taylor_step(a, f, m_star, s, eta, work, mag, slack)
+        _taylor_step(a, f, m_star, s, eta, work, mag)
         yield f

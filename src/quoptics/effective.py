@@ -17,6 +17,7 @@ from .operators import (
     Operator,
     QuopticsError,
     ValidationError,
+    _finite_grid,
     herm_residual,
 )
 from .settings import DEFAULT
@@ -337,7 +338,7 @@ def purcell_rates(g: float, kappa: float, gamma: float, delta: float,
     level shift delta_eps = -g^2 Delta / (kappa^2 + Delta^2), entering the
     effective Hamiltonian as +(epsilon + delta_eps)/2 sigma_z.
     """
-    if g < 0 or kappa <= 0 or gamma <= 0 or nbar < 0:
+    if not (g >= 0 and kappa > 0 and gamma > 0 and nbar >= 0):
         raise ValidationError("rates must be positive (g, nbar >= 0)")
     coop = g * g / (kappa * gamma)
     enh = coop / (1.0 + (delta / kappa) ** 2)
@@ -367,7 +368,7 @@ def optomech_rates(g: complex, kappa: float, gamma: float, delta: float,
     Gamma_+^opt the (Delta - Omega_m) one (heating); in the red-sideband
     resolved regime nbar_eff bottoms out at nbar/C + kappa^2/(4 Omega_m^2).
     """
-    if kappa <= 0 or gamma <= 0 or nbar < 0 or omega_m <= 0:
+    if not (kappa > 0 and gamma > 0 and nbar >= 0 and omega_m > 0):
         raise ValidationError("rates must be positive (nbar >= 0)")
     g2 = abs(g) ** 2
 
@@ -435,14 +436,14 @@ def wigner_weisskopf(gamma: float, epsilon: float, k_grid=None,
     |alpha|^2 + Int |beta|^2 dk = 1 is checked on the grid with analytic
     Lorentzian tails beyond the edges.
     """
-    if gamma <= 0 or epsilon <= 0:
+    if not (gamma > 0 and epsilon > 0):
         raise ValidationError("gamma and epsilon must be positive")
     t = (np.linspace(0.0, 5.0 / gamma, 51) if t_grid is None
-         else np.asarray(t_grid, dtype=float))
+         else _finite_grid(t_grid, "t_grid"))
     if k_grid is None:
         k = default_k_grid(gamma, epsilon)
     else:
-        k = np.asarray(k_grid, dtype=float)
+        k = _finite_grid(k_grid, "k_grid")
         if k.min() > epsilon - 30.0 * gamma or k.max() < epsilon + 30.0 * gamma:
             raise QuopticsError(
                 "k grid must span at least +-30 gamma around the transition"

@@ -26,6 +26,7 @@ from .operators import (
     Operator,
     QuopticsError,
     ValidationError,
+    _finite_grid,
     _frozen,
     fock_basis,
     fock_ops,
@@ -76,14 +77,14 @@ class LindbladModel:
         if self.h.basis != self.basis:
             raise BasisMismatchError("Hamiltonian basis mismatch")
         for rate, op in self.jumps:
-            if rate < 0:
-                raise ValidationError("jump rates must be non-negative")
+            if not 0.0 <= rate < math.inf:
+                raise ValidationError("jump rates must be finite and >= 0")
             if op.basis != self.basis:
                 raise BasisMismatchError("jump-operator basis mismatch")
 
     def validate(self) -> None:
         res = herm_residual(self.h.entries)
-        if res > DEFAULT.eps_herm:
+        if not res <= DEFAULT.eps_herm:
             raise ValidationError(f"Hamiltonian residual {res:.3e}")
 
     @cached_property
@@ -115,7 +116,7 @@ class LindbladModel:
             liouv += 2.0 * rate * sp.kron(op.entries.conj(), op.entries)
         liouv = liouv.tocsr()
         res = float(np.abs(vec(np.eye(d, dtype=complex)).conj() @ liouv).max())
-        if res > DEFAULT.eps_sup * max(1.0, abs(liouv).max()):
+        if not res <= DEFAULT.eps_sup * max(1.0, abs(liouv).max()):
             raise ValidationError(f"Liouvillian trace residual {res:.3e}")
         return liouv
 
@@ -140,9 +141,9 @@ class CavityParams:
     nbar: float = 0.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValidationError("gamma must be positive")
-        if self.nbar < 0:
+        if not self.nbar >= 0:
             raise ValidationError("nbar must be >= 0")
 
 
@@ -419,10 +420,7 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     psi0.validate()
     if psi0.basis != m.basis:
         raise BasisMismatchError("state/model basis mismatch")
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
-        raise ValidationError(
-            "t_grid must be a non-empty 1-D array of finite times")
+    t = _finite_grid(t_grid, "t_grid")
     if np.any(np.diff(t) < 0):
         raise ValidationError("t_grid must not decrease")
     for name, v, low in (("n_traj", n_traj, 1), ("seed", seed, 0)):

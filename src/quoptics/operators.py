@@ -119,6 +119,16 @@ def _frozen(a, dtype=complex) -> np.ndarray:
     return a
 
 
+def _finite_grid(values, name: str) -> np.ndarray:
+    """``values`` as a float array, which must be non-empty, 1-D and
+    finite."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)):
+        raise ValidationError(
+            f"{name} must be a non-empty 1-D array of finite values")
+    return a
+
+
 @dataclass(frozen=True)
 class Operator:
     """Dense complex square matrix over a recorded basis (hbar = 1 units)."""
@@ -192,7 +202,7 @@ class KetState:
 
     def validate(self) -> None:
         n = np.linalg.norm(self.amplitudes)
-        if abs(n - 1.0) > DEFAULT.eps_norm:
+        if not abs(n - 1.0) <= DEFAULT.eps_norm:
             raise ValidationError(f"ket norm {n} deviates from 1")
 
     def to_density_matrix(self) -> "DensityMatrix":
@@ -216,13 +226,14 @@ class DensityMatrix:
 
     def validate(self) -> None:
         h = herm_residual(self.entries)
-        if h > DEFAULT.eps_herm:
+        # each test is written so that NaN fails it
+        if not h <= DEFAULT.eps_herm:
             raise ValidationError(f"hermiticity residual {h:.3e}")
         tr = self.entries.trace()
-        if abs(tr - 1.0) > DEFAULT.eps_tr:
+        if not abs(tr - 1.0) <= DEFAULT.eps_tr:
             raise ValidationError(f"trace {tr} deviates from 1")
         w = np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))
-        if w.min() < -DEFAULT.eps_psd:
+        if not w.min() >= -DEFAULT.eps_psd:
             raise ValidationError(f"negative eigenvalue {w.min():.3e}")
 
     def purity(self) -> float:
@@ -436,7 +447,7 @@ def squeezed_vacuum(z: complex, n_max: int | None = None) -> KetState:
 
 def thermal_state(nbar: float, n_max: int | None = None) -> DensityMatrix:
     """Geometric photon-number mixture with mean occupation nbar."""
-    if nbar < 0:
+    if not nbar >= 0:
         raise ValidationError("nbar must be non-negative")
     if n_max is None:
         n_max = thermal_cutoff(nbar)

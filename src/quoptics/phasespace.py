@@ -128,12 +128,15 @@ class GaussianState:
         object.__setattr__(self, "v", _frozen(self.v, float).reshape(2, 2))
 
     def validate(self) -> None:
-        if np.max(np.abs(self.v - self.v.T)) > DEFAULT.eps_herm:
+        if not np.all(np.isfinite(self.d)):
+            raise ValidationError("mean must be finite")
+        # NaN fails each test, so a NaN covariance stops at the first
+        if not np.max(np.abs(self.v - self.v.T)) <= DEFAULT.eps_herm:
             raise ValidationError("covariance must be symmetric")
         det = float(np.linalg.det(self.v))
-        if det < 1.0 - DEFAULT.eps_gauss:
+        if not det >= 1.0 - DEFAULT.eps_gauss:
             raise ValidationError(f"uncertainty bound violated: det V = {det}")
-        if np.linalg.eigvalsh(self.v).min() <= 0:
+        if not np.linalg.eigvalsh(self.v).min() > 0:
             raise ValidationError("covariance must be positive definite")
 
 

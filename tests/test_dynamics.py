@@ -432,6 +432,19 @@ def test_solve_linear_rejects_non_finite_input(b, t):
         q.solve_linear(b, [1.0], t)
 
 
+@pytest.mark.parametrize("x0, readout", [
+    ([np.nan, 1.0], None),
+    ([np.inf, 1.0], None),
+    ([1.0, 0.0], [np.nan, 1.0]),
+], ids=["nan-seed", "inf-seed", "nan-readout"])
+def test_solve_linear_rejects_a_non_finite_seed_or_readout(x0, readout):
+    # a NaN series, a RuntimeWarning in the dense product and a NaN
+    # read-out without the check
+    with pytest.raises(ValidationError):
+        q.solve_linear(np.array([[-1.0, 0.5], [0.2, -0.3]]), x0,
+                       [0.0, 1.0], readout=readout)
+
+
 def test_solve_linear_exact_on_a_jordan_block():
     # a defective generator has no eigenbasis; the exponential still exists:
     # exp(B t) (a, b) = e^{lam t} (a + b t, b)
@@ -443,25 +456,24 @@ def test_solve_linear_exact_on_a_jordan_block():
     assert np.abs(out - expected).max() < 1e-12
 
 
-@pytest.mark.parametrize("shape", [(3,), (3, 2)])
-def test_solve_linear_returns_zeros_for_a_zero_seed(shape):
+@pytest.mark.parametrize("readout", [None, [1.0, -2.0, 0.5j]],
+                         ids=["series", "readout"])
+def test_solve_linear_returns_zeros_for_a_zero_seed(readout):
     b = np.array([[-1.0, 2.0, 0.0], [0.5, -0.3, 1j], [0.0, 1.0, -2.0]])
     t = np.linspace(0.0, 1.0, 5)
+    shape = (t.size, 3) if readout is None else t.shape
     for gen in (b, sp.csr_matrix(b)):
-        out = q.solve_linear(gen, np.zeros(shape), t)
-        assert out.shape == (t.size,) + shape and not out.any()
-        if len(shape) == 1:
-            out = q.solve_linear(gen, np.zeros(shape), t,
-                                 readout=[1.0, -2.0, 0.5j])
-            assert out.shape == t.shape and not out.any()
+        out = q.solve_linear(gen, np.zeros(3), t, readout=readout)
+        assert out.shape == shape and not out.any()
 
 
 def test_solve_linear_rejects_a_seed_of_the_wrong_length():
-    # a seed or a read-out of the wrong length, a 2-D read-out, and a
-    # read-out of a 2-D seed
+    # a seed or a read-out of the wrong length, a 2-D read-out, a 2-D seed
+    # and a read-out of a 2-D seed
     for x0, readout in [([1.0, 0.0], None),
                         ([1.0, 0.0, 0.0], [1.0, 0.0]),
                         ([1.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]),
+                        ([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], None),
                         ([[1.0], [0.0], [0.0]], [1.0, 0.0, 0.0])]:
         with pytest.raises(ValidationError):
             q.solve_linear(np.eye(3), x0, [0.0, 1.0], readout=readout)
@@ -502,8 +514,8 @@ _TWO_BLOCK_B = np.array([[-1.0, 2.0, 0.0, 0.0, 0.0],
 @pytest.mark.parametrize("route", ["dense", "sparse"])
 @pytest.mark.parametrize("x0", [
     np.array([1.0, 0.5j, 0.0, 0.0, 0.0]),
-    np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1j], [0.3, 0.0], [0.0, 0.0]]),
-], ids=["vector", "two-columns"])
+    np.array([0.0, 0.0, 0.0, 0.3, -0.5j]),
+], ids=["vector", "second-block"])
 def test_solve_linear_output_does_not_depend_on_the_format_of_b(
         monkeypatch, route, x0):
     _force_route(monkeypatch, route)
@@ -512,16 +524,15 @@ def test_solve_linear_output_does_not_depend_on_the_format_of_b(
     for fmt in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
         assert q.solve_linear(fmt(_TWO_BLOCK_B), x0, t).tobytes() == \
             expected.tobytes()
-    if x0.ndim == 1:
-        # a seed in the first block, in the second, and in both: the
-        # read-out projects the series on v, nonzero on every row, within
-        # 1e-15 of each step's sum of |v_i x_i|
-        v = np.array([0.3, -1.0j, 2.0, 0.5 + 0.5j, -0.7])
-        for seed in (x0, x0[::-1], x0 + x0[::-1]):
-            series = q.solve_linear(_TWO_BLOCK_B, seed, t)
-            readout = q.solve_linear(_TWO_BLOCK_B, seed, t, readout=v)
-            assert np.all(np.abs(readout - series @ v)
-                          <= 1e-15 * (np.abs(series) @ np.abs(v)))
+    # a seed in one block, in the other, and in both: the read-out projects
+    # the series on v, nonzero on every row, within 1e-15 of each step's
+    # sum of |v_i x_i|
+    v = np.array([0.3, -1.0j, 2.0, 0.5 + 0.5j, -0.7])
+    for seed in (x0, x0[::-1], x0 + x0[::-1]):
+        series = q.solve_linear(_TWO_BLOCK_B, seed, t)
+        readout = q.solve_linear(_TWO_BLOCK_B, seed, t, readout=v)
+        assert np.all(np.abs(readout - series @ v)
+                      <= 1e-15 * (np.abs(series) @ np.abs(v)))
 
 
 def _fragment_3_1(norm):
@@ -864,25 +875,25 @@ def test_sparse_route_gives_the_bits_of_expm_multiply(monkeypatch, case):
         _expm_multiply_series(b, x0, t).tobytes()
 
 
-def test_sparse_route_on_two_columns_leaves_the_global_random_stream(plans):
-    # 63.4 / k < ||h (B - mu I)||_1 <= 60 for k = 2 columns: beyond
-    # condition (3.13) of Al-Mohy & Higham, where scipy's expm_multiply
-    # estimates norms of powers of A from draws of the global np.random
+def test_sparse_route_beyond_condition_3_13_leaves_the_global_random_stream(
+        plans):
+    # ||h (B - mu I)||_1 = 70 > 63.4: beyond condition (3.13) of Al-Mohy &
+    # Higham, where scipy's expm_multiply estimates norms of powers of A
+    # from draws of the global np.random
     rng = np.random.default_rng(11)
     n = 200
     values = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.03)
     b = sp.csr_matrix(-1j * (values + values.T) - 0.5 * np.eye(n))
     mu = b.diagonal().sum() / n
     norm = abs(b - mu * sp.identity(n, format="csr")).sum(axis=0).max()
-    t = np.linspace(0.0, 90.0 / norm, 3)
-    x0 = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    assert 63.4 / 2 < norm * t[1]
-    for seed in (x0[:, 0], x0):
-        before = np.random.get_state()
-        out = q.solve_linear(b, seed, t)
-        after = np.random.get_state()
-        assert before[0] == after[0] and before[2:] == after[2:]
-        assert np.array_equal(before[1], after[1])
-        exact = np.array([expm(b.toarray() * tk) @ seed for tk in t])
-        assert _relative_deviation(exact, out) <= 1e-13
-    assert [(dim, p.route) for dim, p in plans] == [(n, "sparse")] * 2
+    t = np.linspace(0.0, 140.0 / norm, 3)
+    x0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    assert 63.4 < norm * t[1]
+    before = np.random.get_state()
+    out = q.solve_linear(b, x0, t)
+    after = np.random.get_state()
+    assert before[0] == after[0] and before[2:] == after[2:]
+    assert np.array_equal(before[1], after[1])
+    exact = np.array([expm(b.toarray() * tk) @ x0 for tk in t])
+    assert _relative_deviation(exact, out) <= 1e-13
+    assert [(dim, p.route) for dim, p in plans] == [(n, "sparse")]

@@ -141,7 +141,7 @@ def test_regression_correlator_at_zero_delay_is_the_direct_expectation(
 def linear_problems(draw):
     """n in 1..4, a random complex B, for n >= 2 optionally upper triangular
     with a leading Jordan block; a non-uniform grid whose steps repeat, and
-    a vector or (n, k) matrix x0."""
+    a vector x0."""
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     b = _random_matrix(rng, n)
@@ -152,9 +152,7 @@ def linear_problems(draw):
     step_set = draw(st.lists(st.floats(0.01, 0.4), min_size=1, max_size=3))
     steps = draw(st.lists(st.sampled_from(step_set), min_size=0, max_size=10))
     t = draw(st.floats(-1.0, 1.0)) + np.concatenate([[0.0], np.cumsum(steps)])
-    k = draw(st.integers(0, 3))
-    shape = (n, k) if k else (n,)
-    x0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    x0 = rng.normal(size=n) + 1j * rng.normal(size=n)
     return b, x0, t
 
 
@@ -173,8 +171,8 @@ def test_solve_linear_matches_the_matrix_exponential(problem):
 @st.composite
 def block_problems(draw):
     """B made of 1..4 random blocks of 1..4 rows with its rows shuffled,
-    dense or CSR; x0, a vector or an (n, k) matrix, is nonzero on the rows
-    of one or more seeded blocks and exactly zero elsewhere."""
+    dense or CSR; the vector x0 is nonzero on the rows of one or more seeded
+    blocks and exactly zero elsewhere."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     seeded = draw(st.sets(st.integers(0, len(sizes) - 1), min_size=1))
@@ -188,9 +186,7 @@ def block_problems(draw):
     block = np.repeat(np.arange(len(sizes)), sizes)[perm]
     if draw(st.booleans()):
         b = sp.csr_matrix(b)
-    k = draw(st.integers(0, 2))
-    shape = (n, k) if k else (n,)
-    x0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    x0 = rng.normal(size=n) + 1j * rng.normal(size=n)
     x0[~np.isin(block, list(seeded))] = 0.0
     steps = draw(st.lists(st.sampled_from([0.1, 0.25, 0.4]), min_size=0,
                           max_size=8))
@@ -210,11 +206,10 @@ def test_solve_linear_propagates_only_the_seeded_blocks(problem):
         prop = expm(full * (tk - t[0]))
         scale = np.linalg.norm(prop, 2) * np.linalg.norm(x0)
         assert np.abs(xk - prop @ x0).max() <= 1e-12 * scale
-    if x0.ndim == 1:
-        # a read-out that is nonzero on every row, the unseeded ones too,
-        # within 1e-15 of each step's sum of |v_i x_i|
-        v = np.arange(1.0, x0.size + 1) * (1.0 - 0.5j)
-        readout = q.solve_linear(b, x0, t, readout=v)
-        assert readout.shape == (t.size,)
-        assert np.all(np.abs(readout - out @ v)
-                      <= 1e-15 * (np.abs(out) @ np.abs(v)))
+    # a read-out that is nonzero on every row, the unseeded ones too,
+    # within 1e-15 of each step's sum of |v_i x_i|
+    v = np.arange(1.0, x0.size + 1) * (1.0 - 0.5j)
+    readout = q.solve_linear(b, x0, t, readout=v)
+    assert readout.shape == (t.size,)
+    assert np.all(np.abs(readout - out @ v)
+                  <= 1e-15 * (np.abs(out) @ np.abs(v)))
