@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .operators import QuopticsError, ValidationError
+from .operators import QuopticsError
 from .scenarios import REGISTRY, ConfigError, run_scenario, sweep
 from .serialize import (
     SeriesArtifact,
@@ -163,7 +163,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         sys.stderr.write(f"configuration error: {err}\n")
         return EXIT_CONFIG
-    except (QuopticsError, ValidationError) as err:
+    except QuopticsError as err:
         sys.stderr.write(f"numerical failure: {err}\n")
         return EXIT_NUMERIC
     except Exception as err:  # pragma: no cover - defensive

@@ -22,11 +22,12 @@ from .lindblad import (
     vec,
 )
 from .operators import (
-    BasisMismatchError,
     DensityMatrix,
     Operator,
     QuopticsError,
     ValidationError,
+    _check_basis,
+    _check_scalars,
     _finite_grid,
     _frozen,
     fock_basis,
@@ -91,18 +92,13 @@ def regression_correlator(a: Operator, b: Operator, c: Operator,
     ``initial`` is the steady state by default; pass a DensityMatrix to
     correlate from a specific state instead.
     """
-    _check_bases((a, b, c), m)
+    for op in (a, b, c):
+        _check_basis(op.basis, m.basis)
     rho = steady_state(m) if initial == "steady" else initial
     tau = np.asarray(tau_grid, dtype=float)
     values = _regression(m.liouvillian, b.entries,
                          c.entries @ rho.entries @ a.entries, tau)
     return CorrelationSeries(tau=tau, values=values, kind="generic")
-
-
-def _check_bases(ops, m: LindbladModel) -> None:
-    for op in ops:
-        if op.basis != m.basis:
-            raise BasisMismatchError("operator/model basis mismatch")
 
 
 def _regression(liouv, b: np.ndarray, seed: np.ndarray,
@@ -116,8 +112,7 @@ def _regression(liouv, b: np.ndarray, seed: np.ndarray,
 
 def g2_normalized(series: CorrelationSeries, n_mean: float) -> CorrelationSeries:
     """Divide an intensity correlator by the squared mean photon number."""
-    if n_mean <= 0:
-        raise ValidationError("normalization requires a positive emission rate")
+    _check_scalars("> 0", n_mean=n_mean)
     return CorrelationSeries(
         tau=series.tau, values=series.values / n_mean**2, kind="G2",
         normalization={"n_mean": n_mean},
@@ -138,7 +133,8 @@ def regression_formula(ops, coeff: np.ndarray, a: Operator, c: Operator,
     solving d/dtau <A B_j(t+tau) C> = M <A B(t+tau) C> with initial
     condition tr{A B_j C rho}.
     """
-    _check_bases(ops, m)
+    for op in ops:
+        _check_basis(op.basis, m.basis)
     coeff = np.asarray(coeff, dtype=complex)
     dim = m.basis.total_dim
     rng = np.random.default_rng(_CLOSURE_SEED)
@@ -185,8 +181,8 @@ class RFParams:
     gamma: float
 
     def __post_init__(self):
-        if not (self.p_sat >= 0 and self.gamma > 0):
-            raise ValidationError("need P >= 0 and gamma > 0")
+        _check_scalars(">= 0", p_sat=self.p_sat)
+        _check_scalars("> 0", gamma=self.gamma)
 
 
 @dataclass(frozen=True)
@@ -236,9 +232,8 @@ class OPOParams:
     g: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValidationError("gamma must be positive")
-        if not 0.0 <= self.g < self.gamma:
+        _check_scalars(">= 0", gamma=self.gamma, g=self.g)
+        if not self.g < self.gamma:
             raise ValidationError("below threshold requires 0 <= g < gamma")
 
     @property
@@ -252,7 +247,7 @@ def opo_spectra(p: OPOParams, omega_grid) -> tuple[SpectrumSeries, SpectrumSerie
     V0 = 1 + 4 sigma / ((1-sigma)^2 + (w/gamma)^2) (antisqueezed) and
     Vpi2 = 1 - 4 sigma / ((1+sigma)^2 + (w/gamma)^2); their product is 1.
     """
-    om = np.asarray(omega_grid, dtype=float)
+    om = _finite_grid(omega_grid, "omega_grid")
     s = p.sigma
     x2 = (om / p.gamma) ** 2
     v0 = 1.0 + 4.0 * s / ((1.0 - s) ** 2 + x2)
@@ -282,6 +277,7 @@ def opo_g2(p: OPOParams, tau_grid) -> CorrelationSeries:
 
 def opo_lindblad_model(gamma: float, g: float, n_max: int) -> LindbladModel:
     """Fock-truncated resonant OPO: H = i g (a^dag^2 - a^2)/2, decay gamma."""
+    _check_scalars(g=g)
     ops = fock_ops(n_max)
     a2 = ops.a.entries @ ops.a.entries
     h = Operator(fock_basis(n_max), 0.5j * g * (a2.conj().T - a2))

@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from .operators import QuopticsError, ValidationError, _finite_grid
+from .operators import (QuopticsError, ValidationError, _check_integer,
+                        _check_scalars, _finite_grid)
 from .settings import DEFAULT
 
 
@@ -202,7 +203,8 @@ def rabi_rwa(b0, delta: float, omega_rabi: float, t_grid,
     population is (1 - cos(Omega_R t)) / (2 (1 + delta^2/Omega^2)).
     """
     b0 = validate_bloch(b0)
-    t_grid = np.asarray(t_grid, dtype=float)
+    _check_scalars(delta=delta, omega_rabi=omega_rabi)
+    t_grid = _finite_grid(t_grid, "t_grid")
     x0 = np.array([0.5 * (b0[0] - 1j * b0[1]),
                    0.5 * (b0[0] + 1j * b0[1]),
                    b0[2]], dtype=complex)
@@ -213,6 +215,7 @@ def rabi_rwa(b0, delta: float, omega_rabi: float, t_grid,
                     axis=1)
     lab = None
     if omega is not None:
+        _check_scalars(omega=omega)
         b_lab = x[:, 0] * np.exp(-1j * omega * t_grid)
         lab = np.stack([2.0 * b_lab.real, -2.0 * b_lab.imag, x[:, 2].real],
                        axis=1)
@@ -231,8 +234,8 @@ class JCParams:
     g: float
 
     def __post_init__(self):
-        if not self.g >= 0:
-            raise ValidationError("coupling must be >= 0")
+        _check_scalars(omega=self.omega, epsilon=self.epsilon)
+        _check_scalars(">= 0", g=self.g)
 
     @property
     def delta_detuning(self) -> float:
@@ -267,8 +270,7 @@ def jc_dressed(n: int, p: JCParams) -> DressedLevels:
     theta_n = arg(Delta + 2 i sqrt(n) g) / 2 in [0, pi/2].  Global phases are
     fixed by making the first nonzero amplitude real and positive.
     """
-    if n < 1:
-        raise ValidationError("manifold index must be >= 1")
+    _check_integer(n, "n", 1)
     delta = p.delta_detuning
     omega_n = math.hypot(delta, 2.0 * math.sqrt(n) * p.g)
     theta = 0.5 * math.atan2(2.0 * math.sqrt(n) * p.g, delta)
@@ -290,7 +292,7 @@ def jc_excited_population(cn, p: JCParams, t) -> np.ndarray:
     norm = np.sum(np.abs(cn) ** 2)
     if abs(norm - 1.0) > _JC_NORM_TOL:
         raise ValidationError(f"field amplitudes have norm {norm}")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = _finite_grid(np.atleast_1d(t), "t")
     delta = p.delta_detuning
     out = np.zeros_like(t)
     for n in range(1, cn.size):
@@ -345,8 +347,7 @@ def collapse_revival(nbar: float, g: float, t_grid) -> CollapseRevival:
     t_m = 2 pi m sqrt(nbar) / g; at half of that spacing adjacent terms are
     in antiphase and the series stays collapsed (no revival).
     """
-    if not (0.0 < nbar < math.inf and 0.0 < g < math.inf):
-        raise ValidationError("nbar and g must be finite and positive")
+    _check_scalars("> 0", nbar=nbar, g=g)
     t = _finite_grid(t_grid, "t_grid")
     lo = max(0, math.floor(nbar - 10.0 * math.sqrt(nbar)))
     # the +10 floor keeps the tail bound honest at small nbar, where the
@@ -382,8 +383,8 @@ class PDCParams:
     g: float       # dressed down-conversion rate
 
     def __post_init__(self):
-        if not self.g >= 0:
-            raise ValidationError("down-conversion rate must be >= 0")
+        _check_scalars(delta=self.delta)
+        _check_scalars(">= 0", g=self.g)
 
 
 @dataclass(frozen=True)
@@ -413,7 +414,7 @@ def pdc_analysis(p: PDCParams) -> PDCAnalysis:
 
 def pdc_photon_number(p: PDCParams, t) -> np.ndarray:
     """Mean photon number from vacuum under the down-conversion Hamiltonian."""
-    t = np.asarray(t, dtype=float)
+    t = _finite_grid(np.atleast_1d(t), "t").reshape(np.shape(t))
     d, g = p.delta, p.g
     if g == 0.0:
         return np.zeros_like(t)

@@ -17,6 +17,7 @@ from .operators import (
     Operator,
     QuopticsError,
     ValidationError,
+    _check_scalars,
     _finite_grid,
     herm_residual,
 )
@@ -209,8 +210,8 @@ class ExponentialCorrelator:
     rate: complex
 
     def __post_init__(self):
-        if complex(self.rate).real <= 0:
-            raise ValidationError("correlators must decay")
+        _check_scalars(amp=self.amp, rate=self.rate)
+        _check_scalars("> 0", rate_real_part=complex(self.rate).real)
 
 
 @dataclass(frozen=True)
@@ -338,8 +339,9 @@ def purcell_rates(g: float, kappa: float, gamma: float, delta: float,
     level shift delta_eps = -g^2 Delta / (kappa^2 + Delta^2), entering the
     effective Hamiltonian as +(epsilon + delta_eps)/2 sigma_z.
     """
-    if not (g >= 0 and kappa > 0 and gamma > 0 and nbar >= 0):
-        raise ValidationError("rates must be positive (g, nbar >= 0)")
+    _check_scalars(">= 0", g=g, nbar=nbar)
+    _check_scalars("> 0", kappa=kappa, gamma=gamma)
+    _check_scalars(delta=delta)
     coop = g * g / (kappa * gamma)
     enh = coop / (1.0 + (delta / kappa) ** 2)
     return PurcellRates(
@@ -368,8 +370,9 @@ def optomech_rates(g: complex, kappa: float, gamma: float, delta: float,
     Gamma_+^opt the (Delta - Omega_m) one (heating); in the red-sideband
     resolved regime nbar_eff bottoms out at nbar/C + kappa^2/(4 Omega_m^2).
     """
-    if not (kappa > 0 and gamma > 0 and nbar >= 0 and omega_m > 0):
-        raise ValidationError("rates must be positive (nbar >= 0)")
+    _check_scalars("> 0", kappa=kappa, gamma=gamma, omega_m=omega_m)
+    _check_scalars(">= 0", nbar=nbar)
+    _check_scalars(g=g, delta=delta)
     g2 = abs(g) ** 2
 
     def lorentz(shift: float) -> float:
@@ -436,8 +439,7 @@ def wigner_weisskopf(gamma: float, epsilon: float, k_grid=None,
     |alpha|^2 + Int |beta|^2 dk = 1 is checked on the grid with analytic
     Lorentzian tails beyond the edges.
     """
-    if not (gamma > 0 and epsilon > 0):
-        raise ValidationError("gamma and epsilon must be positive")
+    _check_scalars("> 0", gamma=gamma, epsilon=epsilon)
     t = (np.linspace(0.0, 5.0 / gamma, 51) if t_grid is None
          else _finite_grid(t_grid, "t_grid"))
     if k_grid is None:
@@ -481,6 +483,7 @@ def wigner_weisskopf(gamma: float, epsilon: float, k_grid=None,
 
 def lamb_shift_estimate(gamma: float, epsilon: float, lam: float) -> float:
     """Logarithmic level-shift estimate -(gamma / pi) ln(Lambda / epsilon)."""
-    if not lam >= epsilon > 0:
-        raise ValidationError("need Lambda >= epsilon > 0")
+    _check_scalars("> 0", gamma=gamma, epsilon=epsilon, lam=lam)
+    if not lam >= epsilon:
+        raise ValidationError("need Lambda >= epsilon")
     return -(gamma / math.pi) * math.log(lam / epsilon)

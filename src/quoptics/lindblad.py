@@ -19,13 +19,15 @@ from scipy.sparse.linalg import splu
 
 from .dynamics import _step_exponentials, solve_linear
 from .operators import (
-    BasisMismatchError,
     BasisSpec,
     DensityMatrix,
     KetState,
     Operator,
     QuopticsError,
     ValidationError,
+    _check_basis,
+    _check_integer,
+    _check_scalars,
     _finite_grid,
     _frozen,
     fock_basis,
@@ -74,13 +76,10 @@ class LindbladModel:
 
     def __post_init__(self):
         object.__setattr__(self, "jumps", tuple(self.jumps))
-        if self.h.basis != self.basis:
-            raise BasisMismatchError("Hamiltonian basis mismatch")
+        _check_basis(self.h.basis, self.basis)
         for rate, op in self.jumps:
-            if not 0.0 <= rate < math.inf:
-                raise ValidationError("jump rates must be finite and >= 0")
-            if op.basis != self.basis:
-                raise BasisMismatchError("jump-operator basis mismatch")
+            _check_scalars(">= 0", rate=rate)
+            _check_basis(op.basis, self.basis)
 
     def validate(self) -> None:
         res = herm_residual(self.h.entries)
@@ -141,10 +140,9 @@ class CavityParams:
     nbar: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValidationError("gamma must be positive")
-        if not self.nbar >= 0:
-            raise ValidationError("nbar must be >= 0")
+        _check_scalars("> 0", gamma=self.gamma)
+        _check_scalars(delta=self.delta, drive=self.drive)
+        _check_scalars(">= 0", nbar=self.nbar)
 
 
 def driven_cavity_model(p: CavityParams, n_max: int) -> LindbladModel:
@@ -188,8 +186,7 @@ def evolve_master(rho0: DensityMatrix, m: LindbladModel,
     """Master-equation evolution sampled on t_grid (t_grid[0] is the
     initial time); each output is re-validated as a density matrix."""
     rho0.validate()
-    if rho0.basis != m.basis:
-        raise BasisMismatchError("state/model basis mismatch")
+    _check_basis(rho0.basis, m.basis)
     mats = unvec(solve_linear(m.liouvillian, vec(rho0.entries), t_grid))
     out = []
     for k, mat in enumerate(mats):
@@ -259,8 +256,7 @@ def steady_state(m: LindbladModel) -> DensityMatrix:
 def moment_rhs(a: Operator, m: LindbladModel, state) -> complex:
     """d<A>/dt evaluated on a given state, tr(A L[rho]).  In Heisenberg form
     that is <[A, H]> / i + sum_j kappa_j (<[J^dag, A] J> + <J^dag [A, J]>)."""
-    if a.basis != m.basis:
-        raise BasisMismatchError("operator/model basis mismatch")
+    _check_basis(a.basis, m.basis)
     rho = state.entries if isinstance(state, DensityMatrix) else \
         state.to_density_matrix().entries
     return complex(np.trace(a.entries @ unvec(m.liouvillian @ vec(rho))))
@@ -300,6 +296,7 @@ def frame_transform(m: LindbladModel, generator: Operator,
     unchanged).  A lab-frame ``drive`` with matching frequency and
     [G, A] = -A becomes the static term amp A^dag + amp* A.
     """
+    _check_scalars(frequency=frequency)
     g = generator.entries
     if herm_residual(g) > DEFAULT.eps_herm:
         raise ValidationError("frame generator must be Hermitian")
@@ -313,8 +310,7 @@ def frame_transform(m: LindbladModel, generator: Operator,
             )
     h_new = h - frequency * g
     if drive is not None:
-        if drive.op.basis != m.basis:
-            raise BasisMismatchError("drive-operator basis mismatch")
+        _check_basis(drive.op.basis, m.basis)
         if abs(drive.frequency - frequency) > 0:
             raise QuopticsError(
                 "drive frequency differs from the frame frequency; "
@@ -351,7 +347,7 @@ def driven_cavity_analytic(p: CavityParams, t_grid, mean0: complex = 0.0,
     The steady amplitude is E / (gamma - i Delta), the sign fixed by the
     moment equation d<a>/dt = E - (gamma - i Delta) <a>.
     """
-    t = np.asarray(t_grid, dtype=float)
+    t = _finite_grid(t_grid, "t_grid")
     lam = p.gamma - 1j * p.delta
     decay = np.exp(-lam * t)
     mean = decay * mean0 + p.drive * (1.0 - decay) / lam
@@ -418,14 +414,12 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     times that does not decrease; repeated points are allowed.
     """
     psi0.validate()
-    if psi0.basis != m.basis:
-        raise BasisMismatchError("state/model basis mismatch")
+    _check_basis(psi0.basis, m.basis)
     t = _finite_grid(t_grid, "t_grid")
     if np.any(np.diff(t) < 0):
         raise ValidationError("t_grid must not decrease")
-    for name, v, low in (("n_traj", n_traj, 1), ("seed", seed, 0)):
-        if type(v) is bool or not isinstance(v, (int, np.integer)) or v < low:
-            raise ValidationError(f"{name} must be an integer >= {low}")
+    _check_integer(n_traj, "n_traj", 1)
+    _check_integer(seed, "seed", 0)
     d = m.basis.total_dim
     jump_ops = [(rate, op.entries) for rate, op in m.jumps]
     rates = np.array([rate for rate, _ in jump_ops], dtype=float)
@@ -540,6 +534,7 @@ def langevin_steady(m: LangevinLinearModel) -> SteadyMoments:
 def cavity_langevin_model(gamma: float, delta: float, drive: complex = 0.0,
                           nbar: float = 0.0) -> LangevinLinearModel:
     """Mode-vector (a, a^dag) model of the damped, driven cavity."""
+    _check_scalars(gamma=gamma, delta=delta, drive=drive, nbar=nbar)
     a = np.diag([-(gamma - 1j * delta), -(gamma + 1j * delta)]).astype(complex)
     d = 2.0 * gamma * np.diag([nbar + 1.0, nbar]).astype(complex)
     dr = np.array([drive, np.conj(drive)], dtype=complex)
@@ -548,7 +543,8 @@ def cavity_langevin_model(gamma: float, delta: float, drive: complex = 0.0,
 
 def opo_langevin_model(gamma: float, g: float) -> LangevinLinearModel:
     """Mode-vector (a, a^dag) model of the resonant below-threshold OPO."""
-    if not 0.0 <= g < gamma:
+    _check_scalars(">= 0", gamma=gamma, g=g)
+    if not g < gamma:
         raise ValidationError("below-threshold regime requires 0 <= g < gamma")
     a = np.array([[-gamma, g], [g, -gamma]], dtype=complex)
     d = 2.0 * gamma * np.diag([1.0, 0.0]).astype(complex)

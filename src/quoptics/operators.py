@@ -46,8 +46,7 @@ class Fock:
     n_max: int
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValidationError("Fock cutoff n_max must be >= 1")
+        _check_integer(self.n_max, "n_max", 1)
 
     @property
     def dim(self) -> int:
@@ -127,6 +126,22 @@ def _finite_grid(values, name: str) -> np.ndarray:
         raise ValidationError(
             f"{name} must be a non-empty 1-D array of finite values")
     return a
+
+
+def _check_scalars(bound: str = "", **values) -> None:
+    """Each value must be one finite number, real or complex; a bound of
+    ">= 0" or "> 0" also requires it real and within it.  NaN fails."""
+    for name, v in values.items():
+        if not (np.ndim(v) == 0 and np.isfinite(v) and (not bound or (
+                np.isrealobj(v) and (v > 0 if bound == "> 0" else v >= 0)))):
+            raise ValidationError(
+                f"{name} must be finite {bound}".rstrip() + f", got {v!r}")
+
+
+def _check_integer(v, name: str, low: int) -> None:
+    """``v`` must be an int or numpy integer, not a bool, and >= low."""
+    if type(v) is bool or not isinstance(v, (int, np.integer)) or v < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -370,7 +385,8 @@ def displacement_op(alpha: complex, n_max: int) -> Operator:
     (does not fail) when that residual exceeds eps_trunc; recommended
     n_max >= ceil(|alpha|^2 + 6 |alpha| + 10).
     """
-    dim = n_max + 1
+    _check_scalars(alpha=alpha)
+    dim = Fock(n_max).dim
     lower = _exp_raising(alpha, dim)
     upper = _exp_raising(-np.conj(alpha), dim).T
     u = math.exp(-0.5 * abs(alpha) ** 2) * (lower @ upper)
@@ -386,7 +402,8 @@ def squeeze_op(z: complex, n_max: int) -> Operator:
     e^{+(eta*/2) a^2} with eta = e^{i theta} tanh r, again an exact
     restriction of the untruncated operator; warns like displacement_op.
     """
-    dim = n_max + 1
+    _check_scalars(z=z)
+    dim = Fock(n_max).dim
     r = abs(z)
     if r == 0.0:
         return Operator(fock_basis(n_max), np.eye(dim, dtype=complex),
@@ -408,9 +425,10 @@ def squeeze_op(z: complex, n_max: int) -> Operator:
 
 def coherent_state(alpha: complex, n_max: int | None = None) -> KetState:
     """Coherent amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!), renormalized."""
+    _check_scalars(alpha=alpha)
     if n_max is None:
         n_max = coherent_cutoff(alpha)
-    n = np.arange(n_max + 1)
+    n = np.arange(Fock(n_max).dim)
     a = abs(alpha)
     if a == 0.0:
         amps = np.zeros(n_max + 1, dtype=complex)
@@ -424,11 +442,12 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> KetState:
 
 def squeezed_vacuum(z: complex, n_max: int | None = None) -> KetState:
     """Even-Fock expansion of S(z)|0>, renormalized after truncation."""
+    _check_scalars(z=z)
     r = abs(z)
     theta = np.angle(z) if r > 0 else 0.0
     if n_max is None:
         n_max = squeezed_cutoff(r)
-    amps = np.zeros(n_max + 1, dtype=complex)
+    amps = np.zeros(Fock(n_max).dim, dtype=complex)
     if r == 0.0:
         amps[0] = 1.0
         return KetState(fock_basis(n_max), amps, leakage=0.0)
@@ -447,11 +466,10 @@ def squeezed_vacuum(z: complex, n_max: int | None = None) -> KetState:
 
 def thermal_state(nbar: float, n_max: int | None = None) -> DensityMatrix:
     """Geometric photon-number mixture with mean occupation nbar."""
-    if not nbar >= 0:
-        raise ValidationError("nbar must be non-negative")
+    _check_scalars(">= 0", nbar=nbar)
     if n_max is None:
         n_max = thermal_cutoff(nbar)
-    p = np.zeros(n_max + 1)
+    p = np.zeros(Fock(n_max).dim)
     if nbar == 0.0:
         p[0] = 1.0
     else:
@@ -516,6 +534,7 @@ def variance(op: Operator, state) -> float:
 
 def propagator(h: Operator, t: float) -> Operator:
     """U(t) = exp(-i H t) by eigendecomposition; H must be Hermitian."""
+    _check_scalars(t=t)
     res = herm_residual(h.entries)
     if res > DEFAULT.eps_herm:
         raise ValidationError(f"propagator needs Hermitian H (residual {res:.3e})")

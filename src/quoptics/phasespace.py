@@ -16,6 +16,8 @@ from .operators import (
     DensityMatrix,
     QuopticsError,
     ValidationError,
+    _check_integer,
+    _check_scalars,
     _frozen,
 )
 from .settings import DEFAULT
@@ -41,10 +43,12 @@ class PhaseGrid:
     np: int
 
     def __post_init__(self):
+        _check_scalars(x_min=self.x_min, x_max=self.x_max, p_min=self.p_min,
+                       p_max=self.p_max)
         if self.x_max <= self.x_min or self.p_max <= self.p_min:
             raise ValidationError("grid bounds must be ordered")
-        if self.nx < 2 or self.np < 2:
-            raise ValidationError("grids need at least 2 points per axis")
+        _check_integer(self.nx, "nx", 2)
+        _check_integer(self.np, "np", 2)
 
     @property
     def x(self) -> np.ndarray:
@@ -106,8 +110,7 @@ def _laguerre(n: int, s: np.ndarray) -> np.ndarray:
 
 def wigner_fock(n: int, x, p) -> np.ndarray:
     """Wigner function of |n><n|: ((-1)^n / 2pi) L_n(x^2+p^2) e^{-(x^2+p^2)/2}."""
-    if n < 0:
-        raise ValidationError("photon number must be >= 0")
+    _check_integer(n, "n", 0)
     s = np.asarray(x, dtype=float) ** 2 + np.asarray(p, dtype=float) ** 2
     return ((-1.0) ** n / (2.0 * math.pi)) * _laguerre(n, s) * np.exp(-0.5 * s)
 

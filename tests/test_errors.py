@@ -7,6 +7,8 @@ No row hands a large finite frequency or photon number to
 window grow with it, and no bound on that size exists yet."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,14 @@ def _langevin_spectrum(omega):
 def _jump_model(rate):
     ops = q.fock_ops(2)
     return q.LindbladModel(ops.a.basis, ops.n, ((rate, ops.a),))
+
+
+def _g2_series():
+    return q.CorrelationSeries([0.0, 1.0], np.ones(2, dtype=complex))
+
+
+_GROUND = [0.0, 0.0, -1.0]
+_ONE_PHOTON = np.array([0.0, 1.0])
 
 
 _ROWS = {
@@ -85,6 +95,65 @@ _ROWS = {
     "wigner-weisskopf-empty-k-grid": lambda: q.wigner_weisskopf(
         1.0, 100.0, k_grid=[]),
     "wigner-weisskopf-nan-gamma": lambda: q.wigner_weisskopf(NAN, 100.0),
+    # non-finite physics scalars that reached the formulas
+    "pdc-analysis-nan-detuning": lambda: q.pdc_analysis(q.PDCParams(NAN, 1.0)),
+    "purcell-nan-detuning": lambda: q.purcell_rates(1.0, 1.0, 1.0, NAN, 0.0),
+    "purcell-inf-kappa": lambda: q.purcell_rates(1.0, INF, 1.0, 0.0, 0.0),
+    "optomech-inf-coupling": lambda: q.optomech_rates(
+        INF, 1.0, 1.0, 0.0, 1.0, 0.0),
+    "lamb-shift-inf-cutoff": lambda: q.lamb_shift_estimate(1.0, 1.0, INF),
+    "lamb-shift-nan-gamma": lambda: q.lamb_shift_estimate(NAN, 1.0, 2.0),
+    "jc-dressed-inf-coupling": lambda: q.jc_dressed(
+        1, q.JCParams(1.0, 1.0, INF)),
+    "g2-normalized-nan-mean": lambda: q.g2_normalized(_g2_series(), NAN),
+    "cavity-nan-detuning": lambda: q.CavityParams(1.0, 1.0, NAN, 0.3),
+    "cavity-inf-drive": lambda: q.CavityParams(1.0, 1.0, 0.0, INF),
+    "jc-nan-frequency": lambda: q.JCParams(NAN, 1.0, 1.0),
+    "exponential-correlator-nan-amp": lambda: q.ExponentialCorrelator(
+        NAN, 1.0),
+    "exponential-correlator-nan-rate": lambda: q.ExponentialCorrelator(
+        1.0, NAN + 0j),
+    # state constructors, cutoffs and grid sizes
+    "coherent-state-nan-amplitude": lambda: q.coherent_state(NAN, 4),
+    "squeezed-vacuum-inf-squeezing": lambda: q.squeezed_vacuum(INF, 4),
+    "displacement-op-inf-amplitude": lambda: q.displacement_op(INF, 4),
+    "thermal-state-inf-nbar": lambda: q.thermal_state(INF, 3),
+    "opo-langevin-inf-gamma": lambda: q.opo_langevin_model(INF, 0.1),
+    "wigner-weisskopf-inf-gamma": lambda: q.wigner_weisskopf(INF, 100.0),
+    "rabi-rwa-inf-drive-frequency": lambda: q.rabi_rwa(
+        _GROUND, 0.0, 1.0, [0.0, 1.0], omega=INF),
+    "rabi-rwa-inf-detuning": lambda: q.rabi_rwa(_GROUND, INF, 1.0, [0.0, 1.0]),
+    "squeeze-op-inf-squeezing": lambda: q.squeeze_op(INF, 4),
+    "displacement-op-fractional-cutoff": lambda: q.displacement_op(0.5, 2.5),
+    "squeeze-op-fractional-cutoff": lambda: q.squeeze_op(0.5, 2.5),
+    "propagator-inf-time": lambda: q.propagator(q.fock_ops(2).n, INF),
+    "frame-transform-inf-frequency": lambda: q.frame_transform(
+        q.driven_cavity_model(q.CavityParams(1.0, 1.0, 0.0, 0.0), 3),
+        q.fock_ops(3).n, INF),
+    "opo-lindblad-inf-coupling": lambda: q.opo_lindblad_model(1.0, INF, 4),
+    "langevin-steady-nan-gamma": lambda: q.langevin_steady(
+        q.cavity_langevin_model(NAN, 0.0)),
+    "fock-fractional-cutoff": lambda: q.Fock(2.5),
+    "fock-nan-cutoff": lambda: q.Fock(NAN),
+    "fock-bool-cutoff": lambda: q.Fock(True),
+    "fock-ops-fractional-cutoff": lambda: q.fock_ops(2.5),
+    "phase-grid-nan-bound": lambda: q.PhaseGrid(NAN, 1.0, -1.0, 1.0, 5, 5),
+    "phase-grid-nan-size": lambda: q.PhaseGrid(-1.0, 1.0, -1.0, 1.0, NAN, 5),
+    "wigner-fock-nan-number": lambda: q.wigner_fock(NAN, [0.0], [0.0]),
+    "thermal-state-fractional-cutoff": lambda: q.thermal_state(0.5, 2.5),
+    "coherent-state-fractional-cutoff": lambda: q.coherent_state(0.5, 2.5),
+    "squeezed-vacuum-fractional-cutoff": lambda: q.squeezed_vacuum(0.5, 2.5),
+    # 1-D grids that were read without a check
+    "driven-cavity-analytic-nan-time": lambda: q.driven_cavity_analytic(
+        q.CavityParams(1.0, 1.0, 0.0, 0.3), [0.0, NAN]),
+    "driven-cavity-analytic-2d-time": lambda: q.driven_cavity_analytic(
+        q.CavityParams(1.0, 1.0, 0.0, 0.3), [[0.0, 1.0]]),
+    "pdc-photon-number-nan-time": lambda: q.pdc_photon_number(
+        q.PDCParams(0.0, 1.0), [NAN]),
+    "jc-excited-population-nan-time": lambda: q.jc_excited_population(
+        _ONE_PHOTON, q.JCParams(1.0, 1.0, 1.0), [NAN]),
+    "opo-spectra-empty-omega": lambda: q.opo_spectra(q.OPOParams(1.0, 0.3), []),
+    "rabi-rwa-empty-grid": lambda: q.rabi_rwa(_GROUND, 0.0, 1.0, []),
 }
 
 
@@ -92,3 +161,44 @@ _ROWS = {
 def test_degenerate_input_raises_validation_error(case):
     with pytest.raises(q.ValidationError):
         _ROWS[case]()
+
+
+# valid values of every numeric field of the public parameter classes;
+# CavityParams.omega_c is read nowhere and so is left out
+_FIELDS = {
+    q.CavityParams: dict(omega_c=1.0, gamma=1.0, delta=0.0, drive=0.3,
+                         nbar=0.0),
+    q.RFParams: dict(p_sat=1.0, gamma=1.0),
+    q.JCParams: dict(omega=1.0, epsilon=1.0, g=0.5),
+    q.PDCParams: dict(delta=0.0, g=1.0),
+    q.OPOParams: dict(gamma=1.0, g=0.3),
+    q.ExponentialCorrelator: dict(amp=1.0, rate=1.0),
+    q.PhaseGrid: dict(x_min=-1.0, x_max=1.0, p_min=-1.0, p_max=1.0, nx=5,
+                      np=5),
+    q.Fock: dict(n_max=3),
+}
+_INTEGER_FIELDS = {"nx", "np", "n_max"}
+_FIELD_CASES = [
+    pytest.param(cls, name, bad, id=f"{cls.__name__}-{name}-{bad}")
+    for cls, fields in _FIELDS.items() for name in fields
+    if name != "omega_c"
+    for bad in (NAN, INF, -INF) + ((2.5,) if name in _INTEGER_FIELDS else ())
+]
+
+
+@pytest.mark.parametrize("cls, name, bad", _FIELD_CASES)
+def test_parameter_fields_reject_non_finite_and_fractional_values(
+        cls, name, bad):
+    cls(**_FIELDS[cls])
+    with pytest.raises(q.ValidationError, match=name):
+        cls(**{**_FIELDS[cls], name: bad})
+
+
+def test_input_rules_have_one_owner():
+    """The basis and integer rules live in operators.py; every other
+    module calls them instead of writing its own copy."""
+    copies = re.compile(r"raise BasisMismatchError\(|\bnp\.integer\b")
+    package = Path(q.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "operators.py":
+            assert not copies.search(path.read_text()), path.name
