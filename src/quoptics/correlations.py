@@ -328,6 +328,7 @@ def spectrum_numeric(model, phase: float, omega_grid,
     the slowest mode with a rectangular window; the recorded leakage bound
     is attached to the metadata.
     """
+    _check_scalars(phase=phase)
     omega = _finite_grid(omega_grid, "omega_grid")
     if isinstance(model, LangevinLinearModel):
         if model.kappa_out is None and kappa_out is None:

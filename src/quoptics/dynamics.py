@@ -490,14 +490,6 @@ def _distinct_steps(steps: np.ndarray):
     return first, which
 
 
-def _step_exponentials(b: np.ndarray, steps: np.ndarray):
-    """expm(b dt) per group of equal steps, and each step's group: the
-    no-jump step kernel of ``lindblad.mcwf_evolve``.  ``solve_linear``'s
-    dense route exponentiates the groups its ``_Plan`` already holds."""
-    first, which = _distinct_steps(steps)
-    return [expm(b * steps[j]) for j in first], which
-
-
 def _taylor_degrees(norms: np.ndarray):
     """Taylor degree m* and scaling s per 1-norm ||h A||_1: the fewest m s
     products with ||h A||_1 / s <= theta_m, the smallest m on ties; (0, 1)

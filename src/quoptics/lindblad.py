@@ -14,10 +14,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.sparse.linalg import splu
 
-from .dynamics import _step_exponentials, solve_linear
+from .dynamics import _distinct_steps, solve_linear
 from .operators import (
     BasisSpec,
     DensityMatrix,
@@ -366,21 +366,44 @@ def driven_cavity_analytic(p: CavityParams, t_grid, mean0: complex = 0.0,
 # Monte Carlo wave function
 # ---------------------------------------------------------------------------
 
-# substeps per random-number draw in mcwf_evolve
-_MCWF_DRAW_BLOCK = 256
+# bisection levels of mcwf_evolve: a jump time is located to 2^-30 of its
+# output interval, far below the statistical error of any ensemble
+_MCWF_LEVELS = 30
+# uniforms buffered per stream: the first threshold and the (channel,
+# threshold) pairs of the next few jumps
+_MCWF_UNIFORMS = 16
 
 
-def _uniform_pairs(rngs: list, n_sub: int):
-    """Yield (u1, u2), the jump and channel uniforms of each of n_sub
-    substeps with one entry per stream.  One buffer of at most
-    _MCWF_DRAW_BLOCK substeps is refilled from every stream in turn, so a
-    stream's values do not depend on the block size."""
-    block = np.empty((len(rngs), min(_MCWF_DRAW_BLOCK, n_sub), 2))
-    for start in range(0, n_sub, _MCWF_DRAW_BLOCK):
-        size = min(_MCWF_DRAW_BLOCK, n_sub - start)
-        for i, rng in enumerate(rngs):
-            rng.random(out=block[i, :size])
-        yield from block[:, :size].transpose(1, 2, 0)
+class _Streams:
+    """One random stream per trajectory, each spawned from one SeedSequence,
+    read through a buffer of _MCWF_UNIFORMS values per stream.  A stream
+    that runs short keeps its unread values and draws the rest, so the
+    values each stream gives do not depend on the buffer size."""
+
+    def __init__(self, seed: int, n: int):
+        self.rngs = [np.random.default_rng(ss)
+                     for ss in np.random.SeedSequence(seed).spawn(n)]
+        self.buf = np.empty((n, _MCWF_UNIFORMS))
+        for rng, row in zip(self.rngs, self.buf):
+            rng.random(out=row)
+        self.pos = np.zeros(n, dtype=int)
+
+    def take(self, idx: np.ndarray, k: int) -> np.ndarray:
+        """The next k uniforms of each stream in idx (distinct), (len, k)."""
+        for i in idx[self.pos[idx] + k > _MCWF_UNIFORMS]:
+            rest = _MCWF_UNIFORMS - self.pos[i]
+            self.buf[i, :rest] = self.buf[i, self.pos[i]:]
+            self.rngs[i].random(out=self.buf[i, rest:])
+            self.pos[i] = 0
+        out = self.buf[idx[:, None], self.pos[idx, None] + np.arange(k)]
+        self.pos[idx] += k
+        return out
+
+
+def _norm2(psi: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a C-ordered complex array."""
+    re = psi.view(float)
+    return np.einsum("ij,ij->i", re, re)
 
 
 @dataclass(frozen=True)
@@ -389,29 +412,91 @@ class MCWFResult:
     populations: np.ndarray       # ensemble-averaged |amplitude|^2, (nt, dim)
     n_traj: int
     n_jumps: np.ndarray           # jump count per trajectory
-    dt: float                     # smallest substep; <= 0.05 / rate bound
+    dt: float                     # shortest positive output interval, or 0.0
     seed: int
+
+
+def _jump(psi, idx, r, streams, jumps, n_jumps) -> None:
+    """Jump the trajectories idx: channel j with weight kappa_j |J_j psi|^2,
+    then a normalized state and a new threshold r in (0, 1].  A trajectory
+    whose weights are all 0 crossed by round-off alone: it is only
+    renormalized."""
+    u = streams.take(idx, 2)
+    jpsi = [psi[idx] @ j.T for _, j in jumps]
+    # cumulative channel weights after a zero row, so cum[-1] is the total
+    cum = np.zeros((len(jumps) + 1, idx.size))
+    for c, ((rate, _), v) in enumerate(zip(jumps, jpsi)):
+        cum[c + 1] = cum[c] + rate * _norm2(v)
+    # the last channel takes what is left, so no zero weight is picked
+    choice = (u[:, 0] * cum[-1] > cum[1:-1]).sum(axis=0)
+    fired = cum[-1] > 0
+    for c, v in enumerate(jpsi):
+        sel = fired & (choice == c)
+        psi[idx[sel]] = v[sel]
+    psi[idx] /= np.sqrt(_norm2(psi[idx]))[:, None]
+    n_jumps[idx[fired]] += 1
+    r[idx] = 1.0 - u[:, 1]
+
+
+def _advance(psi, r, table, streams, jumps, n_jumps) -> None:
+    """Carry every trajectory over one output interval, in place.
+
+    table[k] is U(step / 2^k) for k = 0.._MCWF_LEVELS.  A trajectory takes
+    a piece only while its squared norm stays above its threshold r; the
+    time it has left is counted in units of the finest piece, and a sweep
+    over the levels offers it the binary digits of that count, largest
+    first.  A piece that crosses r starts a bisection: every later level of
+    the sweep halves the window that holds the crossing, and the finest
+    level takes the last piece and jumps.  A trajectory that jumped sweeps
+    again with the time it has left."""
+    top = _MCWF_LEVELS
+    left = np.full(len(psi), 1 << top, dtype=np.int64)
+    hunting = np.zeros(len(psi), dtype=bool)
+    act = np.arange(len(psi))
+    while act.size:
+        for level, u in enumerate(table):
+            piece = 1 << (top - level)
+            tri = act[hunting[act] | ((left[act] & piece) > 0)]
+            if not tri.size:
+                continue
+            phi = psi[tri] @ u.T
+            crossed = ~(_norm2(phi) > r[tri])
+            if level < top:
+                keep = tri[~crossed]
+                psi[keep] = phi[~crossed]
+                left[keep] -= piece
+                hunting[tri[crossed]] = True
+            else:
+                psi[tri] = phi
+                left[tri] -= 1
+                jumpers = tri[hunting[tri] | crossed]
+                if jumpers.size:
+                    hunting[jumpers] = False
+                    _jump(psi, jumpers, r, streams, jumps, n_jumps)
+            act = act[left[act] > 0]
 
 
 def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
                 seed: int) -> MCWFResult:
-    """First-order jump/no-jump unraveling of the master equation.
+    """Waiting-time unravelling of the master equation (Dalibard, Castin &
+    Molmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70, 101 (1998)).
 
-    No-jump segments evolve under the model's non-Hermitian ``h_eff``
-    (one exponential per distinct substep, from
-    ``dynamics._step_exponentials``) with renormalization; jumps fire with probability
-    p = 2 kappa dt <J^dag J>, evaluated at the start of the substep.  The
-    model alone sets the substep, and nothing overrides it: every output
-    interval is split evenly into steps of at most 0.05 / sum_j 2 kappa_j
-    lambda_max(J_j^dag J_j), so the total p stays at or below 0.05.  The
-    scheme is first order in dt, and so is its bias: a decaying atom
-    (kappa = 1, dt = 0.025) survives to t = 0.5 with probability 0.95^20 =
-    0.3585 instead of e^-1 = 0.3679, an error of -0.0094.  The waiting-time
-    unravelling planned in ROADMAP.md removes this bias; a step argument
-    would only shrink it.  Each trajectory draws from its own counter-split
-    random stream, so the ensemble is reproducible for a fixed seed
-    regardless of batching.  t_grid is a non-empty 1-D array of finite
-    times that does not decrease; repeated points are allowed.
+    Each trajectory evolves an unnormalized psi under the model's
+    non-Hermitian ``h_eff`` and draws a threshold r, uniform in (0, 1]; it
+    jumps when |psi|^2 falls to r, so its waiting time has exactly the
+    no-jump survival law and the scheme has no time-step bias.  Every output
+    interval is one product by U(step) per trajectory.  A trajectory that
+    crosses r locates the crossing by bisection over precomputed U(step /
+    2^k), k = 0..30, to 2^-30 of the interval, jumps through channel j with
+    weight kappa_j |J_j psi|^2, is renormalized, draws a new r and finishes
+    the interval with the dyadic pieces of the time left, checking each for
+    a new crossing.  Populations are those of the normalized psi at the
+    output points.  Each trajectory draws from its own SeedSequence stream,
+    only at the start and per jump, so the ensemble is reproducible for a
+    fixed seed.  ``dt`` is the shortest positive output interval (0.0 if
+    there is none): on an even grid, the span a trajectory advances between
+    jump checks.  t_grid is a non-empty 1-D array of finite times that does
+    not decrease; repeated points are allowed.
     """
     psi0.validate()
     _check_basis(psi0.basis, m.basis)
@@ -420,64 +505,28 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
         raise ValidationError("t_grid must not decrease")
     _check_integer(n_traj, "n_traj", 1)
     _check_integer(seed, "seed", 0)
-    d = m.basis.total_dim
-    jump_ops = [(rate, op.entries) for rate, op in m.jumps]
-    rates = np.array([rate for rate, _ in jump_ops], dtype=float)
-
-    # worst-case total jump rate over the truncated space sets the step
-    rate_bound = 0.0
-    for rate, j in jump_ops:
-        rate_bound += 2.0 * rate * np.linalg.eigvalsh(j.conj().T @ j)[-1]
-    # commensurate substepping of the output grid; without a jump rate each
-    # interval is one exact step, and a zero-span grid divides nothing by 0
-    if rate_bound > 0:
-        dt = 0.05 / rate_bound
-        steps = np.maximum(1, np.ceil(np.diff(t) / dt).astype(int))
-    else:
-        dt = t[-1] - t[0]
-        steps = np.ones(t.size - 1, dtype=int)
-    dts = np.diff(t) / steps
-
-    props, which = _step_exponentials(-1j * m.h_eff, dts)
-
-    # two uniforms per step per trajectory: jump decision, channel choice;
-    # they are drawn in blocks, so memory stays at n_traj x _MCWF_DRAW_BLOCK
-    # x 16 bytes whatever the output grid
-    rngs = [np.random.default_rng(ss)
-            for ss in np.random.SeedSequence(seed).spawn(n_traj)]
-
-    psi = np.tile(psi0.amplitudes, (n_traj, 1)).astype(complex)
-    pops = np.empty((t.size, d))
-    pops[0] = np.mean(np.abs(psi) ** 2, axis=0)
+    jumps = [(rate, op.entries) for rate, op in m.jumps]
+    gen = -1j * m.h_eff
+    streams = _Streams(seed, n_traj)
+    r = 1.0 - streams.take(np.arange(n_traj), 1)[:, 0]
+    psi = np.tile(psi0.amplitudes.astype(complex), (n_traj, 1))
     n_jumps = np.zeros(n_traj, dtype=int)
-
-    for seg, n_sub in enumerate(steps):
-        u_no_jump = props[which[seg]]
-        for u1, u2 in _uniform_pairs(rngs, n_sub):
-            # channel states J_j psi, (channels, n_traj, d), and their
-            # probabilities p_j = 2 kappa_j dt <J^dag J>
-            jpsi = np.array([psi @ j.T for _, j in jump_ops]).reshape(
-                len(jump_ops), n_traj, d)
-            probs = (2.0 * rates * dts[seg])[:, None] * np.sum(
-                np.abs(jpsi) ** 2, axis=2)
-            jumpers = np.nonzero(u1 < probs.sum(axis=0))[0]
-            # pick each jumper's channel proportionally to its weight (the
-            # slice cum[-1:] also divides the empty cum of a jumpless model)
-            cum = np.cumsum(probs[:, jumpers], axis=0)
-            cum /= cum[-1:]
-            choice = (u2[jumpers][None, :] > cum).sum(axis=0)
-            # every trajectory takes the no-jump step, then the jumpers
-            # are overwritten with their normalized channel state
-            evolved = psi @ u_no_jump.T
-            psi = evolved / np.linalg.norm(evolved, axis=1, keepdims=True)
-            jumped = jpsi[choice, jumpers]
-            psi[jumpers] = jumped / np.linalg.norm(jumped, axis=1,
-                                                   keepdims=True)
-            n_jumps[jumpers] += 1
-        pops[seg + 1] = np.mean(np.abs(psi) ** 2, axis=0)
-    # a one-point grid has no substeps; its dt is the step that was chosen
-    return MCWFResult(t=t, populations=pops, n_traj=n_traj,
-                      n_jumps=n_jumps, dt=float(dts.min(initial=dt)),
+    pops = np.empty((t.size, m.basis.total_dim))
+    steps = np.diff(t)
+    first, which = _distinct_steps(steps)
+    fractions = 0.5 ** np.arange(_MCWF_LEVELS + 1)
+    group = None
+    for k in range(t.size):
+        if k and steps[k - 1] > 0:
+            if which[k - 1] != group:
+                group = which[k - 1]
+                table = expm(gen * steps[first[group]]
+                             * fractions[:, None, None])
+            _advance(psi, r, table, streams, jumps, n_jumps)
+        pops[k] = np.mean(np.abs(psi) ** 2 / _norm2(psi)[:, None], axis=0)
+    positive = steps[steps > 0]
+    return MCWFResult(t=t, populations=pops, n_traj=n_traj, n_jumps=n_jumps,
+                      dt=float(positive.min()) if positive.size else 0.0,
                       seed=seed)
 
 

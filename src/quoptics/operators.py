@@ -130,10 +130,15 @@ def _finite_grid(values, name: str) -> np.ndarray:
 
 def _check_scalars(bound: str = "", **values) -> None:
     """Each value must be one finite number, real or complex; a bound of
-    ">= 0" or "> 0" also requires it real and within it.  NaN fails."""
+    ">= 0" or "> 0" also requires it real and within it.  NaN fails, and so
+    does a value that is not a number, such as a string or None."""
     for name, v in values.items():
-        if not (np.ndim(v) == 0 and np.isfinite(v) and (not bound or (
-                np.isrealobj(v) and (v > 0 if bound == "> 0" else v >= 0)))):
+        try:
+            ok = np.ndim(v) == 0 and np.isfinite(v) and (not bound or (
+                np.isrealobj(v) and (v > 0 if bound == "> 0" else v >= 0)))
+        except TypeError:
+            ok = False
+        if not ok:
             raise ValidationError(
                 f"{name} must be finite {bound}".rstrip() + f", got {v!r}")
 

@@ -246,9 +246,16 @@ def _hermite_functions(n_top: int, y: np.ndarray) -> np.ndarray:
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * y * y)
     if n_top >= 1:
         out[1] = math.sqrt(2.0) * y * out[0]
+    # out[k+1] = y * c1 * out[k] - c2 * out[k-1], its operations in that
+    # order (so the table keeps its bits), written into the new row and
+    # one scratch row instead of four temporaries
+    back = np.empty(y.size)
     for k in range(1, n_top):
-        out[k + 1] = (y * math.sqrt(2.0 / (k + 1)) * out[k]
-                      - math.sqrt(k / (k + 1.0)) * out[k - 1])
+        row = out[k + 1]
+        np.multiply(y, math.sqrt(2.0 / (k + 1)), out=row)
+        np.multiply(row, out[k], out=row)
+        np.multiply(math.sqrt(k / (k + 1.0)), out[k - 1], out=back)
+        np.subtract(row, back, out=row)
     return out
 
 

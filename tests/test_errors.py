@@ -22,17 +22,17 @@ def _cavity(n_max=2):
     return q.driven_cavity_model(q.CavityParams(1.0, 1.0, 0.0, 0.3), n_max)
 
 
-def _thermal_cavity_spectrum(omega):
+def _thermal_cavity_spectrum(omega, phase=0.0):
     ops = q.fock_ops(4)
     model = q.LindbladModel(ops.a.basis, ops.n * 0.0,
                             ((0.7, ops.a), (0.3, ops.a.dag())))
-    return q.spectrum_numeric(model, 0.0, omega, mode_op=ops.a,
+    return q.spectrum_numeric(model, phase, omega, mode_op=ops.a,
                               kappa_out=1.0)
 
 
-def _langevin_spectrum(omega):
+def _langevin_spectrum(omega, phase=0.0):
     return q.spectrum_numeric(q.cavity_langevin_model(1.0, 0.0, 0.0, 0.4),
-                              0.0, omega)
+                              phase, omega)
 
 
 def _jump_model(rate):
@@ -154,6 +154,12 @@ _ROWS = {
         _ONE_PHOTON, q.JCParams(1.0, 1.0, 1.0), [NAN]),
     "opo-spectra-empty-omega": lambda: q.opo_spectra(q.OPOParams(1.0, 0.3), []),
     "rabi-rwa-empty-grid": lambda: q.rabi_rwa(_GROUND, 0.0, 1.0, []),
+    # scalars checked only after the work, or not numbers at all
+    "spectrum-langevin-nan-phase": lambda: _langevin_spectrum([0.0, 1.0], NAN),
+    "spectrum-lindblad-inf-phase": lambda: _thermal_cavity_spectrum(
+        [0.0, 1.0], INF),
+    "cavity-string-gamma": lambda: q.CavityParams(1.0, "a", 0.0, 0.0),
+    "cavity-none-gamma": lambda: q.CavityParams(1.0, None, 0.0, 0.0),
 }
 
 
