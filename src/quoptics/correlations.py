@@ -136,6 +136,9 @@ def regression_formula(ops, coeff: np.ndarray, a: Operator, c: Operator,
     for op in ops:
         _check_basis(op.basis, m.basis)
     coeff = np.asarray(coeff, dtype=complex)
+    if coeff.shape != (len(ops), len(ops)):
+        raise ValidationError(
+            f"coeff must be {len(ops)} x {len(ops)}, got shape {coeff.shape}")
     dim = m.basis.total_dim
     rng = np.random.default_rng(_CLOSURE_SEED)
     # random check states are damped toward high indices: moment equations
@@ -329,6 +332,8 @@ def spectrum_numeric(model, phase: float, omega_grid,
     is attached to the metadata.
     """
     _check_scalars(phase=phase)
+    if kappa_out is not None:
+        _check_scalars(">= 0", kappa_out=kappa_out)
     omega = _finite_grid(omega_grid, "omega_grid")
     if isinstance(model, LangevinLinearModel):
         if model.kappa_out is None and kappa_out is None:
@@ -347,6 +352,7 @@ def spectrum_numeric(model, phase: float, omega_grid,
             raise ValidationError(
                 "LindbladModel spectra need mode_op and kappa_out"
             )
+        _check_basis(mode_op.basis, model.basis)
         kappa = kappa_out
         # first, so that a model without a unique steady state (an undamped
         # one) raises before its eigenvalues build a tau grid
@@ -376,6 +382,10 @@ def spectrum_numeric(model, phase: float, omega_grid,
 
 # tau step: this many points per period of the fastest rate or frequency
 _TAU_POINTS_PER_PERIOD = 60
+# largest omega x tau Fourier kernel of a spectrum (160 MB of complex
+# values); it bounds the tau grid too.  The registry and the tests need at
+# most 5.2e5 elements
+_MAX_FT_KERNEL = 10**7
 
 
 def _spectrum_tau_grid(rates: np.ndarray, omega: np.ndarray):
@@ -384,6 +394,16 @@ def _spectrum_tau_grid(rates: np.ndarray, omega: np.ndarray):
     tau_max = 20.0 / slowest
     f_max = max(float(np.abs(rates.imag).max()), float(np.abs(omega).max()),
                 float(decay.max()), slowest)
+    # the point count from the same formula, in floats, so that no size
+    # overflows before the check
+    points = tau_max * f_max * _TAU_POINTS_PER_PERIOD / (2.0 * math.pi)
+    if not (points + 2.0) * omega.size <= _MAX_FT_KERNEL:
+        raise ValidationError(
+            f"omega_grid of {omega.size} points up to |omega| "
+            f"{float(np.abs(omega).max()):.3g} needs a tau grid of "
+            f"{points:.3g} points (rates up to {f_max:.3g}, slowest decay "
+            f"{slowest:.3g}), above the Fourier-kernel limit of "
+            f"{_MAX_FT_KERNEL:.0e} elements")
     dtau = 2.0 * math.pi / (f_max * _TAU_POINTS_PER_PERIOD)
     n = int(math.ceil(tau_max / dtau)) + 1
     if n % 2 == 0:  # Simpson weights need an odd point count
@@ -406,6 +426,7 @@ def input_output_scale(series: CorrelationSeries, kappa: float,
     atom (half of the atomic radiation reaches the collected direction);
     normalized correlators are unchanged by this scaling.
     """
+    _check_scalars(">= 0", kappa=kappa)
     n, m_ = counts
     factor = kappa ** (0.5 * (n + m_))
     meta = dict(series.normalization)

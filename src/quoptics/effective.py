@@ -81,6 +81,7 @@ def effective_hamiltonian_2nd(h0: Operator, h1: Operator, proj: ProjectorPair,
     oscillatory remainder carries e^{-i w t} / w.  Requires [P, H0] = 0; a
     nonzero P H1 P block is moved into H0 first.
     """
+    _check_scalars(t_horizon=t_horizon)
     p = proj.p.entries
     h0m = h0.entries.copy()
     h1m = h1.entries.copy()

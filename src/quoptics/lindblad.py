@@ -369,35 +369,6 @@ def driven_cavity_analytic(p: CavityParams, t_grid, mean0: complex = 0.0,
 # bisection levels of mcwf_evolve: a jump time is located to 2^-30 of its
 # output interval, far below the statistical error of any ensemble
 _MCWF_LEVELS = 30
-# uniforms buffered per stream: the first threshold and the (channel,
-# threshold) pairs of the next few jumps
-_MCWF_UNIFORMS = 16
-
-
-class _Streams:
-    """One random stream per trajectory, each spawned from one SeedSequence,
-    read through a buffer of _MCWF_UNIFORMS values per stream.  A stream
-    that runs short keeps its unread values and draws the rest, so the
-    values each stream gives do not depend on the buffer size."""
-
-    def __init__(self, seed: int, n: int):
-        self.rngs = [np.random.default_rng(ss)
-                     for ss in np.random.SeedSequence(seed).spawn(n)]
-        self.buf = np.empty((n, _MCWF_UNIFORMS))
-        for rng, row in zip(self.rngs, self.buf):
-            rng.random(out=row)
-        self.pos = np.zeros(n, dtype=int)
-
-    def take(self, idx: np.ndarray, k: int) -> np.ndarray:
-        """The next k uniforms of each stream in idx (distinct), (len, k)."""
-        for i in idx[self.pos[idx] + k > _MCWF_UNIFORMS]:
-            rest = _MCWF_UNIFORMS - self.pos[i]
-            self.buf[i, :rest] = self.buf[i, self.pos[i]:]
-            self.rngs[i].random(out=self.buf[i, rest:])
-            self.pos[i] = 0
-        out = self.buf[idx[:, None], self.pos[idx, None] + np.arange(k)]
-        self.pos[idx] += k
-        return out
 
 
 def _norm2(psi: np.ndarray) -> np.ndarray:
@@ -416,12 +387,14 @@ class MCWFResult:
     seed: int
 
 
-def _jump(psi, idx, r, streams, jumps, n_jumps) -> None:
+def _jump(psi, idx, r, rngs, jumps, n_jumps) -> None:
     """Jump the trajectories idx: channel j with weight kappa_j |J_j psi|^2,
     then a normalized state and a new threshold r in (0, 1].  A trajectory
     whose weights are all 0 crossed by round-off alone: it is only
-    renormalized."""
-    u = streams.take(idx, 2)
+    renormalized.  Each jumper draws the pair from its own generator."""
+    u = np.empty((idx.size, 2))
+    for i, row in zip(idx.tolist(), u):
+        rngs[i].random(out=row)
     jpsi = [psi[idx] @ j.T for _, j in jumps]
     # cumulative channel weights after a zero row, so cum[-1] is the total
     cum = np.zeros((len(jumps) + 1, idx.size))
@@ -438,7 +411,7 @@ def _jump(psi, idx, r, streams, jumps, n_jumps) -> None:
     r[idx] = 1.0 - u[:, 1]
 
 
-def _advance(psi, r, table, streams, jumps, n_jumps) -> None:
+def _advance(psi, r, table, rngs, jumps, n_jumps) -> None:
     """Carry every trajectory over one output interval, in place.
 
     table[k] is U(step / 2^k) for k = 0.._MCWF_LEVELS.  A trajectory takes
@@ -472,7 +445,7 @@ def _advance(psi, r, table, streams, jumps, n_jumps) -> None:
                 jumpers = tri[hunting[tri] | crossed]
                 if jumpers.size:
                     hunting[jumpers] = False
-                    _jump(psi, jumpers, r, streams, jumps, n_jumps)
+                    _jump(psi, jumpers, r, rngs, jumps, n_jumps)
             act = act[left[act] > 0]
 
 
@@ -491,12 +464,15 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     weight kappa_j |J_j psi|^2, is renormalized, draws a new r and finishes
     the interval with the dyadic pieces of the time left, checking each for
     a new crossing.  Populations are those of the normalized psi at the
-    output points.  Each trajectory draws from its own SeedSequence stream,
-    only at the start and per jump, so the ensemble is reproducible for a
-    fixed seed.  ``dt`` is the shortest positive output interval (0.0 if
-    there is none): on an even grid, the span a trajectory advances between
-    jump checks.  t_grid is a non-empty 1-D array of finite times that does
-    not decrease; repeated points are allowed.
+    output points.  Trajectory i draws from its own generator, the i-th
+    ``SeedSequence(seed).spawn`` child, one uniform at the start and two
+    per jump, so the ensemble is reproducible for a fixed seed, each
+    trajectory is independent of how many others run, and the global
+    ``np.random`` state is not touched.  ``dt`` is the shortest positive
+    output interval (0.0 if there is none): on an even grid, the span a
+    trajectory advances between jump checks.  t_grid is a non-empty 1-D
+    array of finite times that does not decrease; repeated points are
+    allowed.
     """
     psi0.validate()
     _check_basis(psi0.basis, m.basis)
@@ -507,8 +483,8 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     _check_integer(seed, "seed", 0)
     jumps = [(rate, op.entries) for rate, op in m.jumps]
     gen = -1j * m.h_eff
-    streams = _Streams(seed, n_traj)
-    r = 1.0 - streams.take(np.arange(n_traj), 1)[:, 0]
+    rngs = np.random.default_rng(seed).spawn(n_traj)
+    r = 1.0 - np.array([rng.random() for rng in rngs])
     psi = np.tile(psi0.amplitudes.astype(complex), (n_traj, 1))
     n_jumps = np.zeros(n_traj, dtype=int)
     pops = np.empty((t.size, m.basis.total_dim))
@@ -522,7 +498,7 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
                 group = which[k - 1]
                 table = expm(gen * steps[first[group]]
                              * fractions[:, None, None])
-            _advance(psi, r, table, streams, jumps, n_jumps)
+            _advance(psi, r, table, rngs, jumps, n_jumps)
         pops[k] = np.mean(np.abs(psi) ** 2 / _norm2(psi)[:, None], axis=0)
     positive = steps[steps > 0]
     return MCWFResult(t=t, populations=pops, n_traj=n_traj, n_jumps=n_jumps,
@@ -553,11 +529,15 @@ class LangevinLinearModel:
         d = _frozen(self.d)
         if a.shape != d.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError("A and D must be square and equal-shaped")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
+            raise ValidationError("A and D must be finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "d", d)
         if self.drive is not None:
-            object.__setattr__(self, "drive",
-                               _frozen(self.drive).reshape(a.shape[0]))
+            drive = _frozen(self.drive).reshape(a.shape[0])
+            if not np.all(np.isfinite(drive)):
+                raise ValidationError("drive must be finite")
+            object.__setattr__(self, "drive", drive)
 
     def hurwitz(self) -> bool:
         return bool(np.all(np.linalg.eigvals(self.a).real < 0))

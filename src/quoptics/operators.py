@@ -332,7 +332,8 @@ def identity(basis: BasisSpec) -> Operator:
 
 def tensor_embed(op: Operator, slot: int, basis: BasisSpec) -> Operator:
     """Embed a single-factor operator at ``slot`` of a composite basis."""
-    if not 0 <= slot < len(basis.factors):
+    _check_integer(slot, "slot", 0)
+    if not slot < len(basis.factors):
         raise ValidationError(f"slot {slot} out of range")
     if op.dim != basis.factors[slot].dim:
         raise BasisMismatchError(
@@ -498,11 +499,14 @@ def _normalized_ket(basis: BasisSpec, amps: np.ndarray) -> KetState:
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept factors (indices in original order)."""
+    keep = list(keep)
+    for k in keep:
+        _check_integer(k, "keep index", 0)
     keep = tuple(sorted(set(int(k) for k in keep)))
     nf = len(rho.basis.factors)
     if not keep:
         raise ValidationError("keep set must not be empty")
-    if any(k < 0 or k >= nf for k in keep):
+    if any(k >= nf for k in keep):
         raise ValidationError("keep indices out of range")
     dims = rho.basis.dims
     t = rho.entries.reshape(dims + dims)

@@ -149,6 +149,7 @@ def vacuum_gaussian() -> GaussianState:
 
 def wigner_gaussian(g: GaussianState, x, p) -> np.ndarray:
     """(2 pi sqrt(det V))^-1 exp(-(r-d)^T V^-1 (r-d) / 2), vectorized."""
+    _check_scalars(mean_x=g.d[0], mean_p=g.d[1])
     det = float(np.linalg.det(g.v))
     if det <= 0:
         raise ValidationError("singular covariance")
@@ -177,7 +178,11 @@ def gaussian_from_complex_moments(mean_a: complex, var_a: complex,
 def gaussian_moment(v: np.ndarray, idx) -> float:
     """Centered Gaussian moment <dr_{i1} ... dr_{iN}> as a sum over pairings."""
     v = np.asarray(v, dtype=float)
-    idx = tuple(int(i) for i in idx)
+    idx = tuple(idx)
+    for i in idx:
+        _check_integer(i, "index", 0)
+        if not i < len(v):
+            raise ValidationError(f"index {i} out of range")
     if len(idx) % 2 == 1:
         return 0.0
 

@@ -1,10 +1,11 @@
 """The error contract of the public API, one row per input: a degenerate
-but well-typed input raises ``ValidationError``, never a bare numpy or
-scipy error, a RuntimeWarning (pytest turns those into errors) or NaN.
+but well-typed input raises ``ValidationError`` (or the subclass of
+``QuopticsError`` named in ``_EXPECT``), never a bare numpy or scipy error,
+a RuntimeWarning (pytest turns those into errors) or NaN.
 
-No row hands a large finite frequency or photon number to
-``spectrum_numeric`` or ``collapse_revival``: their tau grid and Poisson
-window grow with it, and no bound on that size exists yet."""
+A large finite frequency or photon number sizes the tau grid of
+``spectrum_numeric`` or the Poisson table of ``collapse_revival``; both
+sizes have a stated limit that raises before anything is allocated."""
 
 import math
 import re
@@ -42,6 +43,23 @@ def _jump_model(rate):
 
 def _g2_series():
     return q.CorrelationSeries([0.0, 1.0], np.ones(2, dtype=complex))
+
+
+def _opo_spectrum(kappa_out):
+    return q.spectrum_numeric(q.opo_langevin_model(1.0, 0.3), 0.0,
+                              [0.0, 1.0], kappa_out=kappa_out)
+
+
+def _atom_cavity_state():
+    basis = q.BasisSpec((q.Fock(1), q.TwoLevel()))
+    return q.DensityMatrix(basis, np.diag([1.0, 0.0, 0.0, 0.0]))
+
+
+def _two_level_elimination(t_horizon):
+    pl = q.pauli_ops()
+    proj = q.ProjectorPair(q.Operator(q.two_level_basis(),
+                                      np.diag([0.0, 1.0]).astype(complex)))
+    return q.effective_hamiltonian_2nd(pl.sz, 0.1 * pl.sx, proj, t_horizon)
 
 
 _GROUND = [0.0, 0.0, -1.0]
@@ -160,12 +178,47 @@ _ROWS = {
         [0.0, 1.0], INF),
     "cavity-string-gamma": lambda: q.CavityParams(1.0, "a", 0.0, 0.0),
     "cavity-none-gamma": lambda: q.CavityParams(1.0, None, 0.0, 0.0),
+    "spectrum-lindblad-foreign-mode-op": lambda: q.spectrum_numeric(
+        _cavity(), 0.0, [0.0, 1.0], mode_op=q.fock_ops(3).a, kappa_out=1.0),
+    "spectrum-langevin-string-kappa-out": lambda: _opo_spectrum("x"),
+    "spectrum-langevin-nan-kappa-out": lambda: _opo_spectrum(NAN),
+    "langevin-model-nan-drift": lambda: q.LangevinLinearModel(
+        [[NAN]], [[1.0]]),
+    "langevin-model-inf-diffusion": lambda: q.LangevinLinearModel(
+        [[-1.0]], [[INF]]),
+    "langevin-model-nan-drive": lambda: q.LangevinLinearModel(
+        [[-1.0]], [[1.0]], drive=[NAN]),
+    "regression-formula-wrong-coeff-shape": lambda: q.regression_formula(
+        [q.fock_ops(2).a], np.eye(2), q.fock_ops(2).a_dag, q.fock_ops(2).a,
+        _cavity(), [0.0, 1.0]),
+    "effective-hamiltonian-nan-horizon": lambda: _two_level_elimination(NAN),
+    "input-output-scale-nan-kappa": lambda: q.input_output_scale(
+        _g2_series(), NAN, (1, 1)),
+    "wigner-gaussian-nan-mean": lambda: q.wigner_gaussian(
+        q.GaussianState([NAN, 0.0], np.eye(2)), 0.0, 0.0),
+    "gaussian-moment-index-out-of-range": lambda: q.gaussian_moment(
+        np.eye(2), [0, 5]),
+    "partial-trace-string-keep": lambda: q.partial_trace(
+        _atom_cavity_state(), keep=["a"]),
+    "tensor-embed-fractional-slot": lambda: q.tensor_embed(
+        q.pauli_ops().sm, 0.5, _atom_cavity_state().basis),
+    # sizes that grow with a finite input: each raises before allocating
+    "spectrum-langevin-huge-omega": lambda: _langevin_spectrum([1e6]),
+    "collapse-revival-huge-nbar": lambda: q.collapse_revival(
+        1e12, 1.0, np.linspace(0.0, 1.0, 5)),
+}
+# rows that expect another QuopticsError subclass than ValidationError, or a
+# message naming the input where a later output check would also raise one
+_EXPECT = {
+    "spectrum-lindblad-foreign-mode-op": (q.BasisMismatchError, None),
+    "spectrum-langevin-nan-kappa-out": (q.ValidationError, "kappa_out"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_ROWS))
 def test_degenerate_input_raises_validation_error(case):
-    with pytest.raises(q.ValidationError):
+    error, match = _EXPECT.get(case, (q.ValidationError, None))
+    with pytest.raises(error, match=match):
         _ROWS[case]()
 
 
