@@ -28,6 +28,7 @@ from .operators import (
     ValidationError,
     _check_basis,
     _check_scalars,
+    _check_size,
     _finite_grid,
     _frozen,
     fock_basis,
@@ -358,6 +359,9 @@ def spectrum_numeric(model, phase: float, omega_grid,
         # one) raises before its eigenvalues build a tau grid
         rho = steady_state(model).entries
         liouv = model.liouvillian
+        dim = float(liouv.shape[0])
+        _check_size(dim * dim, f"the dense Liouvillian of a model on "
+                    f"{model.basis.factors}, to size its tau grid")
         ev = np.linalg.eigvals(liouv.toarray())
         nonzero = ev[np.abs(ev) > 1e-9 * max(1.0, np.abs(ev).max())]
         if np.any(nonzero.real > 1e-12 * max(1.0, np.abs(ev).max())):
@@ -382,10 +386,6 @@ def spectrum_numeric(model, phase: float, omega_grid,
 
 # tau step: this many points per period of the fastest rate or frequency
 _TAU_POINTS_PER_PERIOD = 60
-# largest omega x tau Fourier kernel of a spectrum (160 MB of complex
-# values); it bounds the tau grid too.  The registry and the tests need at
-# most 5.2e5 elements
-_MAX_FT_KERNEL = 10**7
 
 
 def _spectrum_tau_grid(rates: np.ndarray, omega: np.ndarray):
@@ -394,16 +394,14 @@ def _spectrum_tau_grid(rates: np.ndarray, omega: np.ndarray):
     tau_max = 20.0 / slowest
     f_max = max(float(np.abs(rates.imag).max()), float(np.abs(omega).max()),
                 float(decay.max()), slowest)
-    # the point count from the same formula, in floats, so that no size
-    # overflows before the check
+    # the point count from the same formula, in floats; the omega x tau
+    # Fourier kernel bounds the tau grid too
     points = tau_max * f_max * _TAU_POINTS_PER_PERIOD / (2.0 * math.pi)
-    if not (points + 2.0) * omega.size <= _MAX_FT_KERNEL:
-        raise ValidationError(
-            f"omega_grid of {omega.size} points up to |omega| "
-            f"{float(np.abs(omega).max()):.3g} needs a tau grid of "
-            f"{points:.3g} points (rates up to {f_max:.3g}, slowest decay "
-            f"{slowest:.3g}), above the Fourier-kernel limit of "
-            f"{_MAX_FT_KERNEL:.0e} elements")
+    _check_size((points + 2.0) * omega.size,
+                f"omega_grid of {omega.size} points up to |omega| "
+                f"{float(np.abs(omega).max()):.3g} needs a tau grid of "
+                f"{points:.3g} points (rates up to {f_max:.3g}, slowest decay "
+                f"{slowest:.3g}); its Fourier kernel")
     dtau = 2.0 * math.pi / (f_max * _TAU_POINTS_PER_PERIOD)
     n = int(math.ceil(tau_max / dtau)) + 1
     if n % 2 == 0:  # Simpson weights need an odd point count

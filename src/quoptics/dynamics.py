@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 from .operators import (QuopticsError, ValidationError, _check_integer,
-                        _check_scalars, _finite_grid)
+                        _check_scalars, _check_size, _finite_grid)
 from .settings import DEFAULT
 
 
@@ -333,9 +333,6 @@ class CollapseRevival:
 
 # largest Poisson mass that collapse_revival may drop outside its window
 _TAIL_TOL = 1e-12
-# largest time x Poisson-term table of collapse_revival (80 MB of floats);
-# the registry and the tests need at most 1.3e6 elements
-_MAX_POISSON_TABLE = 10**7
 
 
 def collapse_revival(nbar: float, g: float, t_grid) -> CollapseRevival:
@@ -355,11 +352,9 @@ def collapse_revival(nbar: float, g: float, t_grid) -> CollapseRevival:
     # at least the term count hi - lo + 1 below, in floats, so that no
     # window edge is rounded before the check
     terms = 20.0 * math.sqrt(nbar) + 13.0
-    if not terms * t.size <= _MAX_POISSON_TABLE:
-        raise ValidationError(
-            f"nbar {nbar:.3g} needs about {terms:.3g} Poisson terms at each "
-            f"of {t.size} times, above the table limit of "
-            f"{_MAX_POISSON_TABLE:.0e} elements")
+    _check_size(terms * t.size,
+                f"nbar {nbar:.3g} needs about {terms:.3g} Poisson terms at "
+                f"each of {t.size} times; their table")
     lo = max(0, math.floor(nbar - 10.0 * math.sqrt(nbar)))
     # the +10 floor keeps the tail bound honest at small nbar, where the
     # ten-standard-deviation window alone is too narrow in absolute terms

@@ -18,6 +18,7 @@ from .operators import (
     QuopticsError,
     ValidationError,
     _check_scalars,
+    _check_size,
     _finite_grid,
     herm_residual,
 )
@@ -237,6 +238,8 @@ def effective_master_2nd(system: LindbladModel, interaction,
     """
     basis = system.basis
     d = basis.total_dim
+    dim = float(d) ** 2
+    _check_size(dim * dim, f"the dense generator of a model on {basis.factors}")
     if h_slow is None:
         h_slow = Operator(basis, np.zeros((d, d), dtype=complex))
     w, u = np.linalg.eigh(0.5 * (h_slow.entries + h_slow.entries.conj().T))
@@ -451,6 +454,8 @@ def wigner_weisskopf(gamma: float, epsilon: float, k_grid=None,
             raise QuopticsError(
                 "k grid must span at least +-30 gamma around the transition"
             )
+    _check_size(float(t.size) * k.size, f"t_grid of {t.size} by k_grid of "
+                f"{k.size} points, as the beta(k, t) table")
     dk = float(np.max(np.diff(k)))
     t_max = float(np.max(t))
     if t_max > 0 and dk > math.pi / (4.0 * t_max):

@@ -28,6 +28,7 @@ from .operators import (
     _check_basis,
     _check_integer,
     _check_scalars,
+    _check_size,
     _finite_grid,
     _frozen,
     fock_basis,
@@ -176,6 +177,9 @@ def lindblad_rhs(m: LindbladModel, rho: np.ndarray) -> np.ndarray:
 def build_liouvillian(m: LindbladModel) -> Superoperator:
     """Dense view of ``m.liouvillian``, kept only for the benchmark until
     ROADMAP item 13 deletes it with ``Superoperator``."""
+    dim = float(m.basis.total_dim) ** 2
+    _check_size(dim * dim, f"the dense Liouvillian of a model on "
+                f"{m.basis.factors}")
     dense = m.liouvillian.toarray()
     dense.setflags(write=False)
     return Superoperator(dense, m.basis)
@@ -538,6 +542,8 @@ class LangevinLinearModel:
             if not np.all(np.isfinite(drive)):
                 raise ValidationError("drive must be finite")
             object.__setattr__(self, "drive", drive)
+        if self.kappa_out is not None:
+            _check_scalars(">= 0", kappa_out=self.kappa_out)
 
     def hurwitz(self) -> bool:
         return bool(np.all(np.linalg.eigvals(self.a).real < 0))

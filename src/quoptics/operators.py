@@ -17,9 +17,9 @@ from scipy.special import gammaln
 
 from .settings import (
     DEFAULT,
-    coherent_cutoff,
-    squeezed_cutoff,
-    thermal_cutoff,
+    _coherent_cutoff_float,
+    _squeezed_cutoff_float,
+    _thermal_cutoff_float,
 )
 
 
@@ -76,6 +76,8 @@ class BasisSpec:
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValidationError("BasisSpec needs at least one factor")
+        d = float(self.total_dim)
+        _check_size(d * d, f"one dense operator on the basis {self.factors}")
 
     @property
     def total_dim(self) -> int:
@@ -147,6 +149,23 @@ def _check_integer(v, name: str, low: int) -> None:
     """``v`` must be an int or numpy integer, not a bool, and >= low."""
     if type(v) is bool or not isinstance(v, (int, np.integer)) or v < low:
         raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
+
+
+# largest number of elements that one allocation sized by an input may hold
+# (160 MB of complex values); the tests, the registry and the benchmark
+# reach at most 1.3e6, in the Poisson table of collapse_revival
+_MAX_ELEMENTS = 10**7
+
+
+def _check_size(elements: float, what: str) -> None:
+    """An allocation of ``elements`` elements, set by the input that ``what``
+    describes, must be within the size limit.  Callers count in floats,
+    before they allocate, so that no size overflows before the check; inf
+    and NaN fail it."""
+    if not elements <= _MAX_ELEMENTS:
+        raise ValidationError(
+            f"{what}: {elements:.3g} elements, above the size limit of "
+            f"{_MAX_ELEMENTS:.0e}")
 
 
 @dataclass(frozen=True)
@@ -392,13 +411,14 @@ def displacement_op(alpha: complex, n_max: int) -> Operator:
     n_max >= ceil(|alpha|^2 + 6 |alpha| + 10).
     """
     _check_scalars(alpha=alpha)
-    dim = Fock(n_max).dim
+    basis = fock_basis(n_max)
+    dim = basis.total_dim
     lower = _exp_raising(alpha, dim)
     upper = _exp_raising(-np.conj(alpha), dim).T
     u = math.exp(-0.5 * abs(alpha) ** 2) * (lower @ upper)
     keep = dim - math.ceil(4.0 * abs(alpha))
     res = _truncation_warning(u, keep, "displacement_op")
-    return Operator(fock_basis(n_max), u, meta={"trunc_residual": res})
+    return Operator(basis, u, meta={"trunc_residual": res})
 
 
 def squeeze_op(z: complex, n_max: int) -> Operator:
@@ -409,10 +429,11 @@ def squeeze_op(z: complex, n_max: int) -> Operator:
     restriction of the untruncated operator; warns like displacement_op.
     """
     _check_scalars(z=z)
-    dim = Fock(n_max).dim
+    basis = fock_basis(n_max)
+    dim = basis.total_dim
     r = abs(z)
     if r == 0.0:
-        return Operator(fock_basis(n_max), np.eye(dim, dtype=complex),
+        return Operator(basis, np.eye(dim, dtype=complex),
                         meta={"trunc_residual": 0.0})
     eta = (z / r) * math.tanh(r)
     lower = _exp_raising(-0.5 * eta, dim, 2)
@@ -422,28 +443,40 @@ def squeeze_op(z: complex, n_max: int) -> Operator:
     u = (lower * mid[None, :]) @ upper
     keep = dim - math.ceil(4.0 * math.sinh(r) ** 2 + 4.0)
     res = _truncation_warning(u, keep, "squeeze_op")
-    return Operator(fock_basis(n_max), u, meta={"trunc_residual": res})
+    return Operator(basis, u, meta={"trunc_residual": res})
 
 
 # ---------------------------------------------------------------------------
 # States
 # ---------------------------------------------------------------------------
 
+def _default_cutoff(n_max: float, what: str) -> int:
+    """A default Fock cutoff, given as a float that is inf where its formula
+    overflows, as an int once one dense operator at it is within the size
+    limit; ``what`` names the state parameter that set it."""
+    _check_size((n_max + 1.0) * (n_max + 1.0),
+                f"{what} sets the default Fock cutoff {n_max:.3g}; one dense "
+                f"operator at it")
+    return int(n_max)
+
+
 def coherent_state(alpha: complex, n_max: int | None = None) -> KetState:
     """Coherent amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!), renormalized."""
     _check_scalars(alpha=alpha)
     if n_max is None:
-        n_max = coherent_cutoff(alpha)
-    n = np.arange(Fock(n_max).dim)
+        n_max = _default_cutoff(_coherent_cutoff_float(alpha),
+                                f"alpha {alpha!r}")
+    basis = fock_basis(n_max)
+    n = np.arange(basis.total_dim)
     a = abs(alpha)
     if a == 0.0:
         amps = np.zeros(n_max + 1, dtype=complex)
         amps[0] = 1.0
-        return KetState(fock_basis(n_max), amps, leakage=0.0)
+        return KetState(basis, amps, leakage=0.0)
     log_mod = n * math.log(a) - 0.5 * gammaln(n + 1) - 0.5 * a * a
     phase = np.exp(1j * np.angle(alpha) * n)
     amps = np.exp(log_mod) * phase
-    return _normalized_ket(fock_basis(n_max), amps)
+    return _normalized_ket(basis, amps)
 
 
 def squeezed_vacuum(z: complex, n_max: int | None = None) -> KetState:
@@ -452,30 +485,37 @@ def squeezed_vacuum(z: complex, n_max: int | None = None) -> KetState:
     r = abs(z)
     theta = np.angle(z) if r > 0 else 0.0
     if n_max is None:
-        n_max = squeezed_cutoff(r)
-    amps = np.zeros(Fock(n_max).dim, dtype=complex)
+        n_max = _default_cutoff(_squeezed_cutoff_float(r),
+                                f"z {z!r} (r = |z| = {r:.3g})")
+    basis = fock_basis(n_max)
+    amps = np.zeros(basis.total_dim, dtype=complex)
     if r == 0.0:
         amps[0] = 1.0
-        return KetState(fock_basis(n_max), amps, leakage=0.0)
+        return KetState(basis, amps, leakage=0.0)
+    try:
+        log_cosh = math.log(math.cosh(r))
+    except OverflowError:  # r > 710, where log cosh r = r - log 2 in floats
+        log_cosh = r - math.log(2.0)
     k = np.arange(0, n_max // 2 + 1)
     log_mod = (
         k * math.log(math.tanh(r))
         + 0.5 * gammaln(2 * k + 1)
         - k * math.log(2.0)
         - gammaln(k + 1)
-        - 0.5 * math.log(math.cosh(r))
+        - 0.5 * log_cosh
     )
     phase = (-1.0) ** k * np.exp(1j * theta * k)
     amps[2 * k] = np.exp(log_mod) * phase
-    return _normalized_ket(fock_basis(n_max), amps)
+    return _normalized_ket(basis, amps)
 
 
 def thermal_state(nbar: float, n_max: int | None = None) -> DensityMatrix:
     """Geometric photon-number mixture with mean occupation nbar."""
     _check_scalars(">= 0", nbar=nbar)
     if n_max is None:
-        n_max = thermal_cutoff(nbar)
-    p = np.zeros(Fock(n_max).dim)
+        n_max = _default_cutoff(_thermal_cutoff_float(nbar), f"nbar {nbar!r}")
+    basis = fock_basis(n_max)
+    p = np.zeros(basis.total_dim)
     if nbar == 0.0:
         p[0] = 1.0
     else:
@@ -483,12 +523,15 @@ def thermal_state(nbar: float, n_max: int | None = None) -> DensityMatrix:
         p = np.exp(n * math.log(nbar) - (n + 1) * math.log(1.0 + nbar))
     leak = float(1.0 - p.sum())
     p = p / p.sum()
-    return DensityMatrix(fock_basis(n_max), np.diag(p.astype(complex)),
-                         leakage=leak)
+    return DensityMatrix(basis, np.diag(p.astype(complex)), leakage=leak)
 
 
 def _normalized_ket(basis: BasisSpec, amps: np.ndarray) -> KetState:
     norm2 = float(np.sum(np.abs(amps) ** 2))
+    if not norm2 > 0.0:
+        raise ValidationError(
+            f"every amplitude up to n_max {basis.total_dim - 1} underflows "
+            f"to 0: the state lies above the cutoff")
     leak = 1.0 - norm2
     return KetState(basis, amps / math.sqrt(norm2), leakage=leak)
 

@@ -18,6 +18,7 @@ from .operators import (
     ValidationError,
     _check_integer,
     _check_scalars,
+    _check_size,
     _frozen,
 )
 from .settings import DEFAULT
@@ -49,6 +50,8 @@ class PhaseGrid:
             raise ValidationError("grid bounds must be ordered")
         _check_integer(self.nx, "nx", 2)
         _check_integer(self.np, "np", 2)
+        _check_size(float(self.nx) * float(self.np),
+                    f"a phase grid of nx {self.nx} by np {self.np} points")
 
     @property
     def x(self) -> np.ndarray:
@@ -149,7 +152,8 @@ def vacuum_gaussian() -> GaussianState:
 
 def wigner_gaussian(g: GaussianState, x, p) -> np.ndarray:
     """(2 pi sqrt(det V))^-1 exp(-(r-d)^T V^-1 (r-d) / 2), vectorized."""
-    _check_scalars(mean_x=g.d[0], mean_p=g.d[1])
+    _check_scalars(mean_x=g.d[0], mean_p=g.d[1], v_xx=g.v[0, 0],
+                   v_xp=g.v[0, 1], v_px=g.v[1, 0], v_pp=g.v[1, 1])
     det = float(np.linalg.det(g.v))
     if det <= 0:
         raise ValidationError("singular covariance")
@@ -313,11 +317,20 @@ def wigner_numeric(rho: DensityMatrix, grid: PhaseGrid) -> WignerGrid:
     x_abs = float(np.max(np.abs(x)))
     u_max = 2.0 * math.sqrt(n_eff) + 8.0 + x_abs
     du = math.pi / (2.0 * (p_abs + 2.0 * math.sqrt(n_eff) + 4.0))
+    n_top = min(rho.entries.shape[0] - 1, n_eff)
+    # at least the point count nu below, in floats, so that no size
+    # overflows before the checks
+    points = 2.0 * (u_max / du) + 3.0
+    grid_span = (f"a grid out to |x| {x_abs:.3g}, |p| {p_abs:.3g} needs "
+                 f"about {points:.3g} u points")
+    _check_size(points * grid.np, f"{grid_span}; their cos and sin table "
+                f"at {grid.np} p points")
+    _check_size(points * (n_top + 1), f"{grid_span}; their Hermite rows "
+                f"up to level {n_top}")
     nu = 2 * int(math.ceil(u_max / du)) + 1
     u = np.linspace(-u_max, u_max, nu)
     du = u[1] - u[0]
 
-    n_top = min(rho.entries.shape[0] - 1, n_eff)
     block = rho.entries[: n_top + 1, : n_top + 1]
     rho_re = np.ascontiguousarray(block.real)
     rho_im = np.ascontiguousarray(block.imag)

@@ -39,21 +39,49 @@ class Settings:
 DEFAULT = Settings()
 
 
+# largest geometric occupation tail that thermal_cutoff leaves out
+_THERMAL_TAIL = 1e-12
+
+
 def coherent_cutoff(alpha: complex) -> int:
     """Default Fock cutoff for coherent-dominated states of amplitude alpha."""
-    a = abs(alpha)
-    return max(1, math.ceil(a * a + 6.0 * a + 10.0))
+    return int(_coherent_cutoff_float(alpha))
 
 
 def squeezed_cutoff(r: float) -> int:
     """Default Fock cutoff for squeezed states with squeezing parameter r."""
-    return max(1, math.ceil(10.0 * math.exp(2.0 * abs(r))))
+    return int(_squeezed_cutoff_float(r))
 
 
-def thermal_cutoff(nbar: float, tail: float = 1e-12) -> int:
-    """Smallest cutoff keeping the geometric occupation tail below ``tail``."""
+def thermal_cutoff(nbar: float) -> int:
+    """Smallest cutoff keeping the geometric occupation tail below 1e-12."""
+    return int(_thermal_cutoff_float(nbar))
+
+
+# The same cutoffs as floats, inf where their formula overflows, so that the
+# state builders can check the size a cutoff sets before converting it.
+
+def _coherent_cutoff_float(alpha: complex) -> float:
+    a = abs(alpha)
+    return _round_up(a * a + 6.0 * a + 10.0)
+
+
+def _squeezed_cutoff_float(r: float) -> float:
+    try:
+        return _round_up(10.0 * math.exp(2.0 * abs(r)))
+    except OverflowError:  # exp(2|r|) is above the float range
+        return math.inf
+
+
+def _thermal_cutoff_float(nbar: float) -> float:
     if nbar <= 0.0:
-        return 1
+        return 1.0
     ratio = nbar / (1.0 + nbar)
-    n = math.ceil(math.log(tail) / math.log(ratio))
-    return max(1, n)
+    if ratio == 1.0:  # nbar of about 2**53 or more: the ratio rounds to 1
+        return math.inf
+    return _round_up(math.log(_THERMAL_TAIL) / math.log(ratio))
+
+
+def _round_up(levels: float) -> float:
+    """max(1, ceil(levels)) as a float, which is exact; inf stays inf."""
+    return max(1.0, float(math.ceil(levels))) if levels < math.inf else levels

@@ -180,6 +180,19 @@ def test_run_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"state": "squeezed", "r": 10}, "r = |z| = 10"),
+    ({"grid_points": 100000}, "phase grid of nx 100000 by np 100000"),
+])
+def test_run_runaway_size_exits_3(tmp_path, capsys, config, named):
+    # each would allocate tens of GB; the size limit stops it first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "wigner-gallery", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert named in err and "size limit" in err
+
+
 def test_run_rejects_missing_and_non_object_configs(tmp_path, capsys):
     assert main(["run", "dephasing", "--config",
                  str(tmp_path / "absent.json")]) == 2

@@ -3,12 +3,18 @@ but well-typed input raises ``ValidationError`` (or the subclass of
 ``QuopticsError`` named in ``_EXPECT``), never a bare numpy or scipy error,
 a RuntimeWarning (pytest turns those into errors) or NaN.
 
-A large finite frequency or photon number sizes the tau grid of
-``spectrum_numeric`` or the Poisson table of ``collapse_revival``; both
-sizes have a stated limit that raises before anything is allocated."""
+Every allocation whose size grows with a finite input has one bound: the
+element limit of ``operators._check_size``, counted in floats before
+anything is allocated.  It covers the dense operators at a Fock cutoff
+(explicit or the default one that alpha, z or nbar sets), phase grids and
+the tables of ``wigner_numeric``, the tau grid of ``spectrum_numeric``, the
+Poisson table of ``collapse_revival``, the dense Liouvillians and the time
+x wavevector table of ``wigner_weisskopf``.  The runaway rows would
+allocate gigabytes without it."""
 
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +45,10 @@ def _langevin_spectrum(omega, phase=0.0):
 def _jump_model(rate):
     ops = q.fock_ops(2)
     return q.LindbladModel(ops.a.basis, ops.n, ((rate, ops.a),))
+
+
+def _fock_projector(n):
+    return q.DensityMatrix(q.fock_basis(n), np.diag([0.0] * n + [1.0]))
 
 
 def _g2_series():
@@ -202,10 +212,42 @@ _ROWS = {
         _atom_cavity_state(), keep=["a"]),
     "tensor-embed-fractional-slot": lambda: q.tensor_embed(
         q.pauli_ops().sm, 0.5, _atom_cavity_state().basis),
+    "wigner-gaussian-nan-covariance": lambda: q.wigner_gaussian(
+        q.GaussianState([0.0, 0.0], [[NAN, 0.0], [0.0, 1.0]]), 0.0, 0.0),
+    "langevin-model-nan-kappa-out": lambda: q.LangevinLinearModel(
+        [[-1.0]], [[1.0]], kappa_out=NAN),
+    "langevin-model-string-kappa-out": lambda: q.LangevinLinearModel(
+        [[-1.0]], [[1.0]], kappa_out="x"),
+    # default Fock cutoffs whose formula overflows
+    "coherent-state-huge-amplitude": lambda: q.coherent_state(1e200),
+    "squeezed-vacuum-huge-squeezing": lambda: q.squeezed_vacuum(400.0),
+    "thermal-state-huge-nbar": lambda: q.thermal_state(1e17),
+    # states with no weight left within an explicit cutoff
+    "coherent-state-beyond-cutoff": lambda: q.coherent_state(50.0, 4),
+    "squeezed-vacuum-beyond-cutoff": lambda: q.squeezed_vacuum(1e17, 4),
     # sizes that grow with a finite input: each raises before allocating
     "spectrum-langevin-huge-omega": lambda: _langevin_spectrum([1e6]),
     "collapse-revival-huge-nbar": lambda: q.collapse_revival(
         1e12, 1.0, np.linspace(0.0, 1.0, 5)),
+    "coherent-state-runaway-cutoff": lambda: q.coherent_state(1e5),
+    "squeezed-vacuum-runaway-cutoff": lambda: q.squeezed_vacuum(10.0),
+    "thermal-state-runaway-cutoff": lambda: q.thermal_state(1e9),
+    "fock-ops-runaway-cutoff": lambda: q.fock_ops(10**5),
+    "phase-grid-runaway-size": lambda: q.PhaseGrid(
+        -1.0, 1.0, -1.0, 1.0, 10**5, 10**5),
+    "wigner-numeric-runaway-u-table": lambda: q.wigner_numeric(
+        _fock_projector(10), q.PhaseGrid(-0.1, 0.1, 1e6, 1e6 + 1.0, 2, 1000)),
+    "wigner-numeric-runaway-hermite-rows": lambda: q.wigner_numeric(
+        _fock_projector(600), q.PhaseGrid(-0.01, 0.01, 6e4, 6e4 + 0.01, 2, 2)),
+    "spectrum-lindblad-runaway-dense-liouvillian": lambda: q.spectrum_numeric(
+        _cavity(56), 0.0, [0.0, 1.0], mode_op=q.fock_ops(56).a,
+        kappa_out=1.0),
+    "build-liouvillian-runaway-dense": lambda: q.build_liouvillian(
+        _cavity(56)),
+    "effective-master-runaway-generator": lambda: q.effective_master_2nd(
+        _cavity(56), [], {}, {}),
+    "wigner-weisskopf-runaway-table": lambda: q.wigner_weisskopf(
+        1.0, 100.0, t_grid=np.linspace(0.0, 5.0, 5000)),
 }
 # rows that expect another QuopticsError subclass than ValidationError, or a
 # message naming the input where a later output check would also raise one
@@ -220,6 +262,20 @@ def test_degenerate_input_raises_validation_error(case):
     error, match = _EXPECT.get(case, (q.ValidationError, None))
     with pytest.raises(error, match=match):
         _ROWS[case]()
+
+
+@pytest.mark.parametrize("n_max", [None, 4])
+@pytest.mark.parametrize("value", [1e17, 1e200, 400.0, sys.float_info.max])
+@pytest.mark.parametrize("build", [q.coherent_state, q.squeezed_vacuum,
+                                   q.thermal_state])
+def test_state_builders_take_any_finite_parameter(build, value, n_max):
+    """A finite alpha, z or nbar gives a valid state or a ValidationError,
+    at the default cutoff and at a fixed one."""
+    try:
+        state = build(value, n_max)
+    except q.ValidationError:
+        return
+    state.validate()
 
 
 # valid values of every numeric field of the public parameter classes;
@@ -261,3 +317,19 @@ def test_input_rules_have_one_owner():
     for path in sorted(package.glob("*.py")):
         if path.name != "operators.py":
             assert not copies.search(path.read_text()), path.name
+
+
+def test_size_limit_has_one_owner():
+    """operators.py holds the one element limit and raises its error; every
+    other module sizes its allocations through _check_size."""
+    limits = re.compile(r"^_MAX_\w*\s*=", re.M)
+    package = Path(q.__file__).parent
+    found = {path.name: limits.findall(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert {name: v for name, v in found.items() if v} == {
+        "operators.py": ["_MAX_ELEMENTS ="]}
+    for path in sorted(package.glob("*.py")):
+        if path.name != "operators.py":
+            text = path.read_text()
+            assert not re.search(r"size limit|\b10\s*\*\*\s*7\b|\b1e7\b",
+                                 text), path.name
