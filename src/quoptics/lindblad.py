@@ -373,6 +373,75 @@ def driven_cavity_analytic(p: CavityParams, t_grid, mean0: complex = 0.0,
 # bisection levels of mcwf_evolve: a jump time is located to 2^-30 of its
 # output interval, far below the statistical error of any ensemble
 _MCWF_LEVELS = 30
+# state elements per chunk of mcwf_evolve (4 MB of amplitudes): an ensemble
+# runs max(1, _MCWF_CHUNK // dim) trajectories at a time, so that its memory
+# does not grow with n_traj beyond one jump count per trajectory
+_MCWF_CHUNK = 2**18
+
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC11): the multipliers of the
+# two products of a round and the Weyl increments of the two key words
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                     dtype=np.uint64)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                     dtype=np.uint64)
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _philox_uniforms(key: np.ndarray, block: int,
+                     rows: np.ndarray) -> np.ndarray:
+    """The four uniforms in [0, 1) of Philox4x64-10 at counter (block, 0,
+    row, 0) under ``key`` (two uint64 words), as one (rows.size, 4) array:
+    the doubles ``Generator(Philox(key=key, counter=[block - 1, 0, row,
+    0])).random(4)`` of numpy gives, since numpy steps the counter before
+    each block.  Each 64 x 64-bit product takes its high word from 32-bit
+    halves.  All arithmetic is on arrays, where uint64 wraps silently."""
+    even = np.stack((np.full(rows.size, block, dtype=np.uint64), rows))
+    odd = np.zeros_like(even)
+    key = key.copy()
+    m_lo, m_hi = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
+    for _ in range(10):
+        lo, hi = even & _LOW32, even >> _SHIFT32
+        p00, p01, p10 = lo * m_lo, lo * m_hi, hi * m_lo
+        carry = ((p00 >> _SHIFT32) + (p01 & _LOW32)
+                 + (p10 & _LOW32)) >> _SHIFT32
+        mulhi = hi * m_hi + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + carry
+        # (c0, c1, c2, c3) -> (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+        #                      hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
+        even, odd = mulhi[::-1] ^ odd ^ key[:, None], (even * _PHILOX_M)[::-1]
+        key += _PHILOX_W
+    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=1)
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+class _Draws:
+    """The uniform draws of trajectories first .. first + n - 1 of an
+    ensemble.  Draw k of trajectory i is word k % 4 of the Philox4x64-10
+    block at counter (k // 4 + 1, 0, i, 0): the k-th ``random()`` of
+    ``Generator(Philox(key=key, counter=[0, 0, i, 0]))``.  A block is made
+    for all n rows at once, the first time any row reads it; the columns
+    that every row has read past are dropped then."""
+
+    def __init__(self, key: np.ndarray, first: int, n: int):
+        self._key = key
+        self._rows = np.arange(first, first + n, dtype=np.uint64)
+        self._drawn = np.zeros(n, dtype=np.int64)
+        self._u = np.empty((n, 0))
+        self._base = 0   # the draw that column 0 of _u holds
+
+    def take(self, idx: np.ndarray, count: int) -> np.ndarray:
+        """The next ``count`` draws of each row idx, as (idx.size, count)."""
+        k = self._drawn[idx]
+        end = int(k.max()) + count
+        held = self._base + self._u.shape[1]
+        if end > held:
+            keep = int(self._drawn.min()) // 4 * 4
+            blocks = range(held // 4 + 1, (end - 1) // 4 + 2)
+            self._u = np.hstack(
+                [self._u[:, keep - self._base:]]
+                + [_philox_uniforms(self._key, b, self._rows) for b in blocks])
+            self._base = keep
+        self._drawn[idx] += count
+        return self._u[idx[:, None], k[:, None] - self._base + np.arange(count)]
 
 
 def _norm2(psi: np.ndarray) -> np.ndarray:
@@ -391,14 +460,12 @@ class MCWFResult:
     seed: int
 
 
-def _jump(psi, idx, r, rngs, jumps, n_jumps) -> None:
+def _jump(psi, idx, r, draws, jumps, n_jumps) -> None:
     """Jump the trajectories idx: channel j with weight kappa_j |J_j psi|^2,
     then a normalized state and a new threshold r in (0, 1].  A trajectory
     whose weights are all 0 crossed by round-off alone: it is only
-    renormalized.  Each jumper draws the pair from its own generator."""
-    u = np.empty((idx.size, 2))
-    for i, row in zip(idx.tolist(), u):
-        rngs[i].random(out=row)
+    renormalized.  Each jumper reads the pair from its own stream."""
+    u = draws.take(idx, 2)
     jpsi = [psi[idx] @ j.T for _, j in jumps]
     # cumulative channel weights after a zero row, so cum[-1] is the total
     cum = np.zeros((len(jumps) + 1, idx.size))
@@ -415,42 +482,47 @@ def _jump(psi, idx, r, rngs, jumps, n_jumps) -> None:
     r[idx] = 1.0 - u[:, 1]
 
 
-def _advance(psi, r, table, rngs, jumps, n_jumps) -> None:
-    """Carry every trajectory over one output interval, in place.
+def _advance(psi, r, table, draws, jumps, n_jumps) -> np.ndarray:
+    """The states of every trajectory one output interval after psi.
 
     table[k] is U(step / 2^k) for k = 0.._MCWF_LEVELS.  A trajectory takes
-    a piece only while its squared norm stays above its threshold r; the
-    time it has left is counted in units of the finest piece, and a sweep
-    over the levels offers it the binary digits of that count, largest
-    first.  A piece that crosses r starts a bisection: every later level of
-    the sweep halves the window that holds the crossing, and the finest
-    level takes the last piece and jumps.  A trajectory that jumped sweeps
-    again with the time it has left."""
+    a piece only while its squared norm stays above its threshold r.  One
+    product by table[0] carries every trajectory that does not cross r in
+    the interval.  The others sweep the finer levels: a trajectory hunting
+    a crossing halves the window that holds it at every level, the finest
+    level takes the last piece and jumps, and a trajectory that jumped
+    sweeps again, offered the binary digits of the time it has left
+    (counted in units of the finest piece), largest first, with a new
+    crossing hunted as before.  A sweep works on its own rows' states,
+    time left and hunting flags, and writes the states back once."""
     top = _MCWF_LEVELS
-    left = np.full(len(psi), 1 << top, dtype=np.int64)
-    hunting = np.zeros(len(psi), dtype=bool)
-    act = np.arange(len(psi))
+    out = psi @ table[0].T
+    act = np.flatnonzero(~(_norm2(out) > r))
+    p, left = psi[act], np.full(act.size, 1 << top, dtype=np.int64)
+    hunting = np.ones(act.size, dtype=bool)
     while act.size:
-        for level, u in enumerate(table):
+        rr = r[act]
+        for level in range(1, top):
             piece = 1 << (top - level)
-            tri = act[hunting[act] | ((left[act] & piece) > 0)]
-            if not tri.size:
-                continue
-            phi = psi[tri] @ u.T
-            crossed = ~(_norm2(phi) > r[tri])
-            if level < top:
-                keep = tri[~crossed]
-                psi[keep] = phi[~crossed]
-                left[keep] -= piece
-                hunting[tri[crossed]] = True
-            else:
-                psi[tri] = phi
-                left[tri] -= 1
-                jumpers = tri[hunting[tri] | crossed]
-                if jumpers.size:
-                    hunting[jumpers] = False
-                    _jump(psi, jumpers, r, rngs, jumps, n_jumps)
-            act = act[left[act] > 0]
+            tri = hunting | ((left & piece) > 0)
+            if tri.any():
+                phi = p @ table[level].T
+                take = tri & (_norm2(phi) > rr)
+                hunting |= tri ^ take
+                np.copyto(p, phi, where=take[:, None])
+                left -= piece * take
+        tri = hunting | ((left & 1) > 0)
+        phi = p @ table[top].T
+        hunting |= tri & ~(_norm2(phi) > rr)
+        np.copyto(p, phi, where=tri[:, None])
+        left -= tri
+        out[act] = p
+        if hunting.any():
+            _jump(out, act[hunting], r, draws, jumps, n_jumps)
+        more = left > 0
+        act, left = act[more], left[more]
+        p, hunting = out[act], np.zeros(act.size, dtype=bool)
+    return out
 
 
 def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
@@ -468,15 +540,21 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     weight kappa_j |J_j psi|^2, is renormalized, draws a new r and finishes
     the interval with the dyadic pieces of the time left, checking each for
     a new crossing.  Populations are those of the normalized psi at the
-    output points.  Trajectory i draws from its own generator, the i-th
-    ``SeedSequence(seed).spawn`` child, one uniform at the start and two
-    per jump, so the ensemble is reproducible for a fixed seed, each
-    trajectory is independent of how many others run, and the global
-    ``np.random`` state is not touched.  ``dt`` is the shortest positive
-    output interval (0.0 if there is none): on an even grid, the span a
-    trajectory advances between jump checks.  t_grid is a non-empty 1-D
-    array of finite times that does not decrease; repeated points are
-    allowed.
+    output points.
+
+    The draws come from one counter-based stream, Philox4x64-10 (Salmon et
+    al., SC11) keyed by ``SeedSequence(seed).generate_state(2, np.uint64)``:
+    trajectory i reads the uniforms of ``Generator(Philox(key=key,
+    counter=[0, 0, i, 0]))`` in order, one at the start and two per jump.
+    So the ensemble is reproducible for a fixed seed, each trajectory is
+    independent of how many others run, and the global ``np.random`` state
+    is not touched.  The trajectories run in chunks of at most 2^18 state
+    elements, and the populations are summed chunk by chunk, so memory
+    beyond one chunk grows only by one jump count per trajectory.  ``dt``
+    is the shortest positive output interval (0.0 if there is none): on an
+    even grid, the span a trajectory advances between jump checks.  t_grid
+    is a non-empty 1-D array of finite times that does not decrease;
+    repeated points are allowed.
     """
     psi0.validate()
     _check_basis(psi0.basis, m.basis)
@@ -484,26 +562,35 @@ def mcwf_evolve(psi0: KetState, m: LindbladModel, t_grid, n_traj: int,
     if np.any(np.diff(t) < 0):
         raise ValidationError("t_grid must not decrease")
     _check_integer(n_traj, "n_traj", 1)
+    _check_size(n_traj, f"n_traj {n_traj} (one jump count per trajectory)")
     _check_integer(seed, "seed", 0)
     jumps = [(rate, op.entries) for rate, op in m.jumps]
     gen = -1j * m.h_eff
-    rngs = np.random.default_rng(seed).spawn(n_traj)
-    r = 1.0 - np.array([rng.random() for rng in rngs])
-    psi = np.tile(psi0.amplitudes.astype(complex), (n_traj, 1))
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    dim = m.basis.total_dim
+    per_chunk = max(1, _MCWF_CHUNK // dim)
+    ket = psi0.amplitudes.astype(complex)
     n_jumps = np.zeros(n_traj, dtype=int)
-    pops = np.empty((t.size, m.basis.total_dim))
+    pops = np.zeros((t.size, dim))
     steps = np.diff(t)
     first, which = _distinct_steps(steps)
     fractions = 0.5 ** np.arange(_MCWF_LEVELS + 1)
     group = None
-    for k in range(t.size):
-        if k and steps[k - 1] > 0:
-            if which[k - 1] != group:
-                group = which[k - 1]
-                table = expm(gen * steps[first[group]]
-                             * fractions[:, None, None])
-            _advance(psi, r, table, rngs, jumps, n_jumps)
-        pops[k] = np.mean(np.abs(psi) ** 2 / _norm2(psi)[:, None], axis=0)
+    for start in range(0, n_traj, per_chunk):
+        n = min(per_chunk, n_traj - start)
+        draws = _Draws(key, start, n)
+        counts = n_jumps[start:start + n]
+        r = 1.0 - draws.take(np.arange(n), 1)[:, 0]
+        psi = np.tile(ket, (n, 1))
+        for k in range(t.size):
+            if k and steps[k - 1] > 0:
+                if which[k - 1] != group:
+                    group = which[k - 1]
+                    table = expm(gen * steps[first[group]]
+                                 * fractions[:, None, None])
+                psi = _advance(psi, r, table, draws, jumps, counts)
+            pops[k] += np.sum(np.abs(psi) ** 2 / _norm2(psi)[:, None], axis=0)
+    pops /= n_traj
     positive = steps[steps > 0]
     return MCWFResult(t=t, populations=pops, n_traj=n_traj, n_jumps=n_jumps,
                       dt=float(positive.min()) if positive.size else 0.0,

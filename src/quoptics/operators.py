@@ -413,10 +413,18 @@ def displacement_op(alpha: complex, n_max: int) -> Operator:
     _check_scalars(alpha=alpha)
     basis = fock_basis(n_max)
     dim = basis.total_dim
-    lower = _exp_raising(alpha, dim)
-    upper = _exp_raising(-np.conj(alpha), dim).T
-    u = math.exp(-0.5 * abs(alpha) ** 2) * (lower @ upper)
-    keep = dim - math.ceil(4.0 * abs(alpha))
+    mod = abs(alpha)
+    # the factors overflow where |alpha|^k does or their product does; the
+    # operator is then refused rather than returned with inf or NaN entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = _exp_raising(alpha, dim)
+        upper = _exp_raising(-np.conj(alpha), dim).T
+        u = math.exp(-0.5 * (mod * mod)) * (lower @ upper)
+    if not np.all(np.isfinite(u)):
+        raise ValidationError(
+            f"displacement_op: |alpha| = {mod:.3g} overflows the normal-"
+            f"ordered form at n_max {n_max}")
+    keep = dim - math.ceil(4.0 * mod)
     res = _truncation_warning(u, keep, "displacement_op")
     return Operator(basis, u, meta={"trunc_residual": res})
 
@@ -439,9 +447,16 @@ def squeeze_op(z: complex, n_max: int) -> Operator:
     lower = _exp_raising(-0.5 * eta, dim, 2)
     upper = _exp_raising(0.5 * np.conj(eta), dim, 2).T
     n = np.arange(dim)
-    mid = np.power(math.cosh(r), -(n + 0.5))
+    try:
+        mid = np.power(math.cosh(r), -(n + 0.5))
+        keep = dim - math.ceil(4.0 * math.sinh(r) ** 2 + 4.0)
+    except OverflowError:
+        # r > 355: cosh r = e^r / 2 in floats, and no block of the cutoff
+        # is free of truncation
+        with np.errstate(over="ignore"):
+            mid = np.exp(-(n + 0.5) * (r - math.log(2.0)))
+        keep = 0
     u = (lower * mid[None, :]) @ upper
-    keep = dim - math.ceil(4.0 * math.sinh(r) ** 2 + 4.0)
     res = _truncation_warning(u, keep, "squeeze_op")
     return Operator(basis, u, meta={"trunc_residual": res})
 

@@ -8,13 +8,14 @@ element limit of ``operators._check_size``, counted in floats before
 anything is allocated.  It covers the dense operators at a Fock cutoff
 (explicit or the default one that alpha, z or nbar sets), phase grids and
 the tables of ``wigner_numeric``, the tau grid of ``spectrum_numeric``, the
-Poisson table of ``collapse_revival``, the dense Liouvillians and the time
-x wavevector table of ``wigner_weisskopf``.  The runaway rows would
-allocate gigabytes without it."""
+Poisson table of ``collapse_revival``, the dense Liouvillians, the time
+x wavevector table of ``wigner_weisskopf`` and the jump counts of
+``mcwf_evolve``.  The runaway rows would allocate gigabytes without it."""
 
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,9 @@ _ROWS = {
         _cavity(56), [], {}, {}),
     "wigner-weisskopf-runaway-table": lambda: q.wigner_weisskopf(
         1.0, 100.0, t_grid=np.linspace(0.0, 5.0, 5000)),
+    "mcwf-runaway-trajectories": lambda: q.mcwf_evolve(
+        q.KetState(q.fock_basis(2), [0.0, 1.0, 0.0]), _jump_model(1.0),
+        [0.0, 1.0], n_traj=10**8, seed=0),
 }
 # rows that expect another QuopticsError subclass than ValidationError, or a
 # message naming the input where a later output check would also raise one
@@ -276,6 +280,21 @@ def test_state_builders_take_any_finite_parameter(build, value, n_max):
     except q.ValidationError:
         return
     state.validate()
+
+
+@pytest.mark.parametrize("value", [400.0, 1e3, 1e17, 1e200,
+                                   sys.float_info.max])
+@pytest.mark.parametrize("build", [q.displacement_op, q.squeeze_op])
+def test_operators_take_any_finite_amplitude(build, value):
+    """A finite alpha or z gives an operator with finite entries, which
+    warns that the cutoff truncates it, or a ValidationError."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            op = build(value, 4)
+    except q.ValidationError:
+        return
+    assert np.all(np.isfinite(op.entries))
 
 
 # valid values of every numeric field of the public parameter classes;

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import quoptics as q
+from quoptics import lindblad
 from quoptics.lindblad import lindblad_rhs, vec
 from quoptics.operators import QuopticsError
 
@@ -490,15 +491,70 @@ def test_mcwf_reproducible():
     assert np.array_equal(a.populations, b.populations)
 
 
-def test_mcwf_trajectory_reads_only_its_own_stream():
-    # the first 37 of 300 trajectories jump as an ensemble of 37 does
+def test_mcwf_trajectory_reads_only_its_own_stream(monkeypatch):
+    # the first 37 of 300 trajectories jump as an ensemble of 37 does, and
+    # all 300 jump as they do in chunks of 32 trajectories, whose boundary
+    # at 32 cuts the 37
     m = _rf_model(1.0, 1.5)
     psi0 = q.KetState(q.two_level_basis(), np.array([1.0, 0.0], dtype=complex))
     t = np.linspace(0.0, 4.0, 9)
     full = q.mcwf_evolve(psi0, m, t, n_traj=300, seed=8)
     part = q.mcwf_evolve(psi0, m, t, n_traj=37, seed=8)
+    monkeypatch.setattr(lindblad, "_MCWF_CHUNK", 64)
+    chunked = q.mcwf_evolve(psi0, m, t, n_traj=300, seed=8)
     assert np.array_equal(full.n_jumps[:37], part.n_jumps)
+    assert np.array_equal(chunked.n_jumps, full.n_jumps)
+    assert np.abs(chunked.populations - full.populations).max() < 1e-14
     assert full.n_jumps.max() > 3
+
+
+@pytest.mark.parametrize("row", [0, 1, 12345, 2**32 + 5, 2**63])
+@pytest.mark.parametrize("block", [1, 2, 2**32 + 1])
+def test_mcwf_draws_are_numpy_philox(row, block):
+    # numpy steps the counter before each block; rows and blocks at and
+    # past 2^32 set bits in both 32-bit halves of the multiplied words
+    key = np.random.SeedSequence(2024).generate_state(2, np.uint64)
+    ours = lindblad._philox_uniforms(key, block,
+                                     np.array([row, 7], dtype=np.uint64))
+    ref = np.random.Generator(np.random.Philox(
+        key=key, counter=[block - 1, 0, row, 0])).random(4)
+    assert ours[0].tobytes() == ref.tobytes()
+
+
+def test_mcwf_trajectory_stream_is_a_philox_generator():
+    # trajectory i reads the uniforms of Philox at counter (0, 0, i, 0) in
+    # order, across blocks, whatever the other rows read and after the
+    # blocks every row has read past are dropped
+    key = np.random.SeedSequence(5).generate_state(2, np.uint64)
+    draws = lindblad._Draws(key, 40, 3)
+    seen = [[], [], []]
+    for rows, count in (([0, 1, 2], 1), ([1], 2), ([1, 2], 2), ([1], 2),
+                        ([0, 1, 2], 2), ([0, 2], 2), ([0, 2], 2), ([1], 2),
+                        ([1], 2), ([0, 1, 2], 2)):
+        for i, u in zip(rows, draws.take(np.array(rows), count)):
+            seen[i].extend(u)
+    for i, got in enumerate(seen):
+        ref = np.random.Generator(np.random.Philox(
+            key=key, counter=[0, 0, 40 + i, 0])).random(len(got))
+        assert np.array_equal(got, ref)
+    assert draws._base > 0
+
+
+def test_mcwf_memory_does_not_grow_with_the_trajectory_count(monkeypatch):
+    # in chunks of 512 trajectories, 2 and 8 chunks peak within 16 B per
+    # extra trajectory of each other: the jump counts are all that grows
+    monkeypatch.setattr(lindblad, "_MCWF_CHUNK", 1024)
+    m = _rf_model(1.0, 1.5)
+    psi0 = q.KetState(q.two_level_basis(), np.array([1.0, 0.0], dtype=complex))
+    peaks = []
+    for n_traj in (1024, 4096):
+        tracemalloc.start()
+        try:
+            q.mcwf_evolve(psi0, m, [0.0, 1.0], n_traj=n_traj, seed=4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 16 * (4096 - 1024)
 
 
 def test_langevin_steady_cavity_and_opo():
