@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .settings import (
     DEFAULT,
@@ -384,6 +383,8 @@ def _exp_raising(coef: complex, dim: int, p: int = 1) -> np.ndarray:
     (e^{c a^dag^p})_{m n} = c^k sqrt(m!/n!) / k! on the diagonals
     m - n = p k, evaluated in log space so large cutoffs stay finite.
     """
+    from scipy.special import gammaln
+
     out = np.zeros((dim, dim), dtype=complex)
     n = np.arange(dim)
     logfact = gammaln(n + 1.0)
@@ -488,6 +489,8 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> KetState:
         amps = np.zeros(n_max + 1, dtype=complex)
         amps[0] = 1.0
         return KetState(basis, amps, leakage=0.0)
+    from scipy.special import gammaln
+
     log_mod = n * math.log(a) - 0.5 * gammaln(n + 1) - 0.5 * a * a
     phase = np.exp(1j * np.angle(alpha) * n)
     amps = np.exp(log_mod) * phase
@@ -511,6 +514,8 @@ def squeezed_vacuum(z: complex, n_max: int | None = None) -> KetState:
         log_cosh = math.log(math.cosh(r))
     except OverflowError:  # r > 710, where log cosh r = r - log 2 in floats
         log_cosh = r - math.log(2.0)
+    from scipy.special import gammaln
+
     k = np.arange(0, n_max // 2 + 1)
     log_mod = (
         k * math.log(math.tanh(r))

@@ -1,7 +1,8 @@
 """Artifact and state serialization: JSON (round-trip bit-exact through
-shortest-repr floats), and CSV and gnuplot text rendered from an artifact's
-own columns (complex columns split into _re/_im pairs, floats in
-shortest-repr form).
+shortest-repr floats, with a column that repeats or tiles an axis stored as
+that axis), and CSV and gnuplot text rendered from an artifact's own
+columns (complex columns split into _re/_im pairs, floats in shortest-repr
+form).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .operators import (
     Operator,
     TwoLevel,
     ValidationError,
+    _check_size,
 )
 
 
@@ -38,15 +40,76 @@ class SeriesArtifact:
             raise ValidationError(f"unequal column lengths: {lengths}")
 
 
+def _axis_form(arr: np.ndarray):
+    """``(axis, key, k)`` when the 1-D float64 ``arr`` is, bit for bit,
+    ``np.repeat(axis, k)`` (key "repeat") or ``np.tile(axis, k)`` (key
+    "tile") with at least 2 axis values and k >= 2, else None.  The repeat
+    count is the run length of the first value, the tile period its first
+    recurrence; bits are compared, so -0.0, NaN and inf stay exact."""
+    n = arr.size
+    if arr.ndim != 1 or arr.dtype != np.float64 or n < 4:
+        return None
+    bits = np.ascontiguousarray(arr).view(np.uint64)
+    same = bits == bits[0]
+    if same[1]:
+        run = int(np.argmin(same))  # the first other value; 0 if none
+        if run and n % run == 0 and (
+                bits.reshape(-1, run) == bits[::run, None]).all():
+            return arr[::run].copy(), "repeat", run
+        return None
+    period = int(np.argmax(same[1:])) + 1  # 1 if the value never recurs
+    if period > 1 and n % period == 0 and (
+            bits.reshape(-1, period) == bits[:period]).all():
+        return arr[:period].copy(), "tile", n // period
+    return None
+
+
 def _column_payload(values, leaf=np.ndarray.tolist) -> dict:
     arr = np.asarray(values)
     if np.iscomplexobj(arr):
         return {"re": leaf(arr.real), "im": leaf(arr.imag)}
+    form = _axis_form(arr)
+    if form is not None:
+        axis, key, k = form
+        return {"axis": leaf(axis), key: k}
     return {"values": leaf(arr)}
 
 
+def _axis_restore(payload: dict) -> np.ndarray:
+    keys = [key for key in ("repeat", "tile") if key in payload]
+    if len(keys) != 1:
+        raise ValidationError(
+            "an axis column needs exactly one of 'repeat' and 'tile'")
+    key = keys[0]
+    k = payload[key]
+    if type(k) is not int or k < 1:
+        raise ValidationError(f"{key!r} must be an integer >= 1, got {k!r}")
+    axis = payload["axis"]
+    if not (isinstance(axis, list)
+            and all(type(v) in (int, float) for v in axis)):
+        raise ValidationError("'axis' must be a flat list of numbers")
+    # min: a count beyond float range would overflow the size message
+    _check_size(len(axis) * min(k, 1e300),
+                f"an axis column of {len(axis)} values, {key} {k}")
+    try:
+        axis = np.array(axis, dtype=np.float64)
+    except OverflowError as err:
+        raise ValidationError(f"'axis' holds a number beyond float64: {err}")
+    return np.repeat(axis, k) if key == "repeat" else np.tile(axis, k)
+
+
 def _column_restore(payload: dict) -> np.ndarray:
-    if "re" in payload:
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            f"a column must be a JSON object, not {type(payload).__name__}")
+    forms = payload.keys() & {"values", "re", "im", "axis"}
+    if forms not in ({"values"}, {"re", "im"}, {"axis"}):
+        raise ValidationError(
+            "a column needs exactly one of 'values', 're' with 'im', and "
+            f"'axis'; it has the keys {sorted(payload)}")
+    if "axis" in forms:
+        return _axis_restore(payload)
+    if "re" in forms:
         # set the parts: re + 1j * im turns 0.0 + 1j * inf into nan and
         # -0.0 + 1j * 1.0 into 0.0 + 1j
         re = np.asarray(payload["re"], dtype=float)

@@ -400,6 +400,18 @@ def test_import_loads_no_integrator_optimizer_or_csgraph():
     assert [m for m in added if (m + ".").startswith(lazy)] == []
 
 
+def test_import_defers_scipy_special():
+    # gammaln and sici are imported by the functions that use them, so a CLI
+    # call that builds no coherent or squeezed state does not pay for
+    # scipy.special
+    package_root = os.path.dirname(os.path.dirname(q.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    code = "import sys, quoptics; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_out_dir_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("QUOPTICS_OUT_DIR", str(tmp_path))
     assert main(["run", "dephasing", "--out", "sub/art.json"]) == 0
