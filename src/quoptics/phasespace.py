@@ -278,8 +278,10 @@ def position_wavefunctions(n_top: int, x: np.ndarray) -> np.ndarray:
 _OCCUPANCY_CUT = 1e-13
 
 # Rows of the output grid share one pass through the u-grid sum, as many as
-# keep each (n+1) x rows x nu Hermite table within this many float64 elements
-# (1 MB), so the memory held does not grow with the grid.
+# keep (n+1) x rows x nu, the size of a Hermite table on the full u grid,
+# within this many float64 elements (1 MB).  The tables cover only u >= 0, so
+# each holds about half of that, and the memory held does not grow with the
+# grid.
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -298,10 +300,14 @@ def wigner_numeric(rho: DensityMatrix, grid: PhaseGrid) -> WignerGrid:
     p and every position-space oscillation, so for a truncated rho the result
     carries no sampling bias.
 
-    The Hermite tables psi_n(x +- u) are real, so the sum runs as real BLAS
-    products over blocks of x rows: g_re = sum_m psi+ * (Re rho @ psi-),
-    g_im likewise with Im rho, then the real part of g(u) e^{-iup} gives
-    W = du/(2 pi) (g_re @ cos(u p) + g_im @ sin(u p)).
+    The sum runs over the Hermitian part (rho + rho^dag)/2, whose W is the
+    real part of the sum for rho itself.  For it g(u) = <x+u|rho|x-u> obeys
+    g(-u) = conj g(u), so the symmetric grid u_k = k du, |k| <= nu // 2, folds
+    onto k >= 0 with weight 1 at k = 0 and 2 beyond.  The Hermite tables
+    psi_n(x +- u_k) are real, so the sum runs as real BLAS products over
+    blocks of x rows: g_re = sum_m psi+ * (Re rho @ psi-), g_im likewise with
+    Im rho, then W = du/(2 pi) (g_re @ cos_w + g_im @ sin_w) with the weights
+    in the kernels.  When Im rho is zero, g_im and its kernel are skipped.
     """
     rho.basis.single_fock()
     n_eff = _occupied_levels(rho.entries)
@@ -330,24 +336,34 @@ def wigner_numeric(rho: DensityMatrix, grid: PhaseGrid) -> WignerGrid:
     nu = 2 * int(math.ceil(u_max / du)) + 1
     u = np.linspace(-u_max, u_max, nu)
     du = u[1] - u[0]
+    # the half grid u_k = k du, k = 0 .. nu // 2: u_0 is exactly 0 and each
+    # -u_k of the full grid mirrors u_k exactly
+    u = du * np.arange(nu // 2 + 1)
+    nk = u.size
 
     block = rho.entries[: n_top + 1, : n_top + 1]
-    rho_re = np.ascontiguousarray(block.real)
-    rho_im = np.ascontiguousarray(block.imag)
-    up = np.outer(u, p)  # (nu, np)
-    cos_up = np.cos(up)
-    sin_up = np.sin(up, out=up)
+    herm = 0.5 * (block + block.conj().T)
+    rho_re = np.ascontiguousarray(herm.real)
+    rho_im = np.ascontiguousarray(herm.imag) if herm.imag.any() else None
+    up = np.outer(u, p)  # (nk, np)
+    cos_w = np.cos(up)
+    cos_w[1:] *= 2.0
+    if rho_im is not None:
+        sin_w = np.sin(up, out=up)
+        sin_w[1:] *= 2.0
     rows = max(1, _BLOCK_ELEMENTS // ((n_top + 1) * nu))
     values = np.empty((grid.nx, grid.np))
     for start in range(0, grid.nx, rows):
         xs = x[start:start + rows, None]
-        # (n+1, rows*nu) tables, one nu-long stretch per row
+        # (n+1, rows*nk) tables, one nk-long stretch per row
         psi_plus = position_wavefunctions(n_top, (xs + u).ravel())
         psi_minus = position_wavefunctions(n_top, (xs - u).ravel())
         g_re = np.einsum("mk,mk->k", psi_plus, rho_re @ psi_minus)
-        g_im = np.einsum("mk,mk->k", psi_plus, rho_im @ psi_minus)
-        values[start:start + rows] = (g_re.reshape(-1, nu) @ cos_up
-                                      + g_im.reshape(-1, nu) @ sin_up)
+        out = values[start:start + rows]
+        np.matmul(g_re.reshape(-1, nk), cos_w, out=out)
+        if rho_im is not None:
+            g_im = np.einsum("mk,mk->k", psi_plus, rho_im @ psi_minus)
+            out += g_im.reshape(-1, nk) @ sin_w
     values *= du / (2.0 * math.pi)
     w = WignerGrid(grid, values, meta={"n_eff": n_eff, "du": du, "nu": nu})
     norm = w.integral()

@@ -98,10 +98,20 @@ def _axis_restore(payload: dict) -> np.ndarray:
     return np.repeat(axis, k) if key == "repeat" else np.tile(axis, k)
 
 
-def _column_restore(payload: dict) -> np.ndarray:
-    if not isinstance(payload, dict):
+def _json_object(value, what: str, *keys: str) -> dict:
+    """``value`` when it is a JSON object that holds every one of ``keys``;
+    ValidationError otherwise."""
+    if not isinstance(value, dict):
         raise ValidationError(
-            f"a column must be a JSON object, not {type(payload).__name__}")
+            f"{what} must be a JSON object, not {type(value).__name__}")
+    missing = [k for k in keys if k not in value]
+    if missing:
+        raise ValidationError(f"{what} lacks {', '.join(map(repr, missing))}")
+    return value
+
+
+def _column_restore(payload: dict) -> np.ndarray:
+    _json_object(payload, "a column")
     forms = payload.keys() & {"values", "re", "im", "axis"}
     if forms not in ({"values"}, {"re", "im"}, {"axis"}):
         raise ValidationError(
@@ -125,15 +135,24 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _float_reprs(values, spelling: dict | None = None) -> list:
     """``float.__repr__`` of each value as a float64, in the shape of
-    ``values`` as nested lists, with ``spelling`` mapping some reprs to
-    others. repr runs once per distinct bit pattern, so -0.0 and 0.0 stay
-    apart, and a Wigner grid's 66049 x values cost 257 reprs."""
+    ``values`` as nested lists, with ``spelling`` mapping the reprs of
+    non-finite values to others. repr runs once per distinct bit pattern, so
+    -0.0 and 0.0 stay apart, and a Wigner grid's 66049 x values cost 257
+    reprs."""
     arr = np.asarray(values, dtype=np.float64)
     bits = np.ascontiguousarray(arr).reshape(-1).view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)
-    reprs = [float.__repr__(v) for v in distinct.view(np.float64).tolist()]
+    if arr.ndim == 1 and distinct.size == arr.size:
+        # no value repeats: repr each where it stands, with no gather
+        floats, index = arr, None
+    else:
+        floats = distinct.view(np.float64)
+    reprs = [float.__repr__(v) for v in floats.tolist()]
     if spelling:
-        reprs = [spelling.get(r, r) for r in reprs]
+        for i in np.flatnonzero(~np.isfinite(floats)).tolist():
+            reprs[i] = spelling.get(reprs[i], reprs[i])
+    if index is None:
+        return reprs
     return np.array(reprs, dtype=object)[index.reshape(arr.shape)].tolist()
 
 
@@ -178,7 +197,10 @@ def artifact_to_json(art: SeriesArtifact) -> str:
 
 
 def artifact_from_json(text: str) -> SeriesArtifact:
-    doc = json.loads(text)
+    doc = _json_object(json.loads(text), "an artifact document",
+                       "scenario", "params", "columns", "metadata")
+    for key in ("params", "columns", "metadata"):
+        _json_object(doc[key], repr(key))
     return SeriesArtifact(
         scenario=doc["scenario"],
         params=doc["params"],
@@ -238,9 +260,14 @@ def _basis_payload(basis: BasisSpec) -> list:
 
 
 def _basis_restore(payload: list) -> BasisSpec:
+    if not isinstance(payload, list):
+        raise ValidationError(
+            f"'basis' must be a JSON list, not {type(payload).__name__}")
     factors = []
     for item in payload:
+        _json_object(item, "a basis factor", "type")
         if item["type"] == "fock":
+            _json_object(item, "a Fock factor", "n_max")
             factors.append(Fock(item["n_max"]))
         elif item["type"] == "two_level":
             factors.append(TwoLevel())
@@ -266,16 +293,21 @@ def state_to_json(obj) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+# the class of each state kind and the key that holds its values
+_STATE_KINDS = {"operator": (Operator, "entries"),
+                "ket": (KetState, "amplitudes"),
+                "density_matrix": (DensityMatrix, "entries")}
+
+
 def state_from_json(text: str):
-    doc = json.loads(text)
-    basis = _basis_restore(doc["basis"])
+    doc = _json_object(json.loads(text), "a state document", "kind", "basis")
     kind = doc["kind"]
-    if kind == "operator":
-        return Operator(basis, _column_restore(doc["entries"]))
-    if kind == "ket":
-        return KetState(basis, _column_restore(doc["amplitudes"]),
-                        leakage=doc.get("leakage", 0.0))
-    if kind == "density_matrix":
-        return DensityMatrix(basis, _column_restore(doc["entries"]),
-                             leakage=doc.get("leakage", 0.0))
-    raise ValidationError(f"unknown kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _STATE_KINDS:
+        raise ValidationError(f"unknown kind {kind!r}")
+    cls, key = _STATE_KINDS[kind]
+    _json_object(doc, f"the {kind} document", key)
+    basis = _basis_restore(doc["basis"])
+    values = _column_restore(doc[key])
+    if cls is Operator:
+        return Operator(basis, values)
+    return cls(basis, values, leakage=doc.get("leakage", 0.0))

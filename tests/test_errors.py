@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import quoptics as q
+from quoptics.serialize import artifact_from_json, state_from_json
 
 NAN, INF = math.nan, math.inf
 
@@ -226,6 +227,18 @@ _ROWS = {
     # states with no weight left within an explicit cutoff
     "coherent-state-beyond-cutoff": lambda: q.coherent_state(50.0, 4),
     "squeezed-vacuum-beyond-cutoff": lambda: q.squeezed_vacuum(1e17, 4),
+    # serialized documents whose structure is not the one written
+    "artifact-json-not-an-object": lambda: artifact_from_json("[]"),
+    "state-json-not-an-object": lambda: state_from_json("[]"),
+    "artifact-json-without-scenario": lambda: artifact_from_json(
+        '{"columns": {}}'),
+    "artifact-json-columns-list": lambda: artifact_from_json(
+        '{"scenario": "s", "params": {}, "columns": [], "metadata": {}}'),
+    "state-json-ket-without-basis": lambda: state_from_json(
+        '{"kind": "ket", "amplitudes": {"values": [1.0]}}'),
+    "state-json-fock-without-n-max": lambda: state_from_json(
+        '{"kind": "ket", "basis": [{"type": "fock"}], '
+        '"amplitudes": {"values": [1.0, 0.0]}}'),
     # sizes that grow with a finite input: each raises before allocating
     "spectrum-langevin-huge-omega": lambda: _langevin_spectrum([1e6]),
     "collapse-revival-huge-nbar": lambda: q.collapse_revival(

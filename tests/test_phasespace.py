@@ -396,6 +396,60 @@ def test_wigner_numeric_matches_per_row_reference(case):
     assert np.abs(w.values - ref).max() < 1e-13
 
 
+def _real_cat(n_max: int) -> q.DensityMatrix:
+    plus = q.coherent_state(1.2, n_max).amplitudes
+    minus = q.coherent_state(-1.2, n_max).amplitudes
+    # the phases of |-1.2> leave imaginary parts of order 1e-16
+    amps = (plus + minus).real / np.linalg.norm(plus + minus)
+    return q.KetState(q.fock_basis(n_max), amps).to_density_matrix()
+
+
+def _fock_mixture(n_max: int) -> q.DensityMatrix:
+    weights = np.arange(n_max + 1, 0, -1.0)
+    weights /= weights.sum()
+    return q.DensityMatrix(q.fock_basis(n_max),
+                           np.diag(weights).astype(complex))
+
+
+@pytest.mark.parametrize("make", [_real_cat,
+                                  lambda n: q.thermal_state(0.45, n),
+                                  _fock_mixture],
+                         ids=["real-cat", "thermal", "fock-mixture"])
+def test_wigner_numeric_of_real_states_matches_per_row_reference(make):
+    # Im rho is exactly zero here, so the transform skips its sin kernel
+    n_max = 10
+    rho = make(n_max)
+    assert not rho.entries.imag.any()
+    grid = q.default_grid(n_max, 81)
+    ref, ref_meta = _wigner_by_rows(rho.entries, grid)
+    # 4 rows per block, so the last of the 81 rows is a partial block
+    budget = 4 * (n_max + 1) * ref_meta["nu"]
+    with mock.patch.object(phasespace, "_BLOCK_ELEMENTS", budget):
+        w = q.wigner_numeric(rho, grid)
+    assert w.meta == ref_meta
+    assert np.abs(w.values - ref).max() < 1e-13
+
+
+def test_wigner_numeric_of_a_nearly_hermitian_rho_is_its_hermitian_part():
+    n_max = 8
+    rng = np.random.default_rng(7)
+    re, im = rng.normal(size=(2, 2, n_max + 1, n_max + 1))
+    a, b = re + 1j * im
+    herm = a @ a.conj().T
+    herm /= np.trace(herm).real
+    skew = b - b.conj().T
+    rho = herm + 1e-11 * skew / np.abs(skew).max()
+    assert 5e-12 < np.abs(rho - rho.conj().T).max() < 5e-11
+    grid = q.default_grid(n_max, 65)
+    ref, ref_meta = _wigner_by_rows(rho, grid)
+    w = q.wigner_numeric(q.DensityMatrix(q.fock_basis(n_max), rho), grid)
+    assert w.meta == ref_meta
+    assert np.abs(w.values - ref).max() < 1e-13
+    # the transform reads only the Hermitian part, bit for bit
+    part = q.DensityMatrix(q.fock_basis(n_max), 0.5 * (rho + rho.conj().T))
+    assert np.array_equal(q.wigner_numeric(part, grid).values, w.values)
+
+
 def test_wigner_numeric_memory_is_bounded_on_the_kerr_cat_grid():
     # the kerr-cat scenario's state: |alpha = 2> after exp(-i pi N^2 / 2)
     start = q.coherent_state(2.0)
@@ -410,7 +464,8 @@ def test_wigner_numeric_memory_is_bounded_on_the_kerr_cat_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the cos and sin kernels take 2 x 8 nu np bytes (4.8 MB here); all 257
-    # rows in one block would hold 8 (n+1) nx nu bytes (65 MB) per table
+    # the cos and sin kernels on u >= 0 take 2 x 8 (nu // 2 + 1) np bytes
+    # (2.4 MB here); all 257 rows in one block would hold
+    # 8 (n+1) nx (nu // 2 + 1) bytes (33 MB) per table
     assert (w.meta["n_eff"], w.meta["nu"]) == (26, 1173)
     assert peak < 12e6
