@@ -142,17 +142,11 @@ def _float_reprs(values, spelling: dict | None = None) -> list:
     arr = np.asarray(values, dtype=np.float64)
     bits = np.ascontiguousarray(arr).reshape(-1).view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)
-    if arr.ndim == 1 and distinct.size == arr.size:
-        # no value repeats: repr each where it stands, with no gather
-        floats, index = arr, None
-    else:
-        floats = distinct.view(np.float64)
+    floats = distinct.view(np.float64)
     reprs = [float.__repr__(v) for v in floats.tolist()]
     if spelling:
         for i in np.flatnonzero(~np.isfinite(floats)).tolist():
             reprs[i] = spelling.get(reprs[i], reprs[i])
-    if index is None:
-        return reprs
     return np.array(reprs, dtype=object)[index.reshape(arr.shape)].tolist()
 
 
@@ -293,21 +287,19 @@ def state_to_json(obj) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-# the class of each state kind and the key that holds its values
-_STATE_KINDS = {"operator": (Operator, "entries"),
-                "ket": (KetState, "amplitudes"),
-                "density_matrix": (DensityMatrix, "entries")}
-
-
 def state_from_json(text: str):
     doc = _json_object(json.loads(text), "a state document", "kind", "basis")
-    kind = doc["kind"]
-    if not isinstance(kind, str) or kind not in _STATE_KINDS:
-        raise ValidationError(f"unknown kind {kind!r}")
-    cls, key = _STATE_KINDS[kind]
-    _json_object(doc, f"the {kind} document", key)
     basis = _basis_restore(doc["basis"])
-    values = _column_restore(doc[key])
-    if cls is Operator:
-        return Operator(basis, values)
-    return cls(basis, values, leakage=doc.get("leakage", 0.0))
+    kind = doc["kind"]
+    if kind == "operator":
+        _json_object(doc, "an operator document", "entries")
+        return Operator(basis, _column_restore(doc["entries"]))
+    if kind == "ket":
+        _json_object(doc, "a ket document", "amplitudes")
+        return KetState(basis, _column_restore(doc["amplitudes"]),
+                        leakage=doc.get("leakage", 0.0))
+    if kind == "density_matrix":
+        _json_object(doc, "a density_matrix document", "entries")
+        return DensityMatrix(basis, _column_restore(doc["entries"]),
+                             leakage=doc.get("leakage", 0.0))
+    raise ValidationError(f"unknown kind {kind!r}")

@@ -137,18 +137,6 @@ def test_non_finite_and_signed_zero_floats_are_written_as_json_writes_them():
     assert artifact_to_gnuplot(art) == gnuplot
 
 
-def test_columns_with_no_repeated_value_are_written_as_json_writes_them():
-    # every bit pattern once, so no value shares a repr with another
-    distinct = np.array([0.1, np.nan, -0.0, np.inf, 5e-324, -np.inf, 0.0])
-    z = np.empty(distinct.size, dtype=complex)
-    z.real, z.imag = distinct, distinct[::-1]
-    art = SeriesArtifact("synthetic", {}, columns={"x": distinct, "z": z})
-    assert artifact_to_json(art) == _reference_json(art)
-    csv, gnuplot = _reference_text(art)
-    assert artifact_to_csv(art) == csv
-    assert artifact_to_gnuplot(art) == gnuplot
-
-
 def test_empty_columns_are_written_as_json_writes_them():
     art = SeriesArtifact("synthetic", {}, columns={
         "t": np.array([]), "z": np.array([], dtype=complex)})
