@@ -594,6 +594,67 @@ def _plan_route(b, steps: np.ndarray) -> _Plan:
                  degrees, scalings, products, pattern, diagonal)
 
 
+def _transpose_mirror(n: int, rows: np.ndarray) -> np.ndarray | None:
+    """Position in ``rows`` of P(rows[k]) for each k, P the transpose
+    permutation of vec(rho) for a d x d rho in Fortran order (rho[i, j] at
+    i + d j goes to j + d i); None when n is not a square or ``rows`` is
+    not closed under P."""
+    d = math.isqrt(n)
+    if d * d != n:
+        return None
+    images = rows // d + d * (rows % d)
+    mirror = np.minimum(np.searchsorted(rows, images), rows.size - 1)
+    return mirror if np.array_equal(rows[mirror], images) else None
+
+
+@dataclass(frozen=True)
+class _Fold:
+    """The half of vec(rho) that the sparse route propagates for a
+    J-invariant B and seed, J: x -> conj(x[P]) (``_hermitian_fold``).
+
+    ``pattern`` holds the rows r <= P(r) of the plan's pattern, each in its
+    stored order, with every column c renumbered as the entry of the work
+    vector [u, conj(u)] that holds x[c]: u holds the rows r <= P(r) and
+    conj(u) their images.  ``columns`` is that renumbering for every row,
+    so that taking [u, conj(u)] at ``columns`` gives all of x."""
+
+    rows: np.ndarray          # the rows r <= P(r), held as u
+    pattern: tuple            # CSR (data, indices, indptr) of those rows
+    diagonal: np.ndarray      # where pattern's data holds the diagonal
+    columns: np.ndarray       # entry of [u, conj(u)] that holds each x[c]
+    real: np.ndarray          # the rows r = P(r) within u: diag(rho)
+
+
+def _hermitian_fold(plan: _Plan, x: np.ndarray, mirror) -> _Fold | None:
+    """The fold of a sparse-route propagation, or None where it does not
+    apply: ``mirror`` (``_transpose_mirror``) is None, or B or the seed x
+    is not invariant, entry for entry, under J: x -> conj(x[P]), that is
+    B[P][:, P] == conj(B) and x[P] == conj(x).  A stored zero equals an
+    absent entry (a kron Liouvillian stores the zeros of whole blocks on
+    one side of P only).  Lindblad generators are J-invariant and Hermitian
+    seeds are, so then every exp(B t) x is too and its rows r > P(r) are the
+    conjugates of rows r < P(r).  Checked in O(nnz)."""
+    if mirror is None or not np.array_equal(x[mirror], x.conj()):
+        return None
+    n = x.size
+    b = sp.csr_matrix(plan.pattern, shape=(n, n))
+    if (b[mirror][:, mirror] != b.conj()).nnz:
+        return None
+    data, indices, indptr = plan.pattern
+    upper = np.arange(n) <= mirror
+    rank = np.cumsum(upper) - 1
+    half = np.flatnonzero(upper)
+    columns = np.where(upper, rank, half.size + rank[mirror])
+    starts = indptr[half]
+    lengths = indptr[half + 1] - starts
+    half_indptr = np.concatenate(([0], np.cumsum(lengths)))
+    take = (np.repeat(starts - half_indptr[:-1], lengths)
+            + np.arange(half_indptr[-1]))
+    return _Fold(half, (data[take], columns[indices[take]], half_indptr),
+                 half_indptr[:-1] + (plan.diagonal[half] - starts),
+                 columns, np.flatnonzero(mirror[half] == half))
+
+
 def _touched_rows(b, x: np.ndarray) -> np.ndarray:
     """Sorted indices of the rows that exp(B t) x can reach for a vector x:
     the connected components of the pattern of |B| + |B|^T that hold a
@@ -636,6 +697,16 @@ def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
     bound: dense for small or stiff generators on long grids, sparse for
     large ones on short grids and for very large ones on any grid.  B is
     held as canonical complex CSR from entry on.
+
+    Where n = d^2 rows hold vec(rho) of a d x d rho (Fortran order) and B
+    and x0 are invariant under J: x -> conj(x[P]), P the transpose of rho,
+    as Lindblad generators and Hermitian seeds are, the sparse route
+    propagates only the d(d + 1)/2 rows of one triangle of rho on the same
+    plan and writes the others as their conjugates (``_hermitian_fold``):
+    about half the products' work, within round-off of the unfolded loop,
+    and every output J-invariant to the bit.  The result, nt n entries or
+    nt with ``readout``, is held to the element limit of ``_check_size``
+    before anything is allocated.
     """
     shape = np.shape(b)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -653,15 +724,19 @@ def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
             "x0 and readout must be vectors with one entry per row of B")
     if not all(np.isfinite(a).all() for a in (b.data, x, v)):
         raise ValidationError("B, x0 and readout must be finite")
+    width = x.size if readout is None else 1
+    _check_size(float(t.size) * width,
+                f"{t.size} times of {width} entries each; the solution")
     keep = _touched_rows(b, x)
     out = np.zeros((t.size, x.size) if readout is None else t.size,
                    dtype=complex)
     if keep.size == 0:
         return out
+    mirror = _transpose_mirror(b.shape[0], keep)
     rows = slice(None)
     if keep.size < b.shape[0]:
         b, x, rows = b[keep][:, keep], x[keep], keep
-    series = _propagate(b, x, np.diff(t))
+    series = _propagate(b, x, np.diff(t), mirror)
     if readout is None:
         for k, xk in enumerate(series):
             out[k, rows] = xk
@@ -701,10 +776,46 @@ def _taylor_step(a, f: np.ndarray, m_star: int, s: int, eta,
         np.multiply(eta, f, out=f)
 
 
-def _propagate(b, x: np.ndarray, steps: np.ndarray):
+class _FoldedProduct:
+    """u -> the rows r <= P(r) of A x, A = h B - mu I stored as
+    ``_Fold.pattern`` in ``a`` and x the J-invariant vector whose rows
+    r <= P(r) are u: one product with the half-height CSR, on the work
+    vector [u, conj(u)].  ``expand`` gives all of x."""
+
+    def __init__(self, a, fold: _Fold):
+        self.a, self.fold = a, fold
+        self.pair = np.empty(a.shape[1], dtype=complex)
+        self.full = np.empty(fold.columns.size, dtype=complex)
+
+    def _paired(self, u: np.ndarray) -> np.ndarray:
+        self.pair[:u.size] = u
+        np.conjugate(u, out=self.pair[u.size:])
+        return self.pair
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        out = self.a @ self._paired(u)
+        # the entries of diag(rho) are real: each row sums conjugate pairs,
+        # whose imaginary parts cancel only to round-off when another entry
+        # falls between them in the row's stored order
+        out.imag[self.fold.real] = 0.0
+        return out
+
+    def expand(self, u: np.ndarray) -> np.ndarray:
+        return np.take(self._paired(u), self.fold.columns, out=self.full)
+
+
+def _propagate(b, x: np.ndarray, steps: np.ndarray, mirror):
     """Yield exp(B (t_k - t_0)) x for every grid point, on the planned
     route.  The sparse route yields its working array, which the next step
-    overwrites, so each state must be read before the next is drawn."""
+    overwrites, so each state must be read before the next is drawn.
+
+    On the sparse route a J-invariant B and x (``_hermitian_fold``, with
+    ``mirror`` from ``_transpose_mirror``) are propagated on the rows
+    r <= P(r) alone, d(d + 1)/2 of the d^2, through ``_FoldedProduct``,
+    with the plan's m*, s and steps.  The shift is Re mu: tr(B) is real,
+    and the imaginary part that its sum rounds to cancels between h B - mu I
+    and exp(mu) in the unfolded loop, but would break the symmetry here.
+    |conj z| = |z|, so the norms and every stop are those of all of x."""
     yield x
     plan = _plan_route(b, steps)
     if plan.route == "dense":
@@ -714,10 +825,17 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray):
             x = props[p] @ x
             yield x
         return
+    fold = _hermitian_fold(plan, x, mirror)
+    if fold is None:
+        pattern, diagonal, f = plan.pattern, plan.diagonal, x.copy()
+        shape = b.shape
+    else:
+        pattern, diagonal, f = fold.pattern, fold.diagonal, x[fold.rows]
+        shape = (f.size, 2 * f.size)
     # h B - mu I of the current group, rewritten when the group changes
-    a = sp.csr_matrix((np.empty_like(plan.pattern[0]),) + plan.pattern[1:],
-                      shape=b.shape)
-    f = x.copy()
+    a = sp.csr_matrix((np.empty_like(pattern[0]),) + pattern[1:],
+                      shape=shape)
+    product = a if fold is None else _FoldedProduct(a, fold)
     work = (np.empty_like(f), np.empty_like(f))
     mag = np.empty(f.size)
     current = -1
@@ -725,9 +843,11 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray):
     for p in plan.which.tolist():
         if p != current:
             m_star, s, mu = degrees[p], scalings[p], plan.shifts[p]
-            _shifted(plan.pattern, plan.diagonal, plan.steps[p], mu, a.data)
+            if fold is not None:
+                mu = mu.real
+            _shifted(pattern, diagonal, plan.steps[p], mu, a.data)
             # 1.0 * mu as scipy scales it, down to the sign of a zero
             eta = np.exp(1.0 * mu / float(s))
             current = p
-        _taylor_step(a, f, m_star, s, eta, work, mag)
-        yield f
+        _taylor_step(product, f, m_star, s, eta, work, mag)
+        yield f if fold is None else product.expand(f)

@@ -492,7 +492,12 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> KetState:
     from scipy.special import gammaln
 
     log_mod = n * math.log(a) - 0.5 * gammaln(n + 1) - 0.5 * a * a
-    phase = np.exp(1j * np.angle(alpha) * n)
+    if complex(alpha).imag == 0.0:
+        # exactly 1 or (-1)^n, where exp(i pi n) leaves imaginary parts of
+        # 1e-16; complex, so that a positive alpha keeps its bits
+        phase = (np.sign(complex(alpha).real) ** n).astype(complex)
+    else:
+        phase = np.exp(1j * np.angle(alpha) * n)
     amps = np.exp(log_mod) * phase
     return _normalized_ket(basis, amps)
 

@@ -120,13 +120,32 @@ def _column_restore(payload: dict) -> np.ndarray:
     if "axis" in forms:
         return _axis_restore(payload)
     if "re" in forms:
+        re, im = _numbers(payload, "re"), _numbers(payload, "im")
+        if re.shape != im.shape:
+            raise ValidationError(
+                f"'re' has the shape {re.shape} and 'im' {im.shape}")
         # set the parts: re + 1j * im turns 0.0 + 1j * inf into nan and
         # -0.0 + 1j * 1.0 into 0.0 + 1j
-        re = np.asarray(payload["re"], dtype=float)
         out = np.empty(re.shape, dtype=complex)
-        out.real, out.imag = re, payload["im"]
+        out.real, out.imag = re, im
         return out
-    return np.asarray(payload["values"])
+    return _numbers(payload, "values")
+
+
+def _numbers(payload: dict, key: str) -> np.ndarray:
+    """``payload[key]`` as one array of JSON numbers, nested as a state's
+    entries are; ValidationError for strings, nulls, objects or ragged
+    nesting.  The dtype numpy infers is the check, so no element is
+    visited in Python."""
+    try:
+        arr = np.asarray(payload[key])
+    except ValueError as err:
+        raise ValidationError(
+            f"{key!r} is not a rectangular array: {err}") from err
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(
+            f"{key!r} must hold numbers; it reads as {arr.dtype}")
+    return arr
 
 
 # json's spelling of the floats whose repr is nan, inf and -inf

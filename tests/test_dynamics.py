@@ -502,6 +502,11 @@ def _force_route(monkeypatch, route: str) -> None:
         _plan_route(b, steps), route=route))
 
 
+def _pin_unfolded(monkeypatch) -> None:
+    """Propagate all of vec(rho) on the sparse route, as before the fold."""
+    monkeypatch.setattr(dynamics, "_hermitian_fold", lambda *args: None)
+
+
 # two blocks, rows 0-2 and rows 3-4, so that a seed in one of them takes the
 # partial-block path and a seed in both the full one
 _TWO_BLOCK_B = np.array([[-1.0, 2.0, 0.0, 0.0, 0.0],
@@ -871,8 +876,94 @@ def test_sparse_route_gives_the_bits_of_expm_multiply(monkeypatch, case):
     b = sp.csr_matrix(b, dtype=complex)
     assert dynamics._touched_rows(b, x0).size == b.shape[0]
     _force_route(monkeypatch, "sparse")
+    _pin_unfolded(monkeypatch)
     assert q.solve_linear(b, x0, t).tobytes() == \
         _expm_multiply_series(b, x0, t).tobytes()
+
+
+def _transpose(n: int) -> np.ndarray:
+    """The transpose permutation P of vec(rho) in Fortran order."""
+    d = math.isqrt(n)
+    return np.arange(n).reshape(d, d).T.ravel()
+
+
+@pytest.fixture
+def folds(monkeypatch) -> list:
+    """List that collects what ``_hermitian_fold`` decides for every
+    sparse-route propagation the test makes."""
+    recorded = []
+    hermitian_fold = dynamics._hermitian_fold
+
+    def record(*args):
+        recorded.append(hermitian_fold(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(dynamics, "_hermitian_fold", record)
+    return recorded
+
+
+_FOLD_CASES = {
+    "driven-n20": _TAYLOR_CASES["driven-n20"],
+    "driven-n30": _TAYLOR_CASES["driven-n30"],
+    "driven-n80": _TAYLOR_CASES["driven-n80"],
+    "opo-n12": lambda: (_opo_liouvillian(12), _vacuum_seed(12), _SHORT_GRID),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOLD_CASES))
+def test_fold_agrees_with_the_unfolded_sparse_route(monkeypatch, folds,
+                                                    case):
+    # a Lindblad generator from a Hermitian seed: the fold propagates the
+    # rows r <= P(r) alone and writes the others as their conjugates, so
+    # each output is J-invariant to the bit, x[P] == conj(x)
+    b, x0, t = _FOLD_CASES[case]()
+    _force_route(monkeypatch, "sparse")
+    folded = q.solve_linear(b, x0, t)
+    assert len(folds) == 1 and folds[0] is not None
+    # half the touched rows, and the entries of diag(rho) among them (the
+    # OPO from vacuum touches only its even-parity block)
+    p = _transpose(b.shape[0])
+    touched = dynamics._touched_rows(sp.csr_matrix(b, dtype=complex), x0)
+    diagonal = np.count_nonzero(p[touched] == touched)
+    assert folds[0].rows.size == (touched.size + diagonal) // 2
+    assert np.array_equal(folded[:, p], folded.conj())
+    _pin_unfolded(monkeypatch)
+    unfolded = q.solve_linear(b, x0, t)
+    assert _relative_deviation(unfolded, folded) <= 1e-13
+
+
+def _anti_hermitian_seed():
+    b, x0, t = _TAYLOR_CASES["driven-n20"]()
+    rho = np.zeros((21, 21), dtype=complex)
+    rho[0, 1] = 1e-14
+    return b, x0 + vec(rho - rho.conj().T), t
+
+
+def _asymmetric_b():
+    b, x0, t = _TAYLOR_CASES["driven-n20"]()
+    b = b.copy()
+    # one off-diagonal entry of L that its J-image no longer mirrors
+    b.data[np.flatnonzero(b.indices != np.repeat(
+        np.arange(b.shape[0]), np.diff(b.indptr)))[5]] += 1e-14
+    return b, x0, t
+
+
+_UNFOLDED_CASES = {
+    "non-square": _TAYLOR_CASES["missing-diagonal"],
+    "anti-hermitian-seed": _anti_hermitian_seed,
+    "asymmetric-b": _asymmetric_b,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNFOLDED_CASES))
+def test_inputs_without_the_symmetry_keep_the_unfolded_bits(monkeypatch,
+                                                            folds, case):
+    b, x0, t = _UNFOLDED_CASES[case]()
+    _force_route(monkeypatch, "sparse")
+    out = q.solve_linear(b, x0, t)
+    assert folds == [None]
+    _pin_unfolded(monkeypatch)
+    assert out.tobytes() == q.solve_linear(b, x0, t).tobytes()
 
 
 def test_sparse_route_beyond_condition_3_13_leaves_the_global_random_stream(

@@ -9,8 +9,9 @@ anything is allocated.  It covers the dense operators at a Fock cutoff
 (explicit or the default one that alpha, z or nbar sets), phase grids and
 the tables of ``wigner_numeric``, the tau grid of ``spectrum_numeric``, the
 Poisson table of ``collapse_revival``, the dense Liouvillians, the time
-x wavevector table of ``wigner_weisskopf`` and the jump counts of
-``mcwf_evolve``.  The runaway rows would allocate gigabytes without it."""
+x wavevector table of ``wigner_weisskopf``, the jump counts of
+``mcwf_evolve`` and the series that ``solve_linear`` returns.  The runaway
+rows would allocate gigabytes without it."""
 
 import math
 import re
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import quoptics as q
 from quoptics.serialize import artifact_from_json, state_from_json
@@ -239,6 +241,18 @@ _ROWS = {
     "state-json-fock-without-n-max": lambda: state_from_json(
         '{"kind": "ket", "basis": [{"type": "fock"}], '
         '"amplitudes": {"values": [1.0, 0.0]}}'),
+    "artifact-json-string-re": lambda: artifact_from_json(
+        '{"scenario": "s", "params": {}, "metadata": {}, '
+        '"columns": {"c": {"re": ["a"], "im": [1]}}}'),
+    "artifact-json-re-im-shapes": lambda: artifact_from_json(
+        '{"scenario": "s", "params": {}, "metadata": {}, '
+        '"columns": {"c": {"re": [1.0, 2.0], "im": [1.0, 2.0, 3.0]}}}'),
+    "artifact-json-string-values": lambda: artifact_from_json(
+        '{"scenario": "s", "params": {}, "metadata": {}, '
+        '"columns": {"c": {"values": ["x"]}}}'),
+    "state-json-ragged-entries": lambda: state_from_json(
+        '{"kind": "density_matrix", "basis": [{"type": "fock", "n_max": 1}], '
+        '"entries": {"values": [[1.0, 0.0], [0.0]]}}'),
     # sizes that grow with a finite input: each raises before allocating
     "spectrum-langevin-huge-omega": lambda: _langevin_spectrum([1e6]),
     "collapse-revival-huge-nbar": lambda: q.collapse_revival(
@@ -262,6 +276,9 @@ _ROWS = {
         _cavity(56), [], {}, {}),
     "wigner-weisskopf-runaway-table": lambda: q.wigner_weisskopf(
         1.0, 100.0, t_grid=np.linspace(0.0, 5.0, 5000)),
+    "solve-linear-runaway-solution": lambda: q.solve_linear(
+        sp.diags(-np.ones(200_000)), np.ones(200_000),
+        np.linspace(0.0, 1.0, 51)),
     "mcwf-runaway-trajectories": lambda: q.mcwf_evolve(
         q.KetState(q.fock_basis(2), [0.0, 1.0, 0.0]), _jump_model(1.0),
         [0.0, 1.0], n_traj=10**8, seed=0),

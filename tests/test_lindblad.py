@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import quoptics as q
-from quoptics import lindblad
+from quoptics import dynamics, lindblad
 from quoptics.lindblad import lindblad_rhs, vec
 from quoptics.operators import QuopticsError
+from quoptics.scenarios import run_scenario
 
 
 def _decay_model(gamma: float, n_max: int) -> q.LindbladModel:
@@ -247,6 +248,53 @@ def test_frame_transform_makes_drive_static():
     with pytest.raises(q.BasisMismatchError):
         q.frame_transform(lab, ops.n, omega_l,
                           q.DriveTerm(q.fock_ops(4).a, 1j * e_amp, omega_l))
+
+
+def _is_j_symmetric(b) -> bool:
+    """B[P][:, P] == conj(B) entry for entry, P the transpose permutation
+    of vec(rho): the symmetry the sparse route folds on."""
+    d = math.isqrt(b.shape[0])
+    p = np.arange(d * d).reshape(d, d).T.ravel()
+    return np.array_equal(b[p][:, p].toarray(), b.toarray().conj())
+
+
+# the scenarios that build their own LindbladModel or call a builder
+_MODEL_SCENARIOS = ("dephasing", "driven-cavity", "opo-g2", "purcell-cooling",
+                    "spontaneous-emission", "thermal-g2")
+
+
+def test_every_lindblad_builder_gives_a_j_symmetric_liouvillian(monkeypatch):
+    models = []
+    post_init = q.LindbladModel.__post_init__
+
+    def record(self):
+        post_init(self)
+        models.append(self)
+
+    monkeypatch.setattr(q.LindbladModel, "__post_init__", record)
+    for name in _MODEL_SCENARIOS:
+        run_scenario(name)
+    ops = q.fock_ops(6)
+    q.driven_cavity_model(
+        q.CavityParams(1.0, 0.7, 0.2, 0.3 - 0.4j, nbar=0.1), 6)
+    q.opo_lindblad_model(1.0, 0.3, 6)
+    q.frame_transform(q.LindbladModel(ops.a.basis, 5.0 * ops.n,
+                                      ((0.3, ops.a),)),
+                      ops.n, 4.7, q.DriveTerm(ops.a, 0.25j, 4.7))
+    # one model per scenario, but four from purcell-cooling (its full
+    # model, and the system, refit and fitted models of
+    # purcell_effective_model), and four from the calls above
+    assert len(models) == len(_MODEL_SCENARIOS) + 3 + 4
+    rng = np.random.default_rng(3)
+    for m in models:
+        b = m.liouvillian
+        assert _is_j_symmetric(b)
+        # and the sparse route folds it from any Hermitian seed
+        d = m.basis.total_dim
+        rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        assert dynamics._hermitian_fold(
+            dynamics._plan_route(b, np.array([0.1])), vec(rho + rho.conj().T),
+            dynamics._transpose_mirror(d * d, np.arange(d * d))) is not None
 
 
 _SHORT_GRID = np.linspace(0.0, 6.0, 41)   # 41 points over 6 / gamma

@@ -127,6 +127,24 @@ def test_coherent_moments():
                                                              abs=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [-1.2, 1.2, -2.0 + 0j, 3])
+def test_coherent_state_of_a_real_amplitude_is_real(alpha):
+    # the phases are exactly 1 or (-1)^n; exp(i pi n) left 1e-16
+    st = q.coherent_state(alpha, 10)
+    assert not st.amplitudes.imag.any()
+    signs = np.sign(st.amplitudes.real)
+    assert np.array_equal(signs, np.sign(complex(alpha).real)
+                          ** np.arange(11))
+
+
+def test_wigner_gallery_cat_is_a_real_density_matrix():
+    # so that wigner_numeric skips the sine half of its transform
+    from quoptics.scenarios import _gallery_state
+
+    rho = _gallery_state({"state": "cat", "alpha": 2.0})
+    assert not rho.entries.imag.any()
+
+
 def test_squeezed_vacuum_number_statistics():
     r = 0.8
     st = q.squeezed_vacuum(r)
