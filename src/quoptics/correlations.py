@@ -310,14 +310,24 @@ def _normally_ordered_quadrature_cov(g12: np.ndarray, g22: np.ndarray,
 
 def _one_sided_ft(tau: np.ndarray, cov: np.ndarray,
                   omega: np.ndarray) -> np.ndarray:
-    """2 Re Int_0^taumax e^{-i w tau} cov(tau) dtau, composite Simpson."""
+    """2 Re Int_0^taumax e^{-i w tau} cov(tau) dtau, composite Simpson:
+    2 (cos(w tau) . Re cw + sin(w tau) . Im cw), cw = cov times the
+    weights, summed one w at a time, so only one row of w tau is held."""
     dtau = tau[1] - tau[0]
     weights = np.full(tau.size, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
     weights *= dtau / 3.0
-    kernel = np.exp(-1j * np.outer(omega, tau))
-    return 2.0 * np.real(kernel @ (cov * weights))
+    cw = cov * weights
+    re, im = np.ascontiguousarray(cw.real), np.ascontiguousarray(cw.imag)
+    phase, trig = np.empty(tau.size), np.empty(tau.size)
+    out = np.empty(omega.size)
+    for i, w in enumerate(omega):
+        np.multiply(w, tau, out=phase)
+        out[i] = np.cos(phase, out=trig) @ re
+        out[i] += np.sin(phase, out=trig) @ im
+    out *= 2.0
+    return out
 
 
 def spectrum_numeric(model, phase: float, omega_grid,
@@ -395,13 +405,13 @@ def _spectrum_tau_grid(rates: np.ndarray, omega: np.ndarray):
     f_max = max(float(np.abs(rates.imag).max()), float(np.abs(omega).max()),
                 float(decay.max()), slowest)
     # the point count from the same formula, in floats; the omega x tau
-    # Fourier kernel bounds the tau grid too
+    # terms of the Fourier sum bound the tau grid too
     points = tau_max * f_max * _TAU_POINTS_PER_PERIOD / (2.0 * math.pi)
     _check_size((points + 2.0) * omega.size,
                 f"omega_grid of {omega.size} points up to |omega| "
                 f"{float(np.abs(omega).max()):.3g} needs a tau grid of "
                 f"{points:.3g} points (rates up to {f_max:.3g}, slowest decay "
-                f"{slowest:.3g}); its Fourier kernel")
+                f"{slowest:.3g}); its Fourier sum")
     dtau = 2.0 * math.pi / (f_max * _TAU_POINTS_PER_PERIOD)
     n = int(math.ceil(tau_max / dtau)) + 1
     if n % 2 == 0:  # Simpson weights need an odd point count

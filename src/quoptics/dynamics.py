@@ -442,7 +442,10 @@ def pdc_photon_number(p: PDCParams, t) -> np.ndarray:
 # for scaling and squaring (Higham 2005; 1.0-2.2e-9 D^3 measured at D 441
 # and 961) and _C_DENSE_STEP D^2 per grid step for the product with the
 # exponential, which streams its 16 D^2 bytes once (3.5-8.4e-10 D^2
-# measured from D 169 to 2116).  The sparse route pays _C_PRODUCT +
+# measured from D 169 to 2116).  ``_plan_route`` charges that D^2 per grid
+# step as if every point took its own product; on a grid of one group the
+# block read-out (``_block_length``) pays it once per block of K points
+# and about D per point with ``readout``.  The sparse route pays _C_PRODUCT +
 # _C_PRODUCT_NNZ nnz per product of its Taylor loop, nnz that of h B - mu I,
 # charged for the m* s products that bound each grid step (_Plan.products).  Measured per bounded product: 5.5-11.6 us from nnz 160
 # to 6481 and 38 us at 38881 on driven cavities over 41 points, whose loops
@@ -458,6 +461,19 @@ _C_PRODUCT_NNZ = 1.2e-9
 # Steps equal to this many digits of the largest step share one exponential:
 # round-off spreads the n steps of a linspace grid by about n eps relative.
 _STEP_DIGITS = 9
+# The dense route's block read-out adds three costs to the laws above:
+# _C_CALL per product that the step loop makes, its Python and numpy
+# dispatch with the write of what it yields (0.8-1.2 us per matrix-vector
+# product from D 2 to 31, 1.7-2.1 us per point for a product and its
+# read-out); _C_EXPM per extra exponential beyond _C_DENSE D^3 (12-20 us
+# at D <= 4, about 110 us beyond 2e-9 D^3 at D 31); and _C_SQUARE D^3 per
+# doubling of K, the extra squaring that exp(K h B) takes over exp(h B)
+# (1.5-2.3e-10 D^3 measured at D 84 and 169).  _C_EXPM sits at the top of
+# its range, so that a grid where blocking would gain little keeps the
+# chain.
+_C_CALL = 1e-6
+_C_EXPM = 1e-4
+_C_SQUARE = 2e-10
 
 # The sparse route's truncated-Taylor step is Algorithm 3.2 of Al-Mohy &
 # Higham, SIAM J. Sci. Comput. 33, 488 (2011), with the operations and the
@@ -594,6 +610,36 @@ def _plan_route(b, steps: np.ndarray) -> _Plan:
                  degrees, scalings, products, pattern, diagonal)
 
 
+def _block_length(n: int, points: int, width: int) -> int:
+    """Grid points K per block of the dense route on a grid of ``points``
+    points whose steps form one group, for an n x n B and ``width`` read-out
+    rows per point (1 with ``readout``, n without); 1 is the plain chain.
+
+    A block costs one product with E^K = exp(K h B) and one with
+    W = [R E; ...; R E^(K-1)], R the read-out rows, against K - 1 products
+    with E = exp(h B) and K read-outs on the chain.  Blocking adds one
+    exponential, with its log2 K extra squarings, and the K - 1 products
+    that form W.  With a = the cost of
+    one row block of W and c = one product with E plus two calls, the
+    blocked time (K - 1) a + (points / K) c is least at K = sqrt(points c /
+    a), which is then held to a W no larger than E and the output together,
+    (K - 1) width n <= n^2 + points width.  K is kept only where the whole
+    blocked cost, the extra exponential included, is below the chain's."""
+    step = _C_CALL + _C_DENSE_STEP * n * n
+    row = _C_CALL + _C_DENSE_STEP * width * n * n
+    k = round(math.sqrt(points * (step + 2 * _C_CALL) / row))
+    k = min(k, 1 + (n * n + points * width) // (width * n))
+    if k < 2:
+        return 1
+    blocks = -(-points // k)
+    chain = (points - 1) * step + points * _C_CALL
+    blocked = (_C_EXPM + (_C_DENSE + _C_SQUARE * math.log2(k)) * n**3
+               + (k - 1) * row
+               + (blocks - 1) * step + 2 * blocks * _C_CALL
+               + (points - blocks) * _C_DENSE_STEP * width * n)
+    return k if blocked < chain else 1
+
+
 def _transpose_mirror(n: int, rows: np.ndarray) -> np.ndarray | None:
     """Position in ``rows`` of P(rows[k]) for each k, P the transpose
     permutation of vec(rho) for a d x d rho in Fortran order (rho[i, j] at
@@ -682,21 +728,32 @@ def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
     the nonzero pattern of |B| + |B|^T that hold an exact nonzero of x0 (a
     symmetry of B, such as the coherence order a thermal cavity conserves,
     splits it into such blocks).  Their principal submatrix, copied only
-    when it is a part of B, is propagated at its own D, and each step is
+    when it is a part of B, is propagated at its own D, and each point is
     written once: into the block's rows of the result, or as its product
     with the block's entries of v, so no series of states is held.  Every
     other row stays exactly zero.  Both routes take each step as the first
-    of its group of steps equal to _STEP_DIGITS digits, grouped once by
-    ``_plan_route``, and give the same numbers to round-off: one dense expm
-    per group (scaling and squaring, exact also for defective B), or one
-    truncated Taylor series per grid step on the sparse B (Al-Mohy & Higham
-    2011; the bits of scipy's sparse exponential action), which never forms
-    the dense exponential and draws nothing from np.random.
-    ``_plan_route`` takes whichever its cost model rates
+    of its group of steps equal to _STEP_DIGITS digits, grouped once per
+    call by ``_plan_route``, and give the same numbers to round-off: one
+    dense expm per group (scaling and squaring, exact also for defective
+    B), or one truncated Taylor series per grid step on the sparse B
+    (Al-Mohy & Higham 2011; the bits of scipy's sparse exponential action),
+    which never forms the dense exponential and draws nothing from
+    np.random.  ``_plan_route`` takes whichever its cost model rates
     cheaper from D, nnz, the step and group counts and the Taylor product
     bound: dense for small or stiff generators on long grids, sparse for
     large ones on short grids and for very large ones on any grid.  B is
     held as canonical complex CSR from entry on.
+
+    On the dense route, a grid whose steps form one group (every linspace
+    grid) is read out in blocks of K points where ``_block_length`` rates
+    that cheaper from D, nt and the read-out width: one product with
+    exp(K h B) from block start to block start, and one product with
+    W = [R E; ...; R E^(K-1)], E = exp(h B), R = v or I, for the K - 1
+    points after each start, so about 2 nt / K products in all and about D
+    work per point with ``readout`` instead of D^2.  W is formed once and
+    held to the size of E and the result together.  K = 1, the plain
+    chain x <- E x, is kept where the extra exponential and W cost more
+    than blocking saves (short grids, larger D without ``readout``).
 
     Where n = d^2 rows hold vec(rho) of a d x d rho (Fortran order) and B
     and x0 are invariant under J: x -> conj(x[P]), P the transpose of rho,
@@ -736,14 +793,13 @@ def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
     rows = slice(None)
     if keep.size < b.shape[0]:
         b, x, rows = b[keep][:, keep], x[keep], keep
-    series = _propagate(b, x, np.diff(t), mirror)
+    plan = _plan_route(b, np.diff(t))
     if readout is None:
-        for k, xk in enumerate(series):
-            out[k, rows] = xk
+        for k, y in _propagate(b, x, plan, mirror, None):
+            out[k, rows] = y
     else:
-        v = v[rows]
-        for k, xk in enumerate(series):
-            out[k] = v @ xk
+        for k, y in _propagate(b, x, plan, mirror, v[rows]):
+            out[k] = y
     return out
 
 
@@ -804,10 +860,20 @@ class _FoldedProduct:
         return np.take(self._paired(u), self.fold.columns, out=self.full)
 
 
-def _propagate(b, x: np.ndarray, steps: np.ndarray, mirror):
-    """Yield exp(B (t_k - t_0)) x for every grid point, on the planned
-    route.  The sparse route yields its working array, which the next step
-    overwrites, so each state must be read before the next is drawn.
+def _propagate(b, x: np.ndarray, plan: _Plan, mirror, v):
+    """Yield (k, y) for every grid point k in order, on the planned route:
+    y is the state exp(B (t_k - t_0)) x or, with the read-out vector v (not
+    None), the read-out v . x.  k may also be a slice of consecutive
+    points, whose states (one row each) or read-outs y holds.  The sparse
+    route yields a view of its working array, which the next step
+    overwrites, so each y must be read before the next is drawn.
+
+    The dense route takes one expm per group of steps.  When the steps form
+    one group and ``_block_length`` gives K > 1, it steps from block start
+    to block start, every K points, with E^K = expm(K h B), and writes the
+    K - 1 points after each start as one product W s with the block start
+    s, W = [R E; ...; R E^(K-1)] formed once (R = v, or I without v).  At
+    K = 1 that is the chain x <- E x, point by point.
 
     On the sparse route a J-invariant B and x (``_hermitian_fold``, with
     ``mirror`` from ``_transpose_mirror``) are propagated on the rows
@@ -816,14 +882,31 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray, mirror):
     and the imaginary part that its sum rounds to cancels between h B - mu I
     and exp(mu) in the unfolded loop, but would break the symmetry here.
     |conj z| = |z|, so the norms and every stop are those of all of x."""
-    yield x
-    plan = _plan_route(b, steps)
+    def read(s):
+        return s if v is None else v @ s
+
+    yield 0, read(x)
+    which = plan.which.tolist()
     if plan.route == "dense":
         dense = b.toarray()
-        props = [expm(dense * h) for h in plan.steps]
-        for p in plan.which.tolist():
-            x = props[p] @ x
-            yield x
+        n, points = x.size, len(which) + 1
+        width = n if v is None else 1
+        k = _block_length(n, points, width) if plan.steps.size == 1 else 1
+        props = [expm(dense * (k * h)) for h in plan.steps]
+        if k > 1:
+            e = expm(dense * plan.steps[0])
+            w = np.empty(((k - 1) * width, n), dtype=complex)
+            w[:width] = read(e)
+            for j in range(width, w.shape[0], width):
+                np.matmul(w[j - width:j], e, out=w[j:j + width])
+        for start in range(0, points, k):
+            if start:
+                x = props[which[start - 1]] @ x
+                yield start, read(x)
+            if k > 1:
+                run = slice(start + 1, min(start + k, points))
+                y = w[:(run.stop - run.start) * width] @ x
+                yield run, y if v is not None else y.reshape(-1, n)
         return
     fold = _hermitian_fold(plan, x, mirror)
     if fold is None:
@@ -840,7 +923,7 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray, mirror):
     mag = np.empty(f.size)
     current = -1
     degrees, scalings = plan.degrees.tolist(), plan.scalings.tolist()
-    for p in plan.which.tolist():
+    for k, p in enumerate(which, 1):
         if p != current:
             m_star, s, mu = degrees[p], scalings[p], plan.shifts[p]
             if fold is not None:
@@ -850,4 +933,4 @@ def _propagate(b, x: np.ndarray, steps: np.ndarray, mirror):
             eta = np.exp(1.0 * mu / float(s))
             current = p
         _taylor_step(product, f, m_star, s, eta, work, mag)
-        yield f if fold is None else product.expand(f)
+        yield k, read(f if fold is None else product.expand(f))

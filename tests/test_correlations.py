@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import quoptics as q
+from quoptics import correlations
 from quoptics.operators import QuopticsError, ValidationError
 
 
@@ -247,6 +248,37 @@ def test_spectrum_numeric_opo_matches_analytic():
         ):
             numeric = q.spectrum_numeric(model, phase, om)
             assert np.abs(numeric.values - analytic.values).max() < 1e-4
+
+
+def _kernel_ft(tau, cov, omega):
+    """The Simpson sum through the whole omega x tau kernel."""
+    weights = np.full(tau.size, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    weights *= (tau[1] - tau[0]) / 3.0
+    kernel = np.exp(-1j * np.outer(omega, tau))
+    return 2.0 * np.real(kernel @ (cov * weights))
+
+
+def test_fourier_sum_holds_one_omega_row_at_a_time():
+    # the tau grid of the n_max 12 OPO spectrum: a kernel of 16 bytes per
+    # omega x tau entry would take 7 MB at 51 omega and 68 MB at 501; the
+    # sum holds one row of omega tau, so its peak grows only by its output
+    tau = np.linspace(0.0, 60.0, 8533)
+    cov = np.exp((-0.3 + 1.0j) * tau) + 0.2 * np.exp(-2.0 * tau)
+    peaks = {}
+    for n in (51, 501):
+        omega = np.linspace(0.0, 10.0, n)
+        tracemalloc.start()
+        try:
+            values = correlations._one_sided_ft(tau, cov, omega)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reference = _kernel_ft(tau, cov, omega)
+        assert np.abs(values - reference).max() <= 1e-14 * np.abs(
+            reference).max()
+    assert peaks[501] - peaks[51] <= 8 * 501
 
 
 def test_spectrum_numeric_vacuum_cavity_flat():

@@ -796,6 +796,89 @@ def test_routes_agree_on_the_spectrum_tau_grid(monkeypatch, spectrum_tau):
     assert _relative_deviation(runs["dense"], runs["sparse"]) <= 1e-12
 
 
+def _pin_chain(monkeypatch) -> None:
+    """Take the dense route one product per grid point, K = 1."""
+    monkeypatch.setattr(dynamics, "_block_length", lambda *args: 1)
+
+
+@pytest.fixture
+def block_lengths(monkeypatch) -> list:
+    """List that collects the K of every dense propagation on a grid of one
+    group that the test makes."""
+    recorded = []
+    block_length = dynamics._block_length
+
+    def record(*args):
+        recorded.append(block_length(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(dynamics, "_block_length", record)
+    return recorded
+
+
+def _opo_regression_problem(n_max: int):
+    """L, the seed vec(da rho) and the read-out vec(da^T) of the OPO
+    spectrum's first regression series."""
+    m = q.opo_lindblad_model(1.0, 0.3, n_max)
+    rho = q.steady_state(m).entries
+    a = q.fock_ops(n_max).a.entries
+    da = a - np.trace(a @ rho) * np.eye(n_max + 1)
+    return m.liouvillian, vec(da @ rho), vec(da.T)
+
+
+def _langevin_problem():
+    """Drift, seed and tau grid of the OPO Langevin spectrum, with a
+    read-out of both entries."""
+    model = q.opo_langevin_model(1.0, 0.3)
+    tau, _, _ = correlations._spectrum_tau_grid(
+        np.linalg.eigvals(model.a), np.linspace(0.0, 10.0, 51))
+    return (model.a, q.langevin_steady(model).second[:, 1],
+            np.array([0.5, -1.0j]), tau)
+
+
+@pytest.mark.parametrize("mode", ["readout", "series"])
+def test_blocks_agree_with_the_chain_on_the_spectrum_tau_grid(
+        monkeypatch, block_lengths, spectrum_tau, mode):
+    # the 84 rows that the seed touches, K = 105 with the read-out and 12
+    # for the series
+    liouv, x0, v = _opo_regression_problem(12)
+    readout = v if mode == "readout" else None
+    blocked = q.solve_linear(liouv, x0, spectrum_tau, readout=readout)
+    assert len(block_lengths) == 1 and block_lengths[0] > 1
+    _pin_chain(monkeypatch)
+    chain = q.solve_linear(liouv, x0, spectrum_tau, readout=readout)
+    assert _relative_deviation(chain, blocked) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["readout", "series"])
+def test_blocks_agree_with_the_chain_on_the_langevin_series(
+        monkeypatch, block_lengths, mode):
+    drift, x0, v, tau = _langevin_problem()
+    readout = v if mode == "readout" else None
+    blocked = q.solve_linear(drift, x0, tau, readout=readout)
+    assert len(block_lengths) == 1 and block_lengths[0] > 1
+    _pin_chain(monkeypatch)
+    chain = q.solve_linear(drift, x0, tau, readout=readout)
+    assert _relative_deviation(chain, blocked) <= 1e-12
+
+
+def test_opo_spectrum_reads_its_series_out_in_blocks(block_lengths):
+    q.spectrum_numeric(q.opo_lindblad_model(1.0, 0.3, 12), math.pi / 2,
+                       np.linspace(0.0, 10.0, 51),
+                       mode_op=q.fock_ops(12).a, kappa_out=2.0)
+    assert len(block_lengths) == 2 and min(block_lengths) > 1
+
+
+def test_short_grids_keep_the_chain():
+    # the read-out-against-series checks above and in test_properties run
+    # on at most 11 points with D <= 16, where the extra exponential costs
+    # more than blocking saves: they hold their 1e-15 bound on the chain
+    for n in range(1, 17):
+        for points in range(1, 12):
+            for width in (1, n):
+                assert dynamics._block_length(n, points, width) == 1
+
+
 def _expm_multiply_series(b, x0, t):
     """exp(B (t_k - t_0)) x0 by scipy's expm_multiply, one call per grid
     step at the first step of its group."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import quoptics as q
+from quoptics import dynamics
 from quoptics.lindblad import lindblad_rhs, unvec, vec
 
 SETTINGS = q.DEFAULT
@@ -166,6 +167,43 @@ def test_solve_linear_matches_the_matrix_exponential(problem):
         prop = expm(b * (tk - t[0]))
         scale = np.linalg.norm(prop, 2) * np.linalg.norm(x0)
         assert np.abs(xk - prop @ x0).max() <= 1e-10 * scale
+
+
+@st.composite
+def long_grid_problems(draw):
+    """d in 2..6, a random complex B shifted so that its eigenvalues have
+    real parts in [-0.5, 0], on a linspace grid of 200..3000 points over a
+    span of 1..30; a seed x0 and a read-out v."""
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = _random_matrix(rng, d) / np.sqrt(d)
+    shift = np.linalg.eigvals(r).real.max() + draw(st.floats(0.0, 0.5))
+    t = draw(st.floats(-1.0, 1.0)) + np.linspace(
+        0.0, draw(st.floats(1.0, 30.0)), draw(st.integers(200, 3000)))
+    x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return r - shift * np.eye(d), x0, v, t
+
+
+@settings(max_examples=20, deadline=None)
+@given(long_grid_problems())
+def test_block_read_out_matches_the_matrix_exponential(problem):
+    # grids this long take the dense route in blocks of K > 1 points, with
+    # and without a read-out; each point within 1e-12 of exp(B t_k) x0 as
+    # scaled in test_solve_linear_propagates_only_the_seeded_blocks, and
+    # times |v| for the read-out (the worst of 60 derandomized draws read
+    # 1.0e-13 on the series and on the read-out)
+    b, x0, v, t = problem
+    d = x0.size
+    assert dynamics._block_length(d, t.size, d) > 1
+    assert dynamics._block_length(d, t.size, 1) > 1
+    out = q.solve_linear(b, x0, t)
+    readout = q.solve_linear(b, x0, t, readout=v)
+    for tk, xk, rk in zip(t, out, readout):
+        prop = expm(b * (tk - t[0]))
+        scale = np.linalg.norm(prop, 2) * np.linalg.norm(x0)
+        assert np.abs(xk - prop @ x0).max() <= 1e-12 * scale
+        assert abs(rk - v @ (prop @ x0)) <= 1e-12 * scale * np.linalg.norm(v)
 
 
 @st.composite
