@@ -208,9 +208,11 @@ def rabi_rwa(b0, delta: float, omega_rabi: float, t_grid,
     x0 = np.array([0.5 * (b0[0] - 1j * b0[1]),
                    0.5 * (b0[0] + 1j * b0[1]),
                    b0[2]], dtype=complex)
-    # b0 is the state at t = 0 even when t_grid starts elsewhere
+    # b0 is the state at t = 0 even when t_grid starts elsewhere; a grid
+    # that starts at 0 takes no zero step, so a linspace keeps one step group
+    lead = int(t_grid[0] != 0.0)
     x = solve_linear(rwa_bloch_matrix(delta, omega_rabi), x0,
-                     np.append(0.0, t_grid))[1:]
+                     np.append(0.0, t_grid) if lead else t_grid)[lead:]
     slow = np.stack([2.0 * x[:, 0].real, -2.0 * x[:, 0].imag, x[:, 2].real],
                     axis=1)
     lab = None

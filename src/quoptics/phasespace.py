@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .operators import (
     DensityMatrix,
@@ -278,17 +279,94 @@ def position_wavefunctions(n_top: int, x: np.ndarray) -> np.ndarray:
 _OCCUPANCY_CUT = 1e-13
 
 # Rows of the output grid share one pass through the u-grid sum, as many as
-# keep (n+1) x rows x nu, the size of a Hermite table on the full u grid,
-# within this many float64 elements (1 MB).  The tables cover only u >= 0, so
-# each holds about half of that, and the memory held does not grow with the
-# grid.
-_BLOCK_ELEMENTS = 1 << 17
+# keep the block of integrands g(x_i, u_k), rows x nk (the u >= 0 half grid),
+# within this many float64 elements (0.5 MB).  The Hermite values are read
+# from the shared lattice tables without copies, so the memory held per block
+# does not grow with the number of levels or with the grid.
+_BLOCK_ELEMENTS = 1 << 16
+
+# The u step du = b dx / r is kept at or above this fraction of its bound,
+# so the u grid has at most 4/3 the points of the bound's own.
+_DU_FRACTION = 0.75
 
 
 def _occupied_levels(rho: np.ndarray) -> int:
     mass = np.abs(rho).sum(axis=0) + np.abs(rho).sum(axis=1)
     nz = np.nonzero(mass > _OCCUPANCY_CUT * mass.max())[0]
     return int(nz[-1]) if nz.size else 0
+
+
+def _u_lattice(dx: float, du_max: float) -> tuple[int, int]:
+    """(r, b): lattice step delta = dx / r and u step du = b delta <= du_max.
+
+    r is the smallest integer from ceil(dx / du_max) on whose b =
+    floor(du_max / delta) gives du >= _DU_FRACTION du_max; every r >=
+    dx / ((1 - _DU_FRACTION) du_max) does, so the search is short.
+    """
+    r = math.ceil(dx / du_max)
+    while True:
+        delta = dx / r
+        b = math.floor(du_max / delta)
+        if b * delta > du_max:  # the quotient rounded up to an integer
+            b -= 1
+        if b * delta >= _DU_FRACTION * du_max:
+            return r, b
+        r += 1
+
+
+def _midpoint_sum(block: np.ndarray, grid: PhaseGrid, u_max: float,
+                  du_max: float) -> tuple[np.ndarray, float, int]:
+    """W of the truncated rho ``block`` on the grid by the lattice sum that
+    ``wigner_numeric`` describes, with the u step du and the point count nk
+    of the u >= 0 half grid it took.  Its tables are freed on return."""
+    n_top = block.shape[0] - 1
+    r, b = _u_lattice(grid.dx, du_max)
+    delta = grid.dx / r
+    du = b * delta
+    nk = math.ceil(u_max / du) + 1  # u_(nk-1) >= u_max
+    nf = (grid.nx - 1) * r + 2 * (nk - 1) * b + 1
+    _check_size(float(nf) * (n_top + 1), f"a lattice of step {delta:.3g} "
+                f"under the grid's x +- u points has {nf:.3g} points; its "
+                f"shared Hermite table up to level {n_top}")
+
+    herm = 0.5 * (block + block.conj().T)
+    rho_re = np.ascontiguousarray(herm.real)
+    rho_im = np.ascontiguousarray(herm.imag) if herm.imag.any() else None
+    centre = 0.5 * (grid.x_min + grid.x_max)
+    table = position_wavefunctions(
+        n_top, centre + (np.arange(nf) - 0.5 * (nf - 1)) * delta)
+    # (n+1, nx, nk) read-only views: psi_m(x_i + u_k) and S[m, x_i - u_k]
+    span = (nk - 1) * b + 1
+    plus = sliding_window_view(table, span, axis=1)[:, (nk - 1) * b::r, ::b]
+    row_starts = slice(None, grid.nx * r, r)
+    minus_re = sliding_window_view(rho_re @ table, span,
+                                   axis=1)[:, row_starts, ::-b]
+    if rho_im is not None:
+        minus_im = sliding_window_view(rho_im @ table, span,
+                                       axis=1)[:, row_starts, ::-b]
+    u = du * np.arange(nk)
+    up = np.outer(u, grid.p)  # (nk, np)
+    cos_w = np.cos(up)
+    cos_w[1:] *= 2.0
+    if rho_im is not None:
+        sin_w = np.sin(up, out=up)
+        sin_w[1:] *= 2.0
+    rows = min(grid.nx, max(1, _BLOCK_ELEMENTS // nk))
+    values = np.empty((grid.nx, grid.np))
+    g = np.empty((rows, nk))  # g_re, then g_im, of one block
+    for start in range(0, grid.nx, rows):
+        block_rows = slice(start, start + rows)
+        psi_plus = plus[:, block_rows]
+        out = values[block_rows]
+        sums = g[: out.shape[0]]
+        np.einsum("mik,mik->ik", psi_plus, minus_re[:, block_rows], out=sums)
+        np.matmul(sums, cos_w, out=out)
+        if rho_im is not None:
+            np.einsum("mik,mik->ik", psi_plus, minus_im[:, block_rows],
+                      out=sums)
+            out += sums @ sin_w
+    values *= du / (2.0 * math.pi)
+    return values, du, nk
 
 
 def wigner_numeric(rho: DensityMatrix, grid: PhaseGrid) -> WignerGrid:
@@ -302,12 +380,26 @@ def wigner_numeric(rho: DensityMatrix, grid: PhaseGrid) -> WignerGrid:
 
     The sum runs over the Hermitian part (rho + rho^dag)/2, whose W is the
     real part of the sum for rho itself.  For it g(u) = <x+u|rho|x-u> obeys
-    g(-u) = conj g(u), so the symmetric grid u_k = k du, |k| <= nu // 2, folds
-    onto k >= 0 with weight 1 at k = 0 and 2 beyond.  The Hermite tables
-    psi_n(x +- u_k) are real, so the sum runs as real BLAS products over
-    blocks of x rows: g_re = sum_m psi+ * (Re rho @ psi-), g_im likewise with
-    Im rho, then W = du/(2 pi) (g_re @ cos_w + g_im @ sin_w) with the weights
-    in the kernels.  When Im rho is zero, g_im and its kernel are skipped.
+    g(-u) = conj g(u), so the symmetric grid u_k = k du, |k| <= nk - 1
+    (nu = 2 nk - 1 points), folds onto k >= 0 with weight 1 at k = 0 and 2
+    beyond.
+
+    The u step sits on the x grid's lattice: delta = dx / r and du = b delta
+    with b = floor(du_max / delta), so du <= du_max = pi / (2 (|p|max +
+    2 sqrt(n_eff) + 4)).  r is the smallest integer from ceil(dx / du_max)
+    on for which du >= 3/4 du_max (measured: a finer lattice costs table
+    rows, a coarser u step costs u points in the Fourier products, and the
+    plain r = ceil(dx / du_max) took nu 1755 against 1463 on the kerr-cat
+    grid).  Every x_i +- u_k is then a point y_(j_i +- k b), j_i =
+    (nk - 1) b + i r, of one lattice y_j = (x_min + x_max)/2 + (j - (nf -
+    1)/2) delta centred on the grid, so that its points, like the grid's,
+    sit symmetrically about the centre.  The real Hermite table psi_n(y)
+    and its products S = Re rho @ psi (and Im rho @ psi) are built once,
+    and g_re(x_i, u_k) = sum_m psi_m(y_(j_i + k b)) S[m, j_i - k b] is read
+    from strided views over blocks of x rows, g_im likewise; then W =
+    du/(2 pi) (g_re @ cos_w + g_im @ sin_w) with the weights in the
+    kernels.  When Im rho is zero, S_im, g_im and the sin kernel are
+    skipped.
     """
     rho.basis.single_fock()
     n_eff = _occupied_levels(rho.entries)
@@ -317,55 +409,25 @@ def wigner_numeric(rho: DensityMatrix, grid: PhaseGrid) -> WignerGrid:
             f"grid spacing ({grid.dx:.3f}, {grid.dp:.3f}) cannot resolve "
             f"oscillations down to {math.pi / r_osc:.3f} for n_eff={n_eff}"
         )
-    x = grid.x
-    p = grid.p
-    p_abs = float(np.max(np.abs(p)))
-    x_abs = float(np.max(np.abs(x)))
+    x_abs = max(abs(grid.x_min), abs(grid.x_max))
+    p_abs = max(abs(grid.p_min), abs(grid.p_max))
     u_max = 2.0 * math.sqrt(n_eff) + 8.0 + x_abs
-    du = math.pi / (2.0 * (p_abs + 2.0 * math.sqrt(n_eff) + 4.0))
+    du_max = math.pi / (2.0 * (p_abs + 2.0 * math.sqrt(n_eff) + 4.0))
     n_top = min(rho.entries.shape[0] - 1, n_eff)
-    # at least the point count nu below, in floats, so that no size
+    # at least the point count nk of the u >= 0 half grid that
+    # _midpoint_sum takes (du >= 3/4 du_max), in floats, so that no size
     # overflows before the checks
-    points = 2.0 * (u_max / du) + 3.0
+    points = 2.0 * (u_max / du_max) + 3.0
     grid_span = (f"a grid out to |x| {x_abs:.3g}, |p| {p_abs:.3g} needs "
                  f"about {points:.3g} u points")
     _check_size(points * grid.np, f"{grid_span}; their cos and sin table "
                 f"at {grid.np} p points")
     _check_size(points * (n_top + 1), f"{grid_span}; their Hermite rows "
                 f"up to level {n_top}")
-    nu = 2 * int(math.ceil(u_max / du)) + 1
-    u = np.linspace(-u_max, u_max, nu)
-    du = u[1] - u[0]
-    # the half grid u_k = k du, k = 0 .. nu // 2: u_0 is exactly 0 and each
-    # -u_k of the full grid mirrors u_k exactly
-    u = du * np.arange(nu // 2 + 1)
-    nk = u.size
-
-    block = rho.entries[: n_top + 1, : n_top + 1]
-    herm = 0.5 * (block + block.conj().T)
-    rho_re = np.ascontiguousarray(herm.real)
-    rho_im = np.ascontiguousarray(herm.imag) if herm.imag.any() else None
-    up = np.outer(u, p)  # (nk, np)
-    cos_w = np.cos(up)
-    cos_w[1:] *= 2.0
-    if rho_im is not None:
-        sin_w = np.sin(up, out=up)
-        sin_w[1:] *= 2.0
-    rows = max(1, _BLOCK_ELEMENTS // ((n_top + 1) * nu))
-    values = np.empty((grid.nx, grid.np))
-    for start in range(0, grid.nx, rows):
-        xs = x[start:start + rows, None]
-        # (n+1, rows*nk) tables, one nk-long stretch per row
-        psi_plus = position_wavefunctions(n_top, (xs + u).ravel())
-        psi_minus = position_wavefunctions(n_top, (xs - u).ravel())
-        g_re = np.einsum("mk,mk->k", psi_plus, rho_re @ psi_minus)
-        out = values[start:start + rows]
-        np.matmul(g_re.reshape(-1, nk), cos_w, out=out)
-        if rho_im is not None:
-            g_im = np.einsum("mk,mk->k", psi_plus, rho_im @ psi_minus)
-            out += g_im.reshape(-1, nk) @ sin_w
-    values *= du / (2.0 * math.pi)
-    w = WignerGrid(grid, values, meta={"n_eff": n_eff, "du": du, "nu": nu})
+    values, du, nk = _midpoint_sum(rho.entries[: n_top + 1, : n_top + 1],
+                                   grid, u_max, du_max)
+    w = WignerGrid(grid, values,
+                   meta={"n_eff": n_eff, "du": du, "nu": 2 * nk - 1})
     norm = w.integral()
     if abs(norm - 1.0) > DEFAULT.eps_wig:
         raise ValidationError(f"Wigner normalization {norm} off by > eps_wig")

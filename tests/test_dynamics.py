@@ -816,6 +816,16 @@ def block_lengths(monkeypatch) -> list:
     return recorded
 
 
+def test_rabi_rwa_reads_a_grid_from_zero_out_in_blocks(plans, block_lengths):
+    # the rabi-bloch grid: starting at 0, it takes no zero step, so its
+    # steps form one group and the dense route reads it out in blocks
+    t = np.linspace(0.0, 2 * math.pi, 401)
+    sol = q.rabi_rwa([0, 0, -1.0], 0.0, 1.0, t, omega=25.0)
+    assert [plan.steps.size for _, plan in plans] == [1]
+    assert len(block_lengths) == 1 and block_lengths[0] > 1
+    assert np.abs(sol.p_e - 0.5 * (1.0 - np.cos(t))).max() < 1e-12
+
+
 def _opo_regression_problem(n_max: int):
     """L, the seed vec(da rho) and the read-out vec(da^T) of the OPO
     spectrum's first regression series."""

@@ -267,6 +267,9 @@ _ROWS = {
         _fock_projector(10), q.PhaseGrid(-0.1, 0.1, 1e6, 1e6 + 1.0, 2, 1000)),
     "wigner-numeric-runaway-hermite-rows": lambda: q.wigner_numeric(
         _fock_projector(600), q.PhaseGrid(-0.01, 0.01, 6e4, 6e4 + 0.01, 2, 2)),
+    # a fine x grid puts its u points on a lattice of 1.5e7 points
+    "wigner-numeric-runaway-shared-table": lambda: q.wigner_numeric(
+        _fock_projector(10), q.PhaseGrid(-0.1, 0.1, -0.1, 0.1, 10**5, 2)),
     "spectrum-lindblad-runaway-dense-liouvillian": lambda: q.spectrum_numeric(
         _cavity(56), 0.0, [0.0, 1.0], mode_op=q.fock_ops(56).a,
         kappa_out=1.0),
@@ -288,6 +291,10 @@ _ROWS = {
 _EXPECT = {
     "spectrum-lindblad-foreign-mode-op": (q.BasisMismatchError, None),
     "spectrum-langevin-nan-kappa-out": (q.ValidationError, "kappa_out"),
+    # the grid misses most of the state, so the normalization check would
+    # raise if the transform ran
+    "wigner-numeric-runaway-shared-table": (q.ValidationError,
+                                            "shared Hermite table"),
 }
 
 

@@ -337,19 +337,33 @@ def test_wigner_numeric_displaced_squeezed_state():
     assert np.abs(w.values - q.wigner_gaussian(g, xx, pp)).max() < 1e-6
 
 
+def _u_step(dx: float, du_max: float):
+    """(du, r): the u step b dx / r with b = floor(du_max r / dx), for the
+    smallest r >= dx / du_max that gives du >= 3/4 du_max."""
+    for r in itertools.count(math.ceil(dx / du_max)):
+        delta = dx / r
+        b = int(du_max / delta)
+        while b * delta > du_max:
+            b -= 1
+        if b * delta >= 0.75 * du_max:
+            return b * delta, r
+
+
 def _wigner_by_rows(rho: np.ndarray, grid: q.PhaseGrid):
     """Reference transform: the same u grid and midpoint sum as
-    ``wigner_numeric``, with one three-operand einsum per x row and a complex
-    Fourier kernel.  ``rho`` must occupy every level it has."""
+    ``wigner_numeric``, with one three-operand einsum per x row over the
+    full symmetric u grid, Hermite functions taken at x + u and x - u
+    themselves, and a complex Fourier kernel.  ``rho`` must occupy every
+    level it has."""
     n_top = rho.shape[0] - 1
     x, p = grid.x, grid.p
     p_abs = float(np.max(np.abs(p)))
     x_abs = float(np.max(np.abs(x)))
     u_max = 2.0 * math.sqrt(n_top) + 8.0 + x_abs
-    du = math.pi / (2.0 * (p_abs + 2.0 * math.sqrt(n_top) + 4.0))
-    nu = 2 * int(math.ceil(u_max / du)) + 1
-    u = np.linspace(-u_max, u_max, nu)
-    du = u[1] - u[0]
+    du_max = math.pi / (2.0 * (p_abs + 2.0 * math.sqrt(n_top) + 4.0))
+    du, _ = _u_step(grid.dx, du_max)
+    half = math.ceil(u_max / du)
+    u = du * np.arange(-half, half + 1)
     values = np.empty((grid.nx, grid.np))
     kernel = np.exp(-1j * np.outer(u, p))
     for ix, xv in enumerate(x):
@@ -357,7 +371,12 @@ def _wigner_by_rows(rho: np.ndarray, grid: q.PhaseGrid):
         psi_minus = phasespace.position_wavefunctions(n_top, xv - u)
         g = np.einsum("mu,mn,nu->u", psi_plus, rho, psi_minus.conj())
         values[ix] = (du / TWO_PI) * np.real(g @ kernel)
-    return values, {"n_eff": n_top, "du": du, "nu": nu}
+    return values, {"n_eff": n_top, "du": du, "nu": u.size}
+
+
+def _half_grid(meta: dict) -> int:
+    """Points of the u >= 0 half grid, the row length of a block."""
+    return (meta["nu"] + 1) // 2
 
 
 @st.composite
@@ -389,7 +408,7 @@ def test_wigner_numeric_matches_per_row_reference(case):
     rho, grid, rows = case
     ref, ref_meta = _wigner_by_rows(rho.entries, grid)
     # a block of exactly `rows` x rows, so the last block is a partial one
-    budget = rows * (ref_meta["n_eff"] + 1) * ref_meta["nu"]
+    budget = rows * _half_grid(ref_meta)
     with mock.patch.object(phasespace, "_BLOCK_ELEMENTS", budget):
         w = q.wigner_numeric(rho, grid)
     assert w.meta == ref_meta
@@ -423,7 +442,7 @@ def test_wigner_numeric_of_real_states_matches_per_row_reference(make):
     grid = q.default_grid(n_max, 81)
     ref, ref_meta = _wigner_by_rows(rho.entries, grid)
     # 4 rows per block, so the last of the 81 rows is a partial block
-    budget = 4 * (n_max + 1) * ref_meta["nu"]
+    budget = 4 * _half_grid(ref_meta)
     with mock.patch.object(phasespace, "_BLOCK_ELEMENTS", budget):
         w = q.wigner_numeric(rho, grid)
     assert w.meta == ref_meta
@@ -450,6 +469,30 @@ def test_wigner_numeric_of_a_nearly_hermitian_rho_is_its_hermitian_part():
     assert np.array_equal(q.wigner_numeric(part, grid).values, w.values)
 
 
+@pytest.mark.parametrize("ratio", [1.0 - 1e-9, 1.0 + 1e-9, 2.0 - 1e-9,
+                                   2.0 + 1e-9, 3.0 - 1e-9, 3.0 + 1e-9])
+def test_wigner_numeric_u_step_where_dx_nears_a_multiple_of_its_bound(ratio):
+    # dx / du_max just below and just above an integer, where the first
+    # lattice tried, r = ceil(dx / du_max), changes
+    n = 2
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    p_lim = 7.0
+    du_max = math.pi / (2.0 * (p_lim + 2.0 * math.sqrt(n) + 4.0))
+    nx = 2 * math.ceil(7.0 / (ratio * du_max)) + 1
+    half = 0.5 * (nx - 1) * ratio * du_max
+    grid = q.PhaseGrid(-half, half, -p_lim, p_lim, nx, 41)
+    assert grid.dx / du_max == pytest.approx(ratio, rel=1e-12)
+    assert (grid.dx / du_max > round(ratio)) == (ratio > round(ratio))
+    ref, ref_meta = _wigner_by_rows(rho, grid)
+    w = q.wigner_numeric(q.DensityMatrix(q.fock_basis(n), rho), grid)
+    assert w.meta == ref_meta
+    assert 0.75 * du_max <= w.meta["du"] <= du_max
+    assert np.abs(w.values - ref).max() < 1e-13
+
+
 def test_wigner_numeric_memory_is_bounded_on_the_kerr_cat_grid():
     # the kerr-cat scenario's state: |alpha = 2> after exp(-i pi N^2 / 2)
     start = q.coherent_state(2.0)
@@ -464,8 +507,9 @@ def test_wigner_numeric_memory_is_bounded_on_the_kerr_cat_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the cos and sin kernels on u >= 0 take 2 x 8 (nu // 2 + 1) np bytes
-    # (2.4 MB here); all 257 rows in one block would hold
-    # 8 (n+1) nx (nu // 2 + 1) bytes (33 MB) per table
-    assert (w.meta["n_eff"], w.meta["nu"]) == (26, 1173)
+    # the cos and sin kernels on u >= 0 take 2 x 8 nk np bytes (3.0 MB
+    # here, nk = (nu + 1) / 2), the shared Hermite table and its Re and Im
+    # rho products 3 x 8 (n+1) nf bytes (2.7 MB, nf 4205 lattice points),
+    # and one block of integrands 8 x 2^16 bytes
+    assert (w.meta["n_eff"], w.meta["nu"]) == (26, 1463)
     assert peak < 12e6
