@@ -455,7 +455,12 @@ def pdc_photon_number(p: PDCParams, t) -> np.ndarray:
 # 35 us at 15097 on the OPO spectrum's tau grid, whose loops run nearly all
 # of it; 7-8 us for D <= 6.  The constants sit between the two families,
 # charging the first up to 1.6 times and the second down to 0.6 times what
-# it takes.
+# it takes.  A product of the float64 loop that a real B and seed take
+# (``_propagate``) costs 0.55-0.75 of a complex one: 29 against 48 us per
+# folded product at n_max 80 (nnz 19681), 42 against 75 us unfolded, and 14
+# against 19 us folded at n_max 40, the loop's time per product taken on a
+# driven cavity over 41 points.  The constants still charge it at the
+# complex cost, so that no route changes.
 _C_DENSE = 2e-9
 _C_DENSE_STEP = 8e-10
 _C_PRODUCT = 8e-6
@@ -744,7 +749,15 @@ def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
     cheaper from D, nnz, the step and group counts and the Taylor product
     bound: dense for small or stiff generators on long grids, sparse for
     large ones on short grids and for very large ones on any grid.  B is
-    held as canonical complex CSR from entry on.
+    held as canonical complex CSR from entry on, and the plan reads it in
+    that form (a real sum of its diagonal can round mu differently).
+    The sparse route's Taylor loop runs in float64 when every stored entry
+    of the B it propagates (or of its fold, below) and of the seed has a
+    zero imaginary part, as for a cavity driven on resonance by a real E,
+    the degenerate parametric oscillator, spontaneous emission and thermal
+    damping: the same operations on the real parts, so the same bits as
+    the complex loop there, imaginary parts +0.0, at 0.55-0.75 of the time
+    per product.  The dense route and the read-out v . x stay complex.
 
     On the dense route, a grid whose steps form one group (every linspace
     grid) is read out in blocks of K points where ``_block_length`` rates
@@ -838,12 +851,13 @@ class _FoldedProduct:
     """u -> the rows r <= P(r) of A x, A = h B - mu I stored as
     ``_Fold.pattern`` in ``a`` and x the J-invariant vector whose rows
     r <= P(r) are u: one product with the half-height CSR, on the work
-    vector [u, conj(u)].  ``expand`` gives all of x."""
+    vector [u, conj(u)], [u, u] for real data.  ``expand`` gives all of
+    x."""
 
     def __init__(self, a, fold: _Fold):
         self.a, self.fold = a, fold
-        self.pair = np.empty(a.shape[1], dtype=complex)
-        self.full = np.empty(fold.columns.size, dtype=complex)
+        self.pair = np.empty(a.shape[1], dtype=a.dtype)
+        self.full = np.empty(fold.columns.size, dtype=a.dtype)
 
     def _paired(self, u: np.ndarray) -> np.ndarray:
         self.pair[:u.size] = u
@@ -855,7 +869,8 @@ class _FoldedProduct:
         # the entries of diag(rho) are real: each row sums conjugate pairs,
         # whose imaginary parts cancel only to round-off when another entry
         # falls between them in the row's stored order
-        out.imag[self.fold.real] = 0.0
+        if out.dtype == complex:
+            out.imag[self.fold.real] = 0.0
         return out
 
     def expand(self, u: np.ndarray) -> np.ndarray:
@@ -883,7 +898,13 @@ def _propagate(b, x: np.ndarray, plan: _Plan, mirror, v):
     with the plan's m*, s and steps.  The shift is Re mu: tr(B) is real,
     and the imaginary part that its sum rounds to cancels between h B - mu I
     and exp(mu) in the unfolded loop, but would break the symmetry here.
-    |conj z| = |z|, so the norms and every stop are those of all of x."""
+    |conj z| = |z|, so the norms and every stop are those of all of x.
+
+    When the entries of the propagated pattern and the seed all have zero
+    imaginary parts, the loop runs on their float64 real parts, with the
+    shift Re mu and eta = Re exp(mu / s) as the complex loop forms them:
+    every operation then gives the real part of the complex one to the bit,
+    whose imaginary part is zero."""
     def read(s):
         return s if v is None else v @ s
 
@@ -912,11 +933,15 @@ def _propagate(b, x: np.ndarray, plan: _Plan, mirror, v):
         return
     fold = _hermitian_fold(plan, x, mirror)
     if fold is None:
-        pattern, diagonal, f = plan.pattern, plan.diagonal, x.copy()
+        pattern, diagonal, f = plan.pattern, plan.diagonal, x
         shape = b.shape
     else:
         pattern, diagonal, f = fold.pattern, fold.diagonal, x[fold.rows]
         shape = (f.size, 2 * f.size)
+    real = not (pattern[0].imag.any() or f.imag.any())
+    if real:
+        pattern = (pattern[0].real,) + pattern[1:]
+    f = (f.real if real else f).copy()
     # h B - mu I of the current group, rewritten when the group changes
     a = sp.csr_matrix((np.empty_like(pattern[0]),) + pattern[1:],
                       shape=shape)
@@ -930,9 +955,11 @@ def _propagate(b, x: np.ndarray, plan: _Plan, mirror, v):
             m_star, s, mu = degrees[p], scalings[p], plan.shifts[p]
             if fold is not None:
                 mu = mu.real
-            _shifted(pattern, diagonal, plan.steps[p], mu, a.data)
             # 1.0 * mu as scipy scales it, down to the sign of a zero
             eta = np.exp(1.0 * mu / float(s))
+            if real:
+                mu, eta = mu.real, eta.real
+            _shifted(pattern, diagonal, plan.steps[p], mu, a.data)
             current = p
         _taylor_step(product, f, m_star, s, eta, work, mag)
         yield k, read(f if fold is None else product.expand(f))

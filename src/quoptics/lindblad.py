@@ -161,19 +161,6 @@ def driven_cavity_model(p: CavityParams, n_max: int) -> LindbladModel:
 # Superoperator construction and propagation
 # ---------------------------------------------------------------------------
 
-def lindblad_rhs(m: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """-i[H, rho] + sum_j kappa_j D_j[rho], applied to rho directly: the
-    reference the tests check ``LindbladModel.liouvillian`` against."""
-    h = m.h.entries
-    out = -1j * (h @ rho - rho @ h)
-    for rate, op in m.jumps:
-        j = op.entries
-        jd = j.conj().T
-        jdj = jd @ j
-        out += rate * (2.0 * (j @ rho @ jd) - jdj @ rho - rho @ jdj)
-    return out
-
-
 def build_liouvillian(m: LindbladModel) -> Superoperator:
     """Dense view of ``m.liouvillian``, kept only for the benchmark until
     ROADMAP item 13 deletes it with ``Superoperator``."""

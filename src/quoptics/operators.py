@@ -263,6 +263,17 @@ class DensityMatrix:
         object.__setattr__(self, "entries", arr)
 
     def validate(self) -> None:
+        """Check Hermiticity within eps_herm, unit trace within eps_tr and
+        positivity: the least eigenvalue of the Hermitian part rho_h of rho
+        at least -eps_psd.
+
+        Positivity is read first from a Cholesky factor of rho_h + eps_psd I,
+        which exists where that matrix is positive definite, and from
+        ``eigvalsh`` only where the factorization fails, which then decides
+        and words the error.  So every rejection is decided by the
+        eigenvalues, and the factor can pass only a rho_h whose least
+        eigenvalue lies below -eps_psd by less than Cholesky's round-off,
+        about d 2^-53 ||rho||."""
         h = herm_residual(self.entries)
         # each test is written so that NaN fails it
         if not h <= DEFAULT.eps_herm:
@@ -270,9 +281,16 @@ class DensityMatrix:
         tr = self.entries.trace()
         if not abs(tr - 1.0) <= DEFAULT.eps_tr:
             raise ValidationError(f"trace {tr} deviates from 1")
-        w = np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))
-        if not w.min() >= -DEFAULT.eps_psd:
-            raise ValidationError(f"negative eigenvalue {w.min():.3e}")
+        hermitian = 0.5 * (self.entries + self.entries.conj().T)
+        shifted = hermitian.copy()
+        shifted.flat[::shifted.shape[0] + 1] += DEFAULT.eps_psd
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            w = np.linalg.eigvalsh(hermitian)
+            if not w.min() >= -DEFAULT.eps_psd:
+                raise ValidationError(
+                    f"negative eigenvalue {w.min():.3e}") from None
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.entries @ self.entries)))

@@ -1059,6 +1059,85 @@ def test_inputs_without_the_symmetry_keep_the_unfolded_bits(monkeypatch,
     assert out.tobytes() == q.solve_linear(b, x0, t).tobytes()
 
 
+@pytest.fixture
+def work_dtypes(monkeypatch) -> list:
+    """List that collects the dtype of the vector each Taylor step of the
+    sparse route works on."""
+    recorded = []
+    taylor_step = dynamics._taylor_step
+
+    def record(a, f, *args):
+        recorded.append(f.dtype)
+        return taylor_step(a, f, *args)
+
+    monkeypatch.setattr(dynamics, "_taylor_step", record)
+    return recorded
+
+
+def _resonant_cavity():
+    """A cavity driven on resonance by a real E from the vacuum: every
+    stored entry of its Liouvillian and the seed is real."""
+    b = q.driven_cavity_model(q.CavityParams(1.0, 1.0, 0.0, 2.0),
+                              10).liouvillian
+    return b, _vacuum_seed(10), np.linspace(0.0, 2.0, 11)
+
+
+def _readout_of(n: int) -> np.ndarray:
+    """A complex read-out of one coherence, rho_01, of the vec(rho) of
+    length n."""
+    v = np.zeros(n, dtype=complex)
+    v[math.isqrt(n)] = 1.0
+    return v
+
+
+@pytest.mark.parametrize("readout", [False, True])
+def test_real_generator_and_seed_propagate_in_real_arithmetic(
+        monkeypatch, folds, work_dtypes, readout):
+    b, x0, t = _resonant_cavity()
+    assert not (b.data.imag.any() or x0.imag.any())
+    v = _readout_of(x0.size) if readout else None
+    _force_route(monkeypatch, "sparse")
+    folded = q.solve_linear(b, x0, t, readout=v)
+    _pin_unfolded(monkeypatch)
+    unfolded = q.solve_linear(b, x0, t, readout=v)
+    assert folds[0] is not None
+    assert set(work_dtypes) == {np.dtype(float)}
+    # every output of the real loop is complex with imaginary parts +0.0
+    for out in (folded, unfolded):
+        assert out.dtype == complex
+        assert not (out.imag.any() or np.signbit(out.imag).any())
+    assert _relative_deviation(unfolded, folded) <= 1e-13
+
+
+def _complex_entry_b():
+    b, x0, t = _resonant_cavity()
+    b = b.copy()
+    b.data[np.flatnonzero(b.data)[7]] += 1e-14j
+    return b, x0, t
+
+
+def _complex_coherence_seed():
+    b, x0, t = _resonant_cavity()
+    rho = np.zeros((11, 11), dtype=complex)
+    rho[0, 1] = 1e-14j
+    return b, x0 + vec(rho + rho.conj().T), t
+
+
+@pytest.mark.parametrize("case", [_complex_entry_b, _complex_coherence_seed],
+                         ids=["b", "seed"])
+@pytest.mark.parametrize("readout", [False, True])
+def test_one_imaginary_part_keeps_complex_arithmetic(monkeypatch, folds,
+                                                     work_dtypes, case,
+                                                     readout):
+    b, x0, t = case()
+    v = _readout_of(x0.size) if readout else None
+    _force_route(monkeypatch, "sparse")
+    q.solve_linear(b, x0, t, readout=v)
+    # the Hermitian seed folds, the perturbed B does not
+    assert (folds[0] is None) == (case is _complex_entry_b)
+    assert set(work_dtypes) == {np.dtype(complex)}
+
+
 def test_sparse_route_beyond_condition_3_13_leaves_the_global_random_stream(
         plans):
     # ||h (B - mu I)||_1 = 70 > 63.4: beyond condition (3.13) of Al-Mohy &

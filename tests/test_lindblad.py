@@ -8,9 +8,11 @@ import pytest
 
 import quoptics as q
 from quoptics import dynamics, lindblad
-from quoptics.lindblad import lindblad_rhs, vec
+from quoptics.lindblad import vec
 from quoptics.operators import QuopticsError
 from quoptics.scenarios import run_scenario
+
+from lindblad_reference import lindblad_rhs
 
 
 def _decay_model(gamma: float, n_max: int) -> q.LindbladModel:

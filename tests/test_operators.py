@@ -245,6 +245,34 @@ def test_density_matrix_validation_catches_bad_state():
         bad.validate()
 
 
+@pytest.mark.parametrize("scale", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_positivity_check_agrees_with_eigvalsh_at_the_edge(scale):
+    # least eigenvalue -eps_psd (1 -+ 1e-6), 1e-14 from the edge, about 50
+    # times the round-off of a Cholesky factor at d 6: the factor decides
+    # where it exists, eigvalsh where it fails, and both must decide as
+    # eigvalsh
+    eps = q.DEFAULT.eps_psd
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    w = np.array([-eps * scale, 0.1, 0.15, 0.2, 0.25, 0.0])
+    w[-1] = 1.0 - w[:-1].sum()
+    rho = (u * w) @ u.conj().T
+    state = q.DensityMatrix(q.fock_basis(5), 0.5 * (rho + rho.conj().T))
+    accepted = np.linalg.eigvalsh(state.entries).min() >= -eps
+    assert accepted == (scale < 1.0)
+    try:
+        np.linalg.cholesky(state.entries + eps * np.eye(6))
+        factored = True
+    except np.linalg.LinAlgError:
+        factored = False
+    assert factored == accepted
+    if accepted:
+        state.validate()
+    else:
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            state.validate()
+
+
 def test_operator_immutable():
     op = q.fock_ops(2).a
     with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ from scipy.linalg import expm
 
 import quoptics as q
 from quoptics import dynamics
-from quoptics.lindblad import lindblad_rhs, unvec, vec
+from quoptics.lindblad import unvec, vec
+
+from lindblad_reference import lindblad_rhs
 
 SETTINGS = q.DEFAULT
 
