@@ -5,10 +5,15 @@
 # writer fails the run, and so does a JSON artifact that does not give back
 # its own bytes when it is read and written again. The run ends by printing
 # the SHA-256 of every JSON artifact and of the MCWF CSV, so that byte
-# identity shows in the log.
+# identity shows in the log. Without a quoptics console script on PATH, the
+# CLI runs as python3 -m quoptics.cli, and the package must then be
+# importable (for example with PYTHONPATH=src).
 #
 # usage: ci/scenarios.sh OUT_DIR
 set -euo pipefail
+if ! command -v quoptics > /dev/null; then
+  quoptics() { python3 -m quoptics.cli "$@"; }
+fi
 out=${1:?usage: ci/scenarios.sh OUT_DIR}
 mkdir -p "$out"
 export PYTHONWARNINGS=error::RuntimeWarning
@@ -22,7 +27,7 @@ done
 echo '{"trajectories": 200}' > "$out/mcwf.json"
 quoptics run spontaneous-emission --config "$out/mcwf.json" \
   --format csv --out "$out/spontaneous-emission-mcwf.csv"
-python - "$out" "${artifacts[@]}" <<'EOF'
+python3 - "$out" "${artifacts[@]}" <<'EOF'
 import pathlib
 import sys
 

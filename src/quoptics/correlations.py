@@ -59,6 +59,8 @@ class CorrelationSeries:
             raise ValidationError("tau grid must increase strictly from 0")
         if vals.shape != tau.shape:
             raise ValidationError("tau/values length mismatch")
+        if not np.all(np.isfinite(vals)):
+            raise ValidationError("correlation values must be finite")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "values", vals)
         if self.kind == "G2" and np.max(np.abs(vals.imag)) > (
@@ -213,14 +215,17 @@ def rf_analytics(p: RFParams, tau_grid) -> RFAnalytics:
     disc = 9.0 - 16.0 * p.p_sat
     x = 0.5 * p.gamma * tau
     if disc > _RF_DISC_TOL:
+        # cosh and sinh of r x written with e^{-2 r x}: with 0 < r < 3
+        # every factor decays, so none overflows at long tau
         r = math.sqrt(disc)
-        body = np.cosh(r * x) + 5.0 * np.sinh(r * x) / r
+        decay = 0.5 * np.exp(-(5.0 - r) * x) * (
+            (1.0 + np.exp(-2.0 * r * x)) - 5.0 * np.expm1(-2.0 * r * x) / r)
     elif disc < -_RF_DISC_TOL:
         s = math.sqrt(-disc)
-        body = np.cos(s * x) + 5.0 * np.sin(s * x) / s
+        decay = np.exp(-5.0 * x) * (np.cos(s * x) + 5.0 * np.sin(s * x) / s)
     else:
-        body = 1.0 + 5.0 * x
-    vals = 1.0 - np.exp(-5.0 * x) * body
+        decay = np.exp(-5.0 * x) * (1.0 + 5.0 * x)
+    vals = 1.0 - decay
     g2 = CorrelationSeries(tau=tau, values=vals.astype(complex), kind="G2",
                            normalization={"pe_bar": pe_bar})
     return RFAnalytics(pe_bar=pe_bar, g2=g2)

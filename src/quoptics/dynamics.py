@@ -440,27 +440,25 @@ def pdc_photon_number(p: PDCParams, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Cost laws of the two routes, in seconds on one OpenBLAS thread of a 2-vCPU
-# x86_64 host.  The dense route pays about _C_DENSE D^3 per distinct step
-# for scaling and squaring (Higham 2005; 1.0-2.2e-9 D^3 measured at D 441
-# and 961) and _C_DENSE_STEP D^2 per grid step for the product with the
-# exponential, which streams its 16 D^2 bytes once (3.5-8.4e-10 D^2
-# measured from D 169 to 2116).  ``_plan_route`` charges that D^2 per grid
-# step as if every point took its own product; on a grid of one group the
-# block read-out (``_block_length``) pays it once per block of K points
-# and about D per point with ``readout``.  The sparse route pays _C_PRODUCT +
+# x86_64 host.  The dense route pays about _C_DENSE D^3 per distinct step for
+# scaling and squaring (Higham 2005; 1.0-2.2e-9 D^3 measured at D 441 and 961)
+# and _C_DENSE_STEP D^2 per grid step for the product with the exponential,
+# which streams its 16 D^2 bytes once (3.5-8.4e-10 D^2 measured from D 169 to
+# 2116), or on one group once per block of K points and about D per point with
+# ``readout`` (``_dense_cost``).  The sparse route pays _C_PRODUCT +
 # _C_PRODUCT_NNZ nnz per product of its Taylor loop, nnz that of h B - mu I,
-# charged for the m* s products that bound each grid step (_Plan.products).  Measured per bounded product: 5.5-11.6 us from nnz 160
-# to 6481 and 38 us at 38881 on driven cavities over 41 points, whose loops
-# stop after about half the bound; 10.6-19.5 us from nnz 397 to 5457 and
-# 35 us at 15097 on the OPO spectrum's tau grid, whose loops run nearly all
-# of it; 7-8 us for D <= 6.  The constants sit between the two families,
-# charging the first up to 1.6 times and the second down to 0.6 times what
-# it takes.  A product of the float64 loop that a real B and seed take
-# (``_propagate``) costs 0.55-0.75 of a complex one: 29 against 48 us per
-# folded product at n_max 80 (nnz 19681), 42 against 75 us unfolded, and 14
-# against 19 us folded at n_max 40, the loop's time per product taken on a
-# driven cavity over 41 points.  The constants still charge it at the
-# complex cost, so that no route changes.
+# charged for the m* s products that bound each grid step (_Plan.products).
+# Measured per bounded product: 5.5-11.6 us from nnz 160 to 6481 and 38 us at
+# 38881 on driven cavities over 41 points, whose loops stop after about half
+# the bound; 10.6-19.5 us from nnz 397 to 5457 and 35 us at 15097 on the OPO
+# spectrum's tau grid, whose loops run nearly all of it; 7-8 us for D <= 6.
+# The constants sit between the two families, charging the first up to 1.6
+# times and the second down to 0.6 times what it takes.  A product of the
+# float64 loop that a real B and seed take (``_propagate``) costs 0.55-0.75 of
+# a complex one: 29 against 48 us per folded product at n_max 80 (nnz 19681),
+# 42 against 75 us unfolded, and 14 against 19 us folded at n_max 40, the
+# loop's time per product taken on a driven cavity over 41 points.  The
+# constants still charge it at the complex cost, so that no route changes.
 _C_DENSE = 2e-9
 _C_DENSE_STEP = 8e-10
 _C_PRODUCT = 8e-6
@@ -468,8 +466,8 @@ _C_PRODUCT_NNZ = 1.2e-9
 # Steps equal to this many digits of the largest step share one exponential:
 # round-off spreads the n steps of a linspace grid by about n eps relative.
 _STEP_DIGITS = 9
-# The dense route's block read-out adds three costs to the laws above:
-# _C_CALL per product that the step loop makes, its Python and numpy
+# The dense route's price (``_dense_cost``) adds three costs to the laws
+# above: _C_CALL per product that the step loop makes, its Python and numpy
 # dispatch with the write of what it yields (0.8-1.2 us per matrix-vector
 # product from D 2 to 31, 1.7-2.1 us per point for a product and its
 # read-out); _C_EXPM per extra exponential beyond _C_DENSE D^3 (12-20 us
@@ -585,16 +583,17 @@ class _Plan:
     products: int             # sum of m* s over all grid steps
     pattern: tuple            # CSR (data, indices, indptr) of that B
     diagonal: np.ndarray      # where pattern's data holds the diagonal
+    block: int                # K of the dense route's price (_dense_cost)
 
 
-def _plan_route(b, steps: np.ndarray) -> _Plan:
-    """Pick the cheaper propagation route from sizes alone: dense iff
-    n_groups C_DENSE D^3 + n_steps C_DENSE_STEP D^2 <= products
-    (C_PRODUCT + C_PRODUCT_NNZ nnz), with the sparse route's product bound
-    and nnz those of h B - mu I (``_Plan``).  The steps are grouped once,
-    and one 1-norm is formed per group.  ``b`` is canonical CSR; the choice
-    never depends on timings, so the route, and with it every result, is
-    reproducible."""
+def _plan_route(b, steps: np.ndarray, width: int) -> _Plan:
+    """Pick the cheaper propagation route from sizes alone: dense iff its
+    price (``_dense_cost``, for ``width`` read-out rows per point) is at
+    most products (C_PRODUCT + C_PRODUCT_NNZ nnz), with the sparse route's
+    product bound and nnz those of h B - mu I (``_Plan``).  The steps are
+    grouped once, and one 1-norm is formed per group.  ``b`` is canonical
+    CSR; the choice never depends on timings, so the route, and with it
+    every result, is reproducible."""
     n = b.shape[0]
     trace = b.diagonal().sum()
     pattern, diagonal = _full_diagonal(b)
@@ -609,42 +608,43 @@ def _plan_route(b, steps: np.ndarray) -> _Plan:
         norms[i] = _one_norm(pattern, entries)
     degrees, scalings = _taylor_degrees(norms)
     products = int((degrees * scalings)[which].sum())
-    dense_cost = (firsts.size * _C_DENSE * n**3
-                  + steps.size * _C_DENSE_STEP * n**2)
+    block, dense_cost = _dense_cost(n, steps.size + 1, firsts.size, width)
     dense = dense_cost <= products * (_C_PRODUCT
                                       + _C_PRODUCT_NNZ * entries.size)
     return _Plan("dense" if dense else "sparse", which, firsts, shifts,
-                 degrees, scalings, products, pattern, diagonal)
+                 degrees, scalings, products, pattern, diagonal, block)
 
 
-def _block_length(n: int, points: int, width: int) -> int:
-    """Grid points K per block of the dense route on a grid of ``points``
-    points whose steps form one group, for an n x n B and ``width`` read-out
-    rows per point (1 with ``readout``, n without); 1 is the plain chain.
+def _dense_cost(n: int, points: int, groups: int, width: int):
+    """(K, seconds): the points per read-out block and the price of the
+    dense route on a grid of ``points`` points whose steps form ``groups``
+    groups, for an n x n B and ``width`` read-out rows per point (1 with
+    ``readout``, n without).
 
-    A block costs one product with E^K = exp(K h B) and one with
-    W = [R E; ...; R E^(K-1)], R the read-out rows, against K - 1 products
-    with E = exp(h B) and K read-outs on the chain.  Blocking adds one
-    exponential, with its log2 K extra squarings, and the K - 1 products
-    that form W.  With a = the cost of
-    one row block of W and c = one product with E plus two calls, the
-    blocked time (K - 1) a + (points / K) c is least at K = sqrt(points c /
-    a), which is then held to a W no larger than E and the output together,
-    (K - 1) width n <= n^2 + points width.  K is kept only where the whole
-    blocked cost, the extra exponential included, is below the chain's."""
+    The chain, K = 1, takes one exponential per group and one product with
+    E = exp(h B) per step.  On one group, a block costs one product with
+    E^K = exp(K h B) and one with W = [R E; ...; R E^(K-1)], R the read-out
+    rows, against K - 1 products with E and K read-outs on the chain, and
+    adds one exponential, with its log2 K extra squarings, and the K - 1
+    products that form W.  With a = the cost of one row block of W and c =
+    one product with E plus two calls, the blocked time (K - 1) a +
+    (points / K) c is least at K = sqrt(points c / a), held to a W no larger
+    than E and the output together, (K - 1) width n <= n^2 + points width,
+    and kept only where the whole blocked cost is below the chain's."""
     step = _C_CALL + _C_DENSE_STEP * n * n
     row = _C_CALL + _C_DENSE_STEP * width * n * n
+    expms = groups * _C_DENSE * n**3
+    chain = (points - 1) * step + points * _C_CALL
     k = round(math.sqrt(points * (step + 2 * _C_CALL) / row))
     k = min(k, 1 + (n * n + points * width) // (width * n))
-    if k < 2:
-        return 1
+    if groups != 1 or k < 2:
+        return 1, expms + chain
     blocks = -(-points // k)
-    chain = (points - 1) * step + points * _C_CALL
     blocked = (_C_EXPM + (_C_DENSE + _C_SQUARE * math.log2(k)) * n**3
                + (k - 1) * row
                + (blocks - 1) * step + 2 * blocks * _C_CALL
                + (points - blocks) * _C_DENSE_STEP * width * n)
-    return k if blocked < chain else 1
+    return (k, expms + blocked) if blocked < chain else (1, expms + chain)
 
 
 def _transpose_mirror(n: int, rows: np.ndarray) -> np.ndarray | None:
@@ -746,8 +746,9 @@ def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
     (Al-Mohy & Higham 2011; the bits of scipy's sparse exponential action),
     which never forms the dense exponential and draws nothing from
     np.random.  ``_plan_route`` takes whichever its cost model rates
-    cheaper from D, nnz, the step and group counts and the Taylor product
-    bound: dense for small or stiff generators on long grids, sparse for
+    cheaper from D, nnz, the step and group counts, the read-out width (D
+    rows per point, or 1 with ``readout``) and the Taylor product bound:
+    dense for small or stiff generators on long grids, sparse for
     large ones on short grids and for very large ones on any grid.  B is
     held as canonical complex CSR from entry on, and the plan reads it in
     that form (a real sum of its diagonal can round mu differently).
@@ -760,9 +761,9 @@ def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
     per product.  The dense route and the read-out v . x stay complex.
 
     On the dense route, a grid whose steps form one group (every linspace
-    grid) is read out in blocks of K points where ``_block_length`` rates
-    that cheaper from D, nt and the read-out width: one product with
-    exp(K h B) from block start to block start, and one product with
+    grid) is read out in blocks of K points where the price that the plan
+    chooses the route by (``_dense_cost``) rates that cheaper: one product
+    with exp(K h B) from block start to block start, and one product with
     W = [R E; ...; R E^(K-1)], E = exp(h B), R = v or I, for the K - 1
     points after each start, so about 2 nt / K products in all and about D
     work per point with ``readout`` instead of D^2.  W is formed once and
@@ -808,7 +809,7 @@ def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
     rows = slice(None)
     if keep.size < b.shape[0]:
         b, x, rows = b[keep][:, keep], x[keep], keep
-    plan = _plan_route(b, np.diff(t))
+    plan = _plan_route(b, np.diff(t), b.shape[0] if readout is None else 1)
     if readout is None:
         for k, y in _propagate(b, x, plan, mirror, None):
             out[k, rows] = y
@@ -885,12 +886,12 @@ def _propagate(b, x: np.ndarray, plan: _Plan, mirror, v):
     route yields a view of its working array, which the next step
     overwrites, so each y must be read before the next is drawn.
 
-    The dense route takes one expm per group of steps.  When the steps form
-    one group and ``_block_length`` gives K > 1, it steps from block start
-    to block start, every K points, with E^K = expm(K h B), and writes the
-    K - 1 points after each start as one product W s with the block start
-    s, W = [R E; ...; R E^(K-1)] formed once (R = v, or I without v).  At
-    K = 1 that is the chain x <- E x, point by point.
+    The dense route takes one expm per group of steps.  When the plan's K
+    is above 1 (one group), it steps from block start to block start, every
+    K points, with E^K = expm(K h B), and writes the K - 1 points after each
+    start as one product W s with the block start s, W = [R E; ...;
+    R E^(K-1)] formed once (R = v, or I without v).  At K = 1 that is the
+    chain x <- E x, point by point.
 
     On the sparse route a J-invariant B and x (``_hermitian_fold``, with
     ``mirror`` from ``_transpose_mirror``) are propagated on the rows
@@ -912,9 +913,8 @@ def _propagate(b, x: np.ndarray, plan: _Plan, mirror, v):
     which = plan.which.tolist()
     if plan.route == "dense":
         dense = b.toarray()
-        n, points = x.size, len(which) + 1
+        n, points, k = x.size, len(which) + 1, plan.block
         width = n if v is None else 1
-        k = _block_length(n, points, width) if plan.steps.size == 1 else 1
         props = [expm(dense * (k * h)) for h in plan.steps]
         if k > 1:
             e = expm(dense * plan.steps[0])

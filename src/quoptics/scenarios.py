@@ -51,6 +51,7 @@ from .operators import (
     KetState,
     TwoLevel,
     ValidationError,
+    _check_scalars,
     tensor_embed,
     two_level_basis,
 )
@@ -118,8 +119,9 @@ def physical_params(transmissivity: float, length: float,
         raise ValidationError(
             "transmissivity must sit in (0, 0.5): beyond that the mirror "
             "no longer separates an intracavity mode")
-    if length <= 0 or p_inj < 0:
-        raise ValidationError("length must be positive, power non-negative")
+    _check_scalars("> 0", length=length, omega_c=omega_c)
+    _check_scalars(">= 0", p_inj=p_inj)
+    _check_scalars(phase=phase)
     gamma = SPEED_OF_LIGHT * transmissivity / (4.0 * length)
     amp = math.sqrt(2.0 * gamma * p_inj / (HBAR_SI * omega_c))
     return {"gamma": gamma,

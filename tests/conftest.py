@@ -9,8 +9,8 @@ def plans(monkeypatch) -> list:
     recorded = []
     plan_route = dynamics._plan_route
 
-    def record(b, steps):
-        recorded.append((b.shape[0], plan_route(b, steps)))
+    def record(b, steps, width):
+        recorded.append((b.shape[0], plan_route(b, steps, width)))
         return recorded[-1][1]
 
     monkeypatch.setattr(dynamics, "_plan_route", record)

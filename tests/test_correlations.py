@@ -164,6 +164,13 @@ def test_rf_analytics_limits():
     assert big.pe_bar == pytest.approx(0.5, abs=1e-6)
 
 
+def test_rf_analytics_stays_finite_at_long_tau():
+    # below P = 9/16, cosh and sinh of r gamma tau / 2 overflow once that
+    # passes 710 (tau 522 at P = 0.1), while g2 tends to 1
+    rf = q.rf_analytics(q.RFParams(0.1, 1.0), [0.0, 1000.0])
+    assert rf.g2.values.tolist() == [0.0, 1.0]
+
+
 # P = 9/16 is the critical point, where the closed form is 1 + 5 x
 @pytest.mark.parametrize("p_sat", [2.0, 9 / 16, 0.3])
 def test_rf_analytics_satisfies_its_ode(p_sat):

@@ -497,9 +497,14 @@ def test_solve_linear_rejects_a_time_grid_that_is_not_1d(t):
 # n_max 30 up, where the 8532 products with the dense 961^2 exponential
 # dominate: 1.96 s against 5.81 s dense.
 
+def _force_plan(monkeypatch, **fields) -> None:
+    """Run every propagation on its own plan with ``fields`` replaced."""
+    monkeypatch.setattr(dynamics, "_plan_route", lambda *args: replace(
+        _plan_route(*args), **fields))
+
+
 def _force_route(monkeypatch, route: str) -> None:
-    monkeypatch.setattr(dynamics, "_plan_route", lambda b, steps: replace(
-        _plan_route(b, steps), route=route))
+    _force_plan(monkeypatch, route=route)
 
 
 def _pin_unfolded(monkeypatch) -> None:
@@ -558,7 +563,8 @@ def _norm_rule_plan(b, steps):
     """Route, representative steps and product bound by the planner's cost
     rule: one 1-norm per group of steps equal to 9 digits, taken as
     abs(A).sum(axis=0).max() of a sparse A = h B - mu I formed at the
-    group's first step h, as scipy's expm_multiply forms it."""
+    group's first step h, as scipy's expm_multiply forms it, against the
+    dense route's price for the whole series, D read-out rows per point."""
     n = b.shape[0]
     trace = b.diagonal().sum()
     eye = sp.identity(n, dtype=complex, format="csr")
@@ -573,8 +579,7 @@ def _norm_rule_plan(b, steps):
     stored = sp.csr_matrix((np.ones(b.nnz), b.indices, b.indptr),
                            shape=b.shape)
     nnz = b.nnz + np.count_nonzero(stored.diagonal() == 0)
-    dense_cost = (first.size * dynamics._C_DENSE * n**3
-                  + steps.size * dynamics._C_DENSE_STEP * n**2)
+    _, dense_cost = dynamics._dense_cost(n, steps.size + 1, first.size, n)
     dense = dense_cost <= products * (dynamics._C_PRODUCT
                                       + dynamics._C_PRODUCT_NNZ * nnz)
     return "dense" if dense else "sparse", steps[first], products
@@ -600,7 +605,7 @@ def test_plan_reads_the_shifted_norm_from_the_csr_arrays():
         steps = np.diff(t)
         assert b.has_canonical_format
         assert (b.diagonal() == 0).any() and (b.data == 0).any()
-        plan = _plan_route(b, steps)
+        plan = _plan_route(b, steps, n)
         route, firsts, products = _norm_rule_plan(b, steps)
         assert plan.route == route
         assert np.array_equal(plan.steps, firsts)
@@ -712,15 +717,23 @@ def test_thermal_regression_propagates_only_the_seeded_block(plans):
         assert np.array_equal(before, after)
 
 
-@pytest.mark.parametrize("n_max, route", [
-    (12, "dense"), (15, "dense"), (30, "sparse"), (40, "sparse"),
-])
-def test_plan_on_the_spectrum_tau_grid(spectrum_tau, n_max, route):
-    plan = _plan_route(_opo_liouvillian(n_max), np.diff(spectrum_tau))
+@pytest.mark.parametrize("n_max, readout, route", [
+    (12, False, "dense"), (15, False, "dense"), (30, False, "sparse"),
+    (40, False, "sparse"), (20, True, "dense"),
+], ids=["12-dense", "15-dense", "30-sparse", "40-sparse", "20-readout-dense"])
+def test_plan_on_the_spectrum_tau_grid(spectrum_tau, n_max, readout, route):
+    liouv = _opo_liouvillian(n_max)
+    width = 1 if readout else liouv.shape[0]
+    plan = _plan_route(liouv, np.diff(spectrum_tau), width)
     assert plan.route == route
     # 8532 grid steps in one group: one exponential or one shifted B
     assert plan.which.size == 8532 and not plan.which.any()
     assert plan.steps.size == 1
+    if readout:
+        # the read-out of the whole L at D 441 is priced in blocks: 0.49 s
+        # at K 93 against 1.12 s sparse and 1.52 s on the chain, one
+        # product with the exponential per point
+        assert plan.block > 1
 
 
 def test_spectrum_tau_grid_steps_share_one_exponential(spectrum_tau):
@@ -742,7 +755,7 @@ def test_steps_equal_to_nine_digits_form_one_group(monkeypatch, route):
     steps = np.diff(t)
     assert np.unique(steps).size > 1
     assert np.abs(steps / steps[0] - 1.0).max() < 2e-12
-    plan = _plan_route(sp.csr_matrix(_TWO_BLOCK_B, dtype=complex), steps)
+    plan = _plan_route(sp.csr_matrix(_TWO_BLOCK_B, dtype=complex), steps, 5)
     assert plan.steps.size == 1 and not plan.which.any()
     _force_route(monkeypatch, route)
     x0 = np.array([1.0, 0.5j, 0.0, 0.3, 0.0])
@@ -796,33 +809,18 @@ def test_routes_agree_on_the_spectrum_tau_grid(monkeypatch, spectrum_tau):
     assert _relative_deviation(runs["dense"], runs["sparse"]) <= 1e-12
 
 
-def _pin_chain(monkeypatch) -> None:
-    """Take the dense route one product per grid point, K = 1."""
-    monkeypatch.setattr(dynamics, "_block_length", lambda *args: 1)
+def _blocked(plans) -> list:
+    """Whether each recorded plan takes the dense route with K > 1."""
+    return [p.route == "dense" and p.block > 1 for _, p in plans]
 
 
-@pytest.fixture
-def block_lengths(monkeypatch) -> list:
-    """List that collects the K of every dense propagation on a grid of one
-    group that the test makes."""
-    recorded = []
-    block_length = dynamics._block_length
-
-    def record(*args):
-        recorded.append(block_length(*args))
-        return recorded[-1]
-
-    monkeypatch.setattr(dynamics, "_block_length", record)
-    return recorded
-
-
-def test_rabi_rwa_reads_a_grid_from_zero_out_in_blocks(plans, block_lengths):
+def test_rabi_rwa_reads_a_grid_from_zero_out_in_blocks(plans):
     # the rabi-bloch grid: starting at 0, it takes no zero step, so its
     # steps form one group and the dense route reads it out in blocks
     t = np.linspace(0.0, 2 * math.pi, 401)
     sol = q.rabi_rwa([0, 0, -1.0], 0.0, 1.0, t, omega=25.0)
     assert [plan.steps.size for _, plan in plans] == [1]
-    assert len(block_lengths) == 1 and block_lengths[0] > 1
+    assert _blocked(plans) == [True]
     assert np.abs(sol.p_e - 0.5 * (1.0 - np.cos(t))).max() < 1e-12
 
 
@@ -848,35 +846,35 @@ def _langevin_problem():
 
 @pytest.mark.parametrize("mode", ["readout", "series"])
 def test_blocks_agree_with_the_chain_on_the_spectrum_tau_grid(
-        monkeypatch, block_lengths, spectrum_tau, mode):
+        monkeypatch, plans, spectrum_tau, mode):
     # the 84 rows that the seed touches, K = 105 with the read-out and 12
     # for the series
     liouv, x0, v = _opo_regression_problem(12)
     readout = v if mode == "readout" else None
     blocked = q.solve_linear(liouv, x0, spectrum_tau, readout=readout)
-    assert len(block_lengths) == 1 and block_lengths[0] > 1
-    _pin_chain(monkeypatch)
+    assert _blocked(plans) == [True]
+    _force_plan(monkeypatch, block=1)
     chain = q.solve_linear(liouv, x0, spectrum_tau, readout=readout)
     assert _relative_deviation(chain, blocked) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", ["readout", "series"])
 def test_blocks_agree_with_the_chain_on_the_langevin_series(
-        monkeypatch, block_lengths, mode):
+        monkeypatch, plans, mode):
     drift, x0, v, tau = _langevin_problem()
     readout = v if mode == "readout" else None
     blocked = q.solve_linear(drift, x0, tau, readout=readout)
-    assert len(block_lengths) == 1 and block_lengths[0] > 1
-    _pin_chain(monkeypatch)
+    assert _blocked(plans) == [True]
+    _force_plan(monkeypatch, block=1)
     chain = q.solve_linear(drift, x0, tau, readout=readout)
     assert _relative_deviation(chain, blocked) <= 1e-12
 
 
-def test_opo_spectrum_reads_its_series_out_in_blocks(block_lengths):
+def test_opo_spectrum_reads_its_series_out_in_blocks(plans):
     q.spectrum_numeric(q.opo_lindblad_model(1.0, 0.3, 12), math.pi / 2,
                        np.linspace(0.0, 10.0, 51),
                        mode_op=q.fock_ops(12).a, kappa_out=2.0)
-    assert len(block_lengths) == 2 and min(block_lengths) > 1
+    assert _blocked(plans) == [True, True]
 
 
 def test_short_grids_keep_the_chain():
@@ -886,7 +884,7 @@ def test_short_grids_keep_the_chain():
     for n in range(1, 17):
         for points in range(1, 12):
             for width in (1, n):
-                assert dynamics._block_length(n, points, width) == 1
+                assert dynamics._dense_cost(n, points, 1, width)[0] == 1
 
 
 def _expm_multiply_series(b, x0, t):
@@ -894,7 +892,7 @@ def _expm_multiply_series(b, x0, t):
     step at the first step of its group."""
     steps = np.diff(t)
     trace = b.diagonal().sum()
-    plan = _plan_route(b, steps)
+    plan = _plan_route(b, steps, b.shape[0])
     x, out = x0, [x0]
     for h in plan.steps[plan.which]:
         x = expm_multiply(b * h, x, traceA=trace * h)

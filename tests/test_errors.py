@@ -24,6 +24,7 @@ import pytest
 import scipy.sparse as sp
 
 import quoptics as q
+from quoptics.scenarios import physical_params
 from quoptics.serialize import artifact_from_json, state_from_json
 
 NAN, INF = math.nan, math.inf
@@ -115,6 +116,10 @@ _ROWS = {
         q.RFParams(1.0, 1.0), []),
     "correlation-nan-tau": lambda: q.CorrelationSeries(
         [0.0, NAN], np.zeros(2, dtype=complex)),
+    "correlation-nan-g2": lambda: q.CorrelationSeries(
+        [0.0, 1.0], np.array([1.0, NAN], dtype=complex)),
+    "correlation-inf-values": lambda: q.CorrelationSeries(
+        [0.0, 1.0], np.array([1.0, INF], dtype=complex), kind="generic"),
     "collapse-revival-zero-coupling": lambda: q.collapse_revival(
         4.0, 0.0, np.linspace(0.0, 1.0, 5)),
     "collapse-revival-inf-coupling": lambda: q.collapse_revival(
@@ -128,6 +133,14 @@ _ROWS = {
         1.0, 100.0, k_grid=[]),
     "wigner-weisskopf-nan-gamma": lambda: q.wigner_weisskopf(NAN, 100.0),
     # non-finite physics scalars that reached the formulas
+    "physical-params-nan-length": lambda: physical_params(0.01, NAN),
+    "physical-params-inf-length": lambda: physical_params(0.01, INF),
+    "physical-params-nan-power": lambda: physical_params(
+        0.01, 1.0, p_inj=NAN),
+    "physical-params-inf-phase": lambda: physical_params(
+        0.01, 1.0, p_inj=1e-3, phase=INF),
+    "physical-params-zero-omega": lambda: physical_params(
+        0.01, 1.0, p_inj=1e-3, omega_c=0.0),
     "pdc-analysis-nan-detuning": lambda: q.pdc_analysis(q.PDCParams(NAN, 1.0)),
     "purcell-nan-detuning": lambda: q.purcell_rates(1.0, 1.0, 1.0, NAN, 0.0),
     "purcell-inf-kappa": lambda: q.purcell_rates(1.0, INF, 1.0, 0.0, 0.0),

@@ -295,7 +295,8 @@ def test_every_lindblad_builder_gives_a_j_symmetric_liouvillian(monkeypatch):
         d = m.basis.total_dim
         rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         assert dynamics._hermitian_fold(
-            dynamics._plan_route(b, np.array([0.1])), vec(rho + rho.conj().T),
+            dynamics._plan_route(b, np.array([0.1]), d * d),
+            vec(rho + rho.conj().T),
             dynamics._transpose_mirror(d * d, np.arange(d * d))) is not None
 
 

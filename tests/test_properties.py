@@ -197,8 +197,8 @@ def test_block_read_out_matches_the_matrix_exponential(problem):
     # 1.0e-13 on the series and on the read-out)
     b, x0, v, t = problem
     d = x0.size
-    assert dynamics._block_length(d, t.size, d) > 1
-    assert dynamics._block_length(d, t.size, 1) > 1
+    assert dynamics._dense_cost(d, t.size, 1, d)[0] > 1
+    assert dynamics._dense_cost(d, t.size, 1, 1)[0] > 1
     out = q.solve_linear(b, x0, t)
     readout = q.solve_linear(b, x0, t, readout=v)
     for tk, xk, rk in zip(t, out, readout):
