@@ -584,6 +584,7 @@ class _Plan:
     pattern: tuple            # CSR (data, indices, indptr) of that B
     diagonal: np.ndarray      # where pattern's data holds the diagonal
     block: int                # K of the dense route's price (_dense_cost)
+    width: int                # read-out rows per point that K is priced for
 
 
 def _plan_route(b, steps: np.ndarray, width: int) -> _Plan:
@@ -612,7 +613,7 @@ def _plan_route(b, steps: np.ndarray, width: int) -> _Plan:
     dense = dense_cost <= products * (_C_PRODUCT
                                       + _C_PRODUCT_NNZ * entries.size)
     return _Plan("dense" if dense else "sparse", which, firsts, shifts,
-                 degrees, scalings, products, pattern, diagonal, block)
+                 degrees, scalings, products, pattern, diagonal, block, width)
 
 
 def _dense_cost(n: int, points: int, groups: int, width: int):
@@ -797,9 +798,9 @@ def solve_linear(b, x0, t_grid, *, readout=None) -> np.ndarray:
             "x0 and readout must be vectors with one entry per row of B")
     if not all(np.isfinite(a).all() for a in (b.data, x, v)):
         raise ValidationError("B, x0 and readout must be finite")
-    width = x.size if readout is None else 1
-    _check_size(float(t.size) * width,
-                f"{t.size} times of {width} entries each; the solution")
+    entries = x.size if readout is None else 1
+    _check_size(float(t.size) * entries,
+                f"{t.size} times of {entries} entries each; the solution")
     keep = _touched_rows(b, x)
     out = np.zeros((t.size, x.size) if readout is None else t.size,
                    dtype=complex)
@@ -913,8 +914,7 @@ def _propagate(b, x: np.ndarray, plan: _Plan, mirror, v):
     which = plan.which.tolist()
     if plan.route == "dense":
         dense = b.toarray()
-        n, points, k = x.size, len(which) + 1, plan.block
-        width = n if v is None else 1
+        n, points, k, width = x.size, len(which) + 1, plan.block, plan.width
         props = [expm(dense * (k * h)) for h in plan.steps]
         if k > 1:
             e = expm(dense * plan.steps[0])

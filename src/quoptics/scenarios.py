@@ -115,13 +115,13 @@ def physical_params(transmissivity: float, length: float,
     gamma = c T / (4 L); |E| = sqrt(2 gamma P_inj / (hbar omega_c)) with the
     supplied phase.  SI inputs, natural-unit (angular frequency) outputs.
     """
+    _check_scalars("real", transmissivity=transmissivity, phase=phase)
     if not 0.0 < transmissivity < 0.5:
         raise ValidationError(
             "transmissivity must sit in (0, 0.5): beyond that the mirror "
             "no longer separates an intracavity mode")
     _check_scalars("> 0", length=length, omega_c=omega_c)
     _check_scalars(">= 0", p_inj=p_inj)
-    _check_scalars(phase=phase)
     gamma = SPEED_OF_LIGHT * transmissivity / (4.0 * length)
     amp = math.sqrt(2.0 * gamma * p_inj / (HBAR_SI * omega_c))
     return {"gamma": gamma,

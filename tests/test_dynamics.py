@@ -559,12 +559,44 @@ def _fragment_3_1(norm):
     return best
 
 
-def _norm_rule_plan(b, steps):
-    """Route, representative steps and product bound by the planner's cost
-    rule: one 1-norm per group of steps equal to 9 digits, taken as
+def _dense_price(n, points, groups, width):
+    """(K, seconds) of the dense route by the cost law, stated apart from
+    the planner: the chain pays one exponential per group, one product with
+    E per step and one call per read-out; on a grid of one group, blocks of
+    K points (K by the square-root rule, W held to the entries of E and the
+    output together) are priced as the dense route runs them, and kept
+    where they cost less than the chain."""
+    d = dynamics
+    product = d._C_CALL + d._C_DENSE_STEP * n * n
+    chain = (groups * d._C_DENSE * n**3 + (points - 1) * product
+             + points * d._C_CALL)
+    if groups != 1:
+        return 1, chain
+    row = d._C_CALL + d._C_DENSE_STEP * width * n * n
+    k = round(math.sqrt(points * (product + 2 * d._C_CALL) / row))
+    k = min(k, 1 + (n * n + points * width) // (width * n))
+    if k < 2:
+        return 1, chain
+    # exp(h B), then E^K by one more exponential with log2 K extra
+    # squarings, and the K - 1 row blocks of W
+    cost = (d._C_DENSE * n**3 + d._C_EXPM
+            + (d._C_DENSE + d._C_SQUARE * math.log2(k)) * n**3
+            + (k - 1) * row)
+    for start in range(0, points, k):
+        after = min(start + k, points) - start - 1
+        # the step to the block start and its read-out, then W s
+        cost += ((product if start else 0.0) + 2 * d._C_CALL
+                 + d._C_DENSE_STEP * width * n * after)
+    return (k, cost) if cost < chain else (1, chain)
+
+
+def _norm_rule_plan(b, steps, width):
+    """Route, representative steps, product bound and K by the planner's
+    cost rule: one 1-norm per group of steps equal to 9 digits, taken as
     abs(A).sum(axis=0).max() of a sparse A = h B - mu I formed at the
     group's first step h, as scipy's expm_multiply forms it, against the
-    dense route's price for the whole series, D read-out rows per point."""
+    dense route's price for the whole series, ``width`` read-out rows per
+    point."""
     n = b.shape[0]
     trace = b.diagonal().sum()
     eye = sp.identity(n, dtype=complex, format="csr")
@@ -579,39 +611,57 @@ def _norm_rule_plan(b, steps):
     stored = sp.csr_matrix((np.ones(b.nnz), b.indices, b.indptr),
                            shape=b.shape)
     nnz = b.nnz + np.count_nonzero(stored.diagonal() == 0)
-    _, dense_cost = dynamics._dense_cost(n, steps.size + 1, first.size, n)
+    block, dense_cost = _dense_price(n, steps.size + 1, first.size, width)
     dense = dense_cost <= products * (dynamics._C_PRODUCT
                                       + dynamics._C_PRODUCT_NNZ * nnz)
-    return "dense" if dense else "sparse", steps[first], products
+    return "dense" if dense else "sparse", steps[first], products, block
+
+
+def _sparse_b(rng, n: int):
+    """Seeded sparse n x n B with a structurally missing diagonal entry and
+    explicit stored zeros."""
+    values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    stored = rng.random((n, n)) < min(0.6, 4.0 / n)
+    j = rng.integers(n)
+    stored[j, j] = False
+    b = sp.csr_matrix(values * stored * 10.0 ** rng.uniform(-1.0, 2.0))
+    b.data[rng.random(b.nnz) < 0.2] = 0.0
+    b.data[rng.integers(b.nnz)] = 0.0
+    assert b.has_canonical_format
+    assert (b.diagonal() == 0).any() and (b.data == 0).any()
+    return b
 
 
 def test_plan_reads_the_shifted_norm_from_the_csr_arrays():
-    # seeded sparse B with structurally missing diagonal entries and
-    # explicit stored zeros, on uniform and irregular grids
+    # uniform and irregular grids, then long linspace grids where the dense
+    # route reads out in blocks (at D 12 on 95 points, K held by the size
+    # of W); each planned for the series (D rows per point) and for a
+    # read-out (one row)
     rng = np.random.default_rng(20)
-    routes = set()
+    cases = []
     for _ in range(60):
         n = int(rng.choice([3, 12, 40, 150, 300]))
-        values = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        stored = rng.random((n, n)) < min(0.6, 4.0 / n)
-        j = rng.integers(n)
-        stored[j, j] = False
-        b = sp.csr_matrix(values * stored * 10.0 ** rng.uniform(-1.0, 2.0))
-        b.data[rng.random(b.nnz) < 0.2] = 0.0
-        b.data[rng.integers(b.nnz)] = 0.0
+        b = _sparse_b(rng, n)
         k = int(rng.integers(2, 60))
         t = (np.linspace(0.0, rng.uniform(0.1, 5.0), k) if rng.random() < 0.5
              else np.sort(rng.uniform(0.0, 5.0, k)))
-        steps = np.diff(t)
-        assert b.has_canonical_format
-        assert (b.diagonal() == 0).any() and (b.data == 0).any()
-        plan = _plan_route(b, steps, n)
-        route, firsts, products = _norm_rule_plan(b, steps)
-        assert plan.route == route
-        assert np.array_equal(plan.steps, firsts)
-        assert plan.products == products
-        routes.add(route)
+        cases.append((b, np.diff(t)))
+    for n, points in ((3, 2000), (12, 95), (300, 2000)):
+        cases.append((_sparse_b(rng, n),
+                      np.diff(np.linspace(0.0, 1.0, points))))
+    routes, blocks = set(), set()
+    for b, steps in cases:
+        for width in (b.shape[0], 1):
+            plan = _plan_route(b, steps, width)
+            route, firsts, products, block = _norm_rule_plan(b, steps, width)
+            assert plan.route == route
+            assert np.array_equal(plan.steps, firsts)
+            assert plan.products == products
+            assert (plan.block, plan.width) == (block, width)
+            routes.add(route)
+            blocks.add(block)
     assert routes == {"dense", "sparse"}
+    assert 1 in blocks and len(blocks) > 1
 
 
 def test_non_canonical_csr_b_propagates_as_its_canonical_form(monkeypatch,
@@ -729,6 +779,8 @@ def test_plan_on_the_spectrum_tau_grid(spectrum_tau, n_max, readout, route):
     # 8532 grid steps in one group: one exponential or one shifted B
     assert plan.which.size == 8532 and not plan.which.any()
     assert plan.steps.size == 1
+    assert plan.block == _dense_price(liouv.shape[0], spectrum_tau.size, 1,
+                                      width)[0]
     if readout:
         # the read-out of the whole L at D 441 is priced in blocks: 0.49 s
         # at K 93 against 1.12 s sparse and 1.52 s on the chain, one

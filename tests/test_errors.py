@@ -141,6 +141,12 @@ _ROWS = {
         0.01, 1.0, p_inj=1e-3, phase=INF),
     "physical-params-zero-omega": lambda: physical_params(
         0.01, 1.0, p_inj=1e-3, omega_c=0.0),
+    "physical-params-complex-phase": lambda: physical_params(
+        0.01, 1.0, p_inj=1e-3, phase=1j),
+    "physical-params-complex-transmissivity": lambda: physical_params(
+        1j, 1.0),
+    "physical-params-none-transmissivity": lambda: physical_params(
+        None, 1.0),
     "pdc-analysis-nan-detuning": lambda: q.pdc_analysis(q.PDCParams(NAN, 1.0)),
     "purcell-nan-detuning": lambda: q.purcell_rates(1.0, 1.0, 1.0, NAN, 0.0),
     "purcell-inf-kappa": lambda: q.purcell_rates(1.0, INF, 1.0, 0.0, 0.0),
